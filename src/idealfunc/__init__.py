@@ -18,7 +18,6 @@ from .analytic import (
     residue_c_F,
 )
 from .arith import (
-    ArithmeticFunction,
     delta,
     dirichlet_convolve,
     dirichlet_inverse,

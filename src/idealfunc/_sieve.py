@@ -1,16 +1,19 @@
-"""Vectorized coefficient sieves over norms.
+"""Vectorized coefficient sieves over norms, and the prime-power rules.
 
 For a multiplicative function f on ideals, the per-norm coefficient
 c(n) = sum of f(A) over ideals A with N(A) = n is multiplicative in n,
 with local factors determined by how each rational prime splits.  Building
 c as an array up to x and taking prefix sums gives every summatory function
 in one pass; this is what makes x = 10^7 sweeps feasible in Python.
+
+Each rule below gives f at the e-th power of a prime ideal of norm `norm`;
+the pointwise functions in `arith` evaluate the same rules over a
+factorization.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable
 
 import numpy as np
 
@@ -18,109 +21,87 @@ from .field import FieldSpec, primes_up_to
 
 __all__ = ["coefficient_array", "cumulative_array", "clear_cache"]
 
-# rule(norm, e) -> value of f at the e-th power of a prime ideal of that norm
-Rule = Callable[[int, int], float]
+
+def _count(e: int, k: int, norm: int) -> int:
+    return 1
 
 
-def _rule_for(kind: str, k: int) -> tuple[Rule, bool]:
-    """Return (prime-power rule, norm_free) for a coefficient kind."""
-    if kind == "count":
-        return (lambda norm, e: 1), True
-    if kind == "mobius":
-        return (lambda norm, e: 1 if e < k else (-1 if e == k else 0)), True
-    if kind == "liouville":
-        def rule(norm: int, e: int) -> int:
-            r = e % (k + 1)
-            return 1 if r == 0 else (-1 if r == 1 else 0)
-        return rule, True
-    if kind == "kfree":
-        return (lambda norm, e: 1 if e < k else 0), True
-    if kind == "mobius_density":
-        # local term of mu_1(A) J_1(A) / (J_k(A) N(A)), squarefree support
-        def density(norm: int, e: int) -> float:
-            if e == 0:
-                return 1.0
-            if e == 1:
-                return -(norm - 1) / (norm * (norm**k - 1))
-            return 0.0
-        return density, False
-    raise ValueError(f"unknown coefficient kind {kind!r}")
+def _mobius(e: int, k: int, norm: int) -> int:
+    return 1 if e < k else (-1 if e == k else 0)
 
 
-def _table_for_prime(field: FieldSpec, p: int, amax: int, rule: Rule) -> list:
-    """Local coefficient table: entry a is sum of f(A) over A above p of norm p^a."""
-    if field.prime_table is not None:
-        degrees: list[int] = []
-        for q, rows in field.prime_table:
-            if q == p:
-                for f, _e, mult in rows:
-                    degrees.extend([f] * mult)
-                break
-        else:
-            raise ValueError(f"prime {p} missing from the supplied prime-ideal table")
-        series: list = [1] + [0] * amax
-        for f in degrees:
-            new: list = [0] * (amax + 1)
-            for a in range(amax + 1):
-                if series[a]:
-                    e = 0
-                    while a + f * e <= amax:
-                        new[a + f * e] += series[a] * rule(p**f, e)
-                        e += 1
-            series = new
-        return series
-    if field.degree == 1:
-        return [rule(p, a) for a in range(amax + 1)]
-    chi = field.chi(p)
-    if chi == -1:
-        return [rule(p * p, a // 2) if a % 2 == 0 else 0 for a in range(amax + 1)]
-    if chi == 0:
-        return [rule(p, a) for a in range(amax + 1)]
-    base = [rule(p, a) for a in range(amax + 1)]
-    return [sum(base[i] * base[a - i] for i in range(a + 1)) for a in range(amax + 1)]
+def _liouville(e: int, k: int, norm: int) -> int:
+    r = e % (k + 1)
+    return 1 if r == 0 else (-1 if r == 1 else 0)
+
+
+def _kfree(e: int, k: int, norm: int) -> int:
+    return 1 if e < k else 0
+
+
+def _mobius_density(e: int, k: int, norm: int) -> float:
+    # local term of mu_1(A) J_1(A) / (J_k(A) N(A)), squarefree support
+    if e == 0:
+        return 1.0
+    if e == 1:
+        return -(norm - 1) / (norm * (norm**k - 1))
+    return 0.0
+
+
+_RULES = {
+    "count": _count,
+    "mobius": _mobius,
+    "liouville": _liouville,
+    "kfree": _kfree,
+    "mobius_density": _mobius_density,
+}
+
+
+def _local_table(kind: str, k: int, p: int, degrees: tuple[int, ...], amax: int) -> list:
+    """Entry a: sum of f(A) over the ideals A above p of norm p^a, a <= amax."""
+    rule = _RULES[kind]
+    series: list = [1] + [0] * amax
+    for f in degrees:
+        powers = [rule(e, k, p**f) for e in range(amax // f + 1)]
+        series = [sum(series[a - f * e] * powers[e] for e in range(a // f + 1))
+                  for a in range(amax + 1)]
+    return series
 
 
 def coefficient_array(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarray:
     """Array c with c[n] = sum_{N(A)=n} f(A) for 1 <= n <= xmax (c[0] = 0)."""
+    if kind not in _RULES:
+        raise ValueError(f"unknown coefficient kind {kind!r}")
     xmax = int(xmax)
-    rule, norm_free = _rule_for(kind, k)
-    dtype = np.float64 if kind == "mobius_density" else np.int64
+    norm_free = kind != "mobius_density"  # the one rule that reads the norm
+    dtype = np.int64 if norm_free else np.float64
     val = np.ones(xmax + 1, dtype=dtype)
     if xmax >= 0:
         val[0] = 0
     if xmax < 2:
         return val
-    amax_global = xmax.bit_length()  # 2^a <= xmax bound on any exponent
-
-    get_table: Callable[[int], list]
-    if norm_free and field.prime_table is None:
-        if field.degree == 1:
-            shared = _table_for_prime(field, 2, amax_global, rule)
-            get_table = lambda p: shared  # noqa: E731 - tiny closure
-        else:
-            # the rule ignores norms, so one table per splitting class suffices
-            by_chi = {
-                1: _table_for_prime_split(rule, amax_global),
-                0: [rule(0, a) for a in range(amax_global + 1)],
-                -1: [rule(0, a // 2) if a % 2 == 0 else 0 for a in range(amax_global + 1)],
-            }
-            chi_of = field.chi
-            get_table = lambda p: by_chi[chi_of(p)]  # noqa: E731
-    else:
-        def get_table(p: int) -> list:
-            amax = 0
-            pa = p
-            while pa <= xmax:
-                amax += 1
-                pa *= p
-            return _table_for_prime(field, p, amax, rule)
-
+    # a norm-free rule gives one table per splitting, shared by its primes
+    shared: dict[tuple[int, ...], list] = {}
+    residue_degrees = field.residue_degrees
+    last = table = None
     for p in primes_up_to(xmax).tolist():
-        table = get_table(p)
+        degrees = residue_degrees(p)
+        # Q and quadratic fields hand back shared tuples, so a prime of the
+        # same splitting as the one before (over Q, every prime) skips the memo
+        if degrees is not last or not norm_free:
+            last = degrees
+            table = shared.get(degrees)
+            if table is None:
+                # p^a <= xmax bounds a; primes ascend, so the first prime of a
+                # splitting needs the longest table
+                amax = xmax.bit_length() // (p.bit_length() - 1)
+                table = _local_table(kind, k, p, degrees, amax)
+                if norm_free:
+                    shared[degrees] = table
         pa = p
         a = 1
         while pa <= xmax:
-            v = table[a] if a < len(table) else 0
+            v = table[a]
             if v != 1:
                 idx = np.arange(pa, xmax + 1, pa)
                 exact = idx[(idx // pa) % p != 0]
@@ -131,11 +112,6 @@ def coefficient_array(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndar
             pa *= p
             a += 1
     return val
-
-
-def _table_for_prime_split(rule: Rule, amax: int) -> list:
-    base = [rule(0, a) for a in range(amax + 1)]
-    return [sum(base[i] * base[a - i] for i in range(a + 1)) for a in range(amax + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +129,7 @@ def cumulative_array(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarr
     if cached is not None and len(cached) > xmax:
         _CUM_CACHE.move_to_end(key)
         return cached
-    if kind == "count" and field.degree == 1 and field.prime_table is None:
+    if kind == "count" and field.disc == 1:  # the rationals: one ideal of each norm
         cum = np.arange(xmax + 1, dtype=np.int64)
     else:
         cum = np.cumsum(coefficient_array(field, kind, k, xmax))

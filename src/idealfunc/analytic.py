@@ -15,6 +15,7 @@ import numpy as np
 from . import _sieve
 from .field import (
     FieldSpec,
+    _chi_table,
     is_fundamental_discriminant,
     primes_with_norm_up_to,
 )
@@ -36,15 +37,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvalOptions:
-    """Tolerances and truncation bounds for all analytic evaluations."""
+    """Truncation bounds for all analytic evaluations."""
 
-    rel_tol: float = 1e-9
     prime_cutoff: int = 100_000
     series_cutoff: int = 200_000
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
         if self.prime_cutoff < 2 or self.series_cutoff < 2:
             raise ValueError("cutoffs must be >= 2")
 
@@ -121,7 +119,7 @@ def dirichlet_L(D: int, s: float, opts: EvalOptions = DEFAULT_OPTIONS) -> Analyt
     if s < 1:
         raise ValueError("s must be >= 1")
     mod = abs(D)
-    table = np.array([0 if r == 0 else _kron(D, r) for r in range(mod)], dtype=np.float64)
+    table = np.array(_chi_table(D), dtype=np.float64)
     n0 = ((opts.series_cutoff + mod - 1) // mod) * mod  # whole periods only
     n = np.arange(1, n0 + 1, dtype=np.float64)
     chi = table[np.arange(1, n0 + 1) % mod]
@@ -129,12 +127,6 @@ def dirichlet_L(D: int, s: float, opts: EvalOptions = DEFAULT_OPTIONS) -> Analyt
     partial_bound = float(np.max(np.abs(np.cumsum(table))))
     tail = 2.0 * partial_bound * n0 ** (-s)
     return AnalyticValue(value=value, tail_bound=tail, method="character-sum")
-
-
-def _kron(D: int, r: int) -> int:
-    from .field import kronecker_symbol
-
-    return kronecker_symbol(D, r)
 
 
 def residue_c_F(field: FieldSpec, opts: EvalOptions = DEFAULT_OPTIONS) -> AnalyticValue:

@@ -7,11 +7,11 @@ need not be integral).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .field import FieldSpec, PrimeIdealLabel
+from ._sieve import _kfree, _liouville, _mobius
+from .field import FieldSpec
 from .ideals import (
     UNIT,
     IdealFactorization,
@@ -23,7 +23,6 @@ from .ideals import (
 )
 
 __all__ = [
-    "ArithmeticFunction",
     "mu_k",
     "mu_1",
     "lambda_k",
@@ -31,48 +30,28 @@ __all__ = [
     "delta",
     "jordan_totient",
     "sigma_s",
-    "mobius_fn",
-    "liouville_fn",
-    "kfree_fn",
-    "jordan_fn",
-    "delta_fn",
-    "one_fn",
     "dirichlet_convolve",
     "dirichlet_inverse",
     "mobius_correlation_sum",
 ]
 
 
-@dataclass(frozen=True)
-class ArithmeticFunction:
-    """A function on ideals, with an optional prime-power rule when multiplicative."""
-
-    name: str
-    value: Callable[[IdealFactorization], int | Fraction]
-    multiplicative: bool = False
-    prime_power: Callable[[PrimeIdealLabel, int], int | Fraction] | None = None
-
-    def __call__(self, A: IdealFactorization) -> int | Fraction:
-        return self.value(A)
-
-
-def _mu_rule(k: int, e: int) -> int:
-    if e < k:
-        return 1
-    return -1 if e == k else 0
+def _multiplicative(rule: Callable[[int, int, int], int], k: int,
+                    A: IdealFactorization) -> int:
+    """The multiplicative function with prime-power values rule(e, k, norm) at A."""
+    out = 1
+    for lab, e in A.factors:
+        out *= rule(e, k, lab.norm)
+        if not out:
+            break
+    return out
 
 
 def mu_k(k: int, A: IdealFactorization) -> int:
     """Order-k Mobius function: prime-power values 1 / -1 / 0 for e <k / =k / >k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    out = 1
-    for _lab, e in A.factors:
-        if e > k:
-            return 0
-        if e == k:
-            out = -out
-    return out
+    return _multiplicative(_mobius, k, A)
 
 
 def mu_1(A: IdealFactorization) -> int:
@@ -83,21 +62,14 @@ def lambda_k(k: int, A: IdealFactorization) -> int:
     """Order-k Liouville function: prime-power value by e mod (k+1) in {0,1,other}."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    out = 1
-    for _lab, e in A.factors:
-        r = e % (k + 1)
-        if r == 1:
-            out = -out
-        elif r != 0:
-            return 0
-    return out
+    return _multiplicative(_liouville, k, A)
 
 
 def q_k(k: int, A: IdealFactorization) -> int:
     """Indicator of k-free ideals (no prime-ideal exponent >= k); equals |mu_{k-1}|."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    return 0 if any(e >= k for _lab, e in A.factors) else 1
+    return _multiplicative(_kfree, k, A)
 
 
 def delta(A: IdealFactorization) -> int:
@@ -127,58 +99,12 @@ def sigma_s(A: IdealFactorization, s: float) -> int | float:
     return out
 
 
-def mobius_fn(k: int) -> ArithmeticFunction:
-    return ArithmeticFunction(
-        name=f"mu_{k}",
-        value=lambda A: mu_k(k, A),
-        multiplicative=True,
-        prime_power=lambda lab, e: _mu_rule(k, e),
-    )
-
-
-def liouville_fn(k: int) -> ArithmeticFunction:
-    return ArithmeticFunction(
-        name=f"lambda_{k}",
-        value=lambda A: lambda_k(k, A),
-        multiplicative=True,
-        prime_power=lambda lab, e: lambda_k(k, IdealFactorization(((lab, e),))) if e else 1,
-    )
-
-
-def kfree_fn(k: int) -> ArithmeticFunction:
-    return ArithmeticFunction(
-        name=f"q_{k}",
-        value=lambda A: q_k(k, A),
-        multiplicative=True,
-        prime_power=lambda lab, e: 1 if e < k else 0,
-    )
-
-
-def jordan_fn(k: int) -> ArithmeticFunction:
-    return ArithmeticFunction(
-        name=f"J_{k}",
-        value=lambda A: jordan_totient(k, A),
-        multiplicative=True,
-        prime_power=lambda lab, e: lab.norm ** (k * e) - lab.norm ** (k * (e - 1)),
-    )
-
-
-delta_fn = ArithmeticFunction(name="delta", value=delta, multiplicative=True,
-                              prime_power=lambda lab, e: 0 if e else 1)
-
-one_fn = ArithmeticFunction(name="one", value=lambda A: 1, multiplicative=True,
-                            prime_power=lambda lab, e: 1)
-
-
-def dirichlet_convolve(f: ArithmeticFunction | Callable,
-                       g: ArithmeticFunction | Callable,
-                       A: IdealFactorization) -> int | Fraction:
+def dirichlet_convolve(f: Callable, g: Callable, A: IdealFactorization) -> int | Fraction:
     """(f * g)(A) = sum over D | A of f(D) g(A/D), exactly."""
     return sum(f(D) * g(quotient(A, D)) for D in divisors(A))
 
 
-def dirichlet_inverse(f: ArithmeticFunction | Callable,
-                      A: IdealFactorization,
+def dirichlet_inverse(f: Callable, A: IdealFactorization,
                       _memo: dict | None = None) -> Fraction:
     """f^{-1}(A), solving f * f^{-1} = delta by recursion on divisors.
 

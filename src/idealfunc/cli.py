@@ -2,9 +2,6 @@
 
 Exit codes: 0 success, 1 usage error, 2 verification-suite failure.  All
 numeric output is locale-independent with `.` as the decimal separator.
-The environment variable IDEALFUNC_THREADS is accepted for compatibility
-with parallel sweeps; the computation is deterministic and bit-identical
-regardless of its value.
 """
 
 from __future__ import annotations
@@ -12,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -33,6 +29,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="idealfunc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -50,7 +56,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="stream all ideals with norm <= xmax")
     add_field(p)
-    p.add_argument("--xmax", type=float, required=True)
+    p.add_argument("--xmax", type=_finite_float, required=True)
     add_format(p, default="csv")
 
     p = sub.add_parser("eval", help="evaluate one arithmetic function at one ideal")
@@ -65,15 +71,16 @@ def _build_parser() -> _Parser:
     add_field(p)
     p.add_argument("--fn", choices=("mobius", "liouville", "qfree"), required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--fast", action="store_true",
                    help="use the exact inversion formula (qfree only)")
     add_format(p)
 
     p = sub.add_parser("report", help="remainder reports over a geometric grid")
     add_field(p)
-    p.add_argument("--theorem", choices=("1", "2", "3"), required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--theorem", choices=("0", "1", "2", "3"), required=True,
+                   help="0 ideal count, 1 Mobius sum, 2 Liouville sum, 3 k-free count")
+    p.add_argument("--order", type=int, help="the order k (theorems 1-3)")
     p.add_argument("--grid", required=True, help="a:b:points (geometric)")
     add_format(p, default="csv")
 
@@ -85,7 +92,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("zeta", help="Dedekind zeta value at real s > 1")
     add_field(p)
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--s", type=_finite_float, required=True)
     p.add_argument("--tol", type=float, default=None)
     add_format(p, default="json")
 
@@ -95,18 +102,6 @@ def _build_parser() -> _Parser:
     add_format(p, default="json")
 
     return parser
-
-
-def _check_threads_env() -> None:
-    raw = os.environ.get("IDEALFUNC_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"IDEALFUNC_THREADS={raw!r} is not an integer") from None
-    if n < 1:
-        raise UsageError("IDEALFUNC_THREADS must be >= 1")
 
 
 def _analytic_json(v: AnalyticValue) -> str:
@@ -213,7 +208,9 @@ def _cmd_sum(args, out) -> int:
 def _cmd_report(args, out) -> int:
     field = parse_field(args.field)
     grid = _parse_grid(args.grid)
-    kind = {"1": "mobius", "2": "liouville", "3": "qfree"}[args.theorem]
+    if args.theorem != "0" and args.order is None:
+        raise UsageError("--order is required for theorems 1-3")
+    kind = {"0": "count", "1": "mobius", "2": "liouville", "3": "qfree"}[args.theorem]
     try:
         reports = summatory.sweep(kind, field, args.order, grid)
     except ValueError as exc:
@@ -250,15 +247,19 @@ def _opts_for_tol(tol: float | None, s: float) -> EvalOptions:
     if tol <= 0:
         raise UsageError("--tol must be positive")
     cutoff = int(min(2e6, max(1e4, math.ceil((4.0 / (tol * (s - 1))) ** (1.0 / (s - 1))))))
-    return EvalOptions(rel_tol=tol, prime_cutoff=cutoff, series_cutoff=cutoff)
+    return EvalOptions(prime_cutoff=cutoff, series_cutoff=cutoff)
 
 
 def _cmd_zeta(args, out) -> int:
     field = parse_field(args.field)
     try:
-        value = analytic.dedekind_zeta(field, args.s, _opts_for_tol(args.tol, args.s))
+        opts = _opts_for_tol(args.tol, args.s)
+        value = analytic.dedekind_zeta(field, args.s, opts)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if args.tol is not None and value.tail_bound > args.tol * value.value:
+        raise UsageError(f"--tol {args.tol:g} not reached: tail bound {value.tail_bound:.3g} "
+                         f"at prime cutoff {opts.prime_cutoff}")
     print(_analytic_json(value), file=out)
     return 0
 
@@ -290,7 +291,6 @@ def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     parser = _build_parser()
     try:
-        _check_threads_env()
         args = parser.parse_args(list(argv) if argv is not None else None)
         return _COMMANDS[args.command](args, out)
     except UsageError as exc:

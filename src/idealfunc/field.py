@@ -90,9 +90,18 @@ class FieldSpec:
     m: int | None = None
     label: str = ""
     prime_table: tuple[tuple[int, tuple[TableRow, ...]], ...] | None = None
+    # {p: residue degrees} of a prime_table, one entry per prime ideal
+    table_degrees: dict[int, tuple[int, ...]] | None = dc_field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        degrees = None
         if self.prime_table is not None:
+            degrees = {p: tuple(f for f, _e, mult in sorted(rows) for _ in range(mult))
+                       for p, rows in self.prime_table}
+        # an instance attribute, not a class default, keeps residue_degrees fast
+        object.__setattr__(self, "table_degrees", degrees)
+        if degrees is not None:
             return
         if self.degree == 1:
             if self.m is not None or self.disc != 1:
@@ -114,6 +123,23 @@ class FieldSpec:
             raise ValueError("chi is defined for built-in quadratic fields only")
         table = _chi_table(self.disc)
         return table[n % len(table)]
+
+    def residue_degrees(self, p: int) -> tuple[int, ...]:
+        """Residue degrees of the prime ideals above the rational prime p."""
+        if self.table_degrees is not None:
+            try:
+                return self.table_degrees[p]
+            except KeyError:
+                raise ValueError(
+                    f"prime {p} missing from the supplied prime-ideal table") from None
+        if self.degree == 1:
+            return (1,)
+        table = _chi_table(self.disc)
+        return _QUADRATIC_DEGREES[table[p % len(table)]]
+
+
+# residue degrees above p by chi_disc(p): split, inert, ramified
+_QUADRATIC_DEGREES = {1: (1, 1), -1: (2,), 0: (1,)}
 
 
 @lru_cache(maxsize=None)
@@ -263,37 +289,20 @@ def primes_up_to(limit: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # splitting
 
+_SPLITTING = {(1, 1): SplittingType.SPLIT, (2,): SplittingType.INERT,
+              (1,): SplittingType.RAMIFIED}
+
+
 def split_prime(field: FieldSpec, p: int) -> SplittingType:
     if field.prime_table is not None:
         raise ValueError("splitting types are not defined for table fields")
     if field.degree == 1:
         return SplittingType.DEGREE1
-    chi = field.chi(p)
-    if chi == 1:
-        return SplittingType.SPLIT
-    if chi == -1:
-        return SplittingType.INERT
-    return SplittingType.RAMIFIED
+    return _SPLITTING[field.residue_degrees(p)]
 
 
 def prime_ideals_above(field: FieldSpec, p: int) -> tuple[PrimeIdealLabel, ...]:
-    if field.prime_table is not None:
-        for q, rows in field.prime_table:
-            if q == p:
-                labels = []
-                idx = 0
-                for f, _e, mult in sorted(rows):
-                    for _ in range(mult):
-                        labels.append(PrimeIdealLabel(p=p, f=f, index=idx))
-                        idx += 1
-                return tuple(labels)
-        raise ValueError(f"prime {p} missing from the supplied prime-ideal table")
-    kind = split_prime(field, p)
-    if kind is SplittingType.SPLIT:
-        return (PrimeIdealLabel(p, 1, 0), PrimeIdealLabel(p, 1, 1))
-    if kind is SplittingType.INERT:
-        return (PrimeIdealLabel(p, 2, 0),)
-    return (PrimeIdealLabel(p, 1, 0),)
+    return tuple(PrimeIdealLabel(p, f, i) for i, f in enumerate(field.residue_degrees(p)))
 
 
 def primes_with_norm_up_to(field: FieldSpec, X: float) -> list[PrimeIdealLabel]:

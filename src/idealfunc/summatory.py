@@ -34,6 +34,7 @@ __all__ = [
     "qfree_count_fast",
     "qfree_count_fast_array",
     "remainder_R",
+    "count_report",
     "mobius_report",
     "liouville_reports",
     "kfree_report",
@@ -206,6 +207,15 @@ def _density_K(field: FieldSpec, k: int, opts: EvalOptions) -> float:
     return _CONST_CACHE[key]
 
 
+def count_report(field: FieldSpec, x: float,
+                 opts: EvalOptions = DEFAULT_OPTIONS) -> SummatoryReport:
+    """Ideal-count report: main term c_F x, so the remainder is R(x),
+    normalized by x^((d-1)/(d+1))."""
+    return SummatoryReport(field=field.label, fn="R", k=0, x=x, raw=ideal_count(field, x),
+                           main=_c_F(field, opts) * x,
+                           normalizer=f"x^((d-1)/(d+1)),d={field.degree}")
+
+
 def mobius_report(field: FieldSpec, k: int, x: float,
                   opts: EvalOptions = DEFAULT_OPTIONS) -> SummatoryReport:
     """Order-k Mobius summatory report: main term (c_F / zeta_F(k)) K x,
@@ -258,7 +268,7 @@ def kfree_report(field: FieldSpec, k: int, x: float,
                            main=main, normalizer=_kfree_normalizer(field.degree, k))
 
 
-_REPORT_KINDS = {"mobius", "liouville", "qfree"}
+_REPORT_KINDS = {"count", "mobius", "liouville", "qfree"}
 
 
 def sweep(kind: str, field: FieldSpec, k: int, x_grid: Sequence[float],
@@ -266,7 +276,7 @@ def sweep(kind: str, field: FieldSpec, k: int, x_grid: Sequence[float],
     """One report per grid point, sharing a single coefficient sieve pass.
 
     The grid must be strictly increasing; for the Liouville kind both
-    normalizations are emitted per point.
+    normalizations are emitted per point.  The count kind ignores k.
     """
     if kind not in _REPORT_KINDS:
         raise ValueError(f"unknown report kind {kind!r}")
@@ -276,11 +286,16 @@ def sweep(kind: str, field: FieldSpec, k: int, x_grid: Sequence[float],
     if not grid:
         return []
     # prime the cumulative cache at the largest x so every point reuses it
-    coeff_kind = {"mobius": "mobius", "liouville": "liouville", "qfree": "kfree"}[kind]
-    _sieve.cumulative_array(field, coeff_kind, k, math.floor(grid[-1]))
+    if kind == "count":
+        ideal_count(field, grid[-1])
+    else:
+        coeff_kind = {"mobius": "mobius", "liouville": "liouville", "qfree": "kfree"}[kind]
+        _sieve.cumulative_array(field, coeff_kind, k, math.floor(grid[-1]))
     out: list[SummatoryReport] = []
     for x in grid:
-        if kind == "mobius":
+        if kind == "count":
+            out.append(count_report(field, x, opts))
+        elif kind == "mobius":
             out.append(mobius_report(field, k, x, opts))
         elif kind == "liouville":
             out.extend(liouville_reports(field, k, x, opts))

@@ -19,8 +19,6 @@ CATALAN = 0.915965594177219015054603514932
 
 def test_options_validation():
     with pytest.raises(ValueError):
-        EvalOptions(rel_tol=0.0)
-    with pytest.raises(ValueError):
         EvalOptions(prime_cutoff=1)
     with pytest.raises(ValueError):
         AnalyticValue(value=1.0, tail_bound=-1.0, method="x")

@@ -1,23 +1,20 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idealfunc._sieve import coefficient_array
 from idealfunc.arith import (
     delta,
     dirichlet_convolve,
     dirichlet_inverse,
-    jordan_fn,
     jordan_totient,
-    kfree_fn,
     lambda_k,
-    liouville_fn,
     mobius_correlation_sum,
-    mobius_fn,
     mu_1,
     mu_k,
-    one_fn,
     q_k,
     sigma_s,
 )
@@ -35,6 +32,10 @@ from idealfunc.ideals import (
 
 P2 = PrimeIdealLabel(2, 1, 0)
 P3 = PrimeIdealLabel(3, 1, 0)
+
+
+def one(A):
+    return 1
 
 
 def ideal(*pairs):
@@ -97,13 +98,13 @@ def test_jordan_and_sigma():
 
 def test_convolution_identities():
     for A in [UNIT, prime_power(P2, 1), prime_power(P2, 3), ideal((P2, 2), (P3, 1))]:
-        assert dirichlet_convolve(mobius_fn(1), one_fn, A) == delta(A)
+        assert dirichlet_convolve(mu_1, one, A) == delta(A)
 
 
 def test_kfree_convolution_gives_delta():
     # q_k * lambda_{k-1} = delta
     for k in (2, 3, 4):
-        f, g = kfree_fn(k), liouville_fn(k - 1)
+        f, g = partial(q_k, k), partial(lambda_k, k - 1)
         for e in range(0, 9):
             A = UNIT if e == 0 else prime_power(P2, e)
             assert dirichlet_convolve(f, g, A) == delta(A)
@@ -112,10 +113,10 @@ def test_kfree_convolution_gives_delta():
 
 def test_dirichlet_inverse():
     for A in [UNIT, prime_power(P2, 2), ideal((P2, 1), (P3, 1))]:
-        assert dirichlet_inverse(one_fn, A) == Fraction(mu_1(A))
+        assert dirichlet_inverse(one, A) == Fraction(mu_1(A))
     # inverse of lambda_{k-1} is q_k
     for k in (2, 3):
-        f = liouville_fn(k - 1)
+        f = partial(lambda_k, k - 1)
         for e in range(0, 7):
             A = UNIT if e == 0 else prime_power(P3, e)
             assert dirichlet_inverse(f, A) == Fraction(q_k(k, A))
@@ -128,13 +129,11 @@ def test_inverse_rejects_vanishing_unit_value():
 
 def test_mobius_inversion(rational):
     # g = f * 1 implies f = g * mu_1
-    f = jordan_fn(1)
+    f = partial(jordan_totient, 1)
     for A in enumerate_ideals(rational, 60):
-        g_of = dirichlet_convolve(f, one_fn, A)
+        g_of = dirichlet_convolve(f, one, A)
         assert g_of == A.norm  # J_1 * 1 = norm
-        back = dirichlet_convolve(
-            lambda D: dirichlet_convolve(f, one_fn, D), mobius_fn(1), A
-        )
+        back = dirichlet_convolve(lambda D: dirichlet_convolve(f, one, D), mu_1, A)
         assert back == f(A)
 
 
@@ -166,8 +165,8 @@ def test_multiplicativity(e2, e3, k):
     B = UNIT if e3 == 0 else prime_power(P3, e3)
     assert coprime(A, B)
     AB = multiply(A, B)
-    for fn in (mobius_fn(k), liouville_fn(k), kfree_fn(k), jordan_fn(k)):
-        assert fn(AB) == fn(A) * fn(B)
+    for fn in (mu_k, lambda_k, q_k, jordan_totient):
+        assert fn(k, AB) == fn(k, A) * fn(k, B)
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,12 +179,17 @@ def test_prime_power_value_range(e, k):
     assert mu_k(k, prime_power(P3, k)) == -1
 
 
-def test_prime_power_rule_matches_value():
+def test_prime_power_rule_matches_value(rational):
+    # the sieve's local tables over Q against the pointwise value at P^e
     for k in (1, 2, 3):
-        for fn in (mobius_fn(k), liouville_fn(k), jordan_fn(k)):
-            assert fn.multiplicative
+        for kind, fn in (("mobius", mu_k), ("liouville", lambda_k), ("kfree", q_k)):
+            if kind == "kfree" and k == 1:
+                continue
+            coeff = coefficient_array(rational, kind, k, 2**6)
             for e in range(1, 7):
-                assert fn.prime_power(P2, e) == fn(prime_power(P2, e))
+                assert coeff[2**e] == fn(k, prime_power(P2, e))
+        for e in range(1, 7):
+            assert jordan_totient(k, prime_power(P2, e)) == 2 ** (k * e) - 2 ** (k * (e - 1))
 
 
 def test_mu_of_kth_power_is_mu1(any_field):

@@ -6,15 +6,8 @@ import pytest
 from idealfunc.cli import main
 
 
-def run_cli(argv, env=None, monkeypatch=None):
+def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
-    if env is not None:
-        assert monkeypatch is not None
-        for key, value in env.items():
-            if value is None:
-                monkeypatch.delenv(key, raising=False)
-            else:
-                monkeypatch.setenv(key, value)
     code = main(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
@@ -109,6 +102,39 @@ def test_report_json_and_liouville_pairs():
     assert all(row["main"] == 0.0 for row in rows)
 
 
+def test_report_count_remainder():
+    code, out, _ = run_cli(["report", "--field", "q:-1", "--theorem", "0",
+                            "--grid", "100:10000:3"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "field,fn,k,x,raw,main,remainder,normalizer,normalized"
+    assert [line.split(",")[:5] for line in lines[1:]] == [
+        ["q:-1", "R", "0", "100", "79"], ["q:-1", "R", "0", "1000", "787"],
+        ["q:-1", "R", "0", "10000", "7854"]]
+    assert all(line.split(",")[7] == "x^((d-1)/(d+1))" for line in lines[1:])
+    # the remainder against c_F = pi/4 (to its series tail), normalized by x^(1/3)
+    row = lines[1].split(",")
+    assert float(row[6]) == pytest.approx(79 - 25 * 3.14159265358979, abs=1e-3)
+    assert float(row[9]) == pytest.approx(float(row[6]) / 100 ** (1 / 3))
+    # --order is required for theorems 1-3 only; table fields have no c_F
+    code, _, err = run_cli(["report", "--field", "q", "--theorem", "1",
+                            "--grid", "10:100:2"])
+    assert code == 1 and "--order" in err
+    code, out, _ = run_cli(["report", "--field", "q", "--theorem", "0",
+                            "--grid", "10:100:2", "--format", "json"])
+    assert code == 0
+    assert [(r["fn"], r["k"], r["raw"], r["remainder"]) for r in json.loads(out)] == [
+        ("R", 0, 10, 0.0), ("R", 0, 100, 0.0)]
+
+
+def test_report_table_field_count_rejected(tmp_path):
+    path = tmp_path / "tbl.txt"
+    path.write_text("2 1 1 1\n3 1 1 1\n5 1 1 1\n7 1 1 1\n")
+    code, _, err = run_cli(["report", "--field", f"table:{path}", "--theorem", "0",
+                            "--grid", "2:10:2"])
+    assert code == 1 and err.startswith("error:")
+
+
 def test_report_bad_grid():
     for grid in ("10", "100:10:3", "0:10:3", "a:b:c"):
         code, _, err = run_cli(["report", "--field", "q", "--theorem", "1",
@@ -124,6 +150,22 @@ def test_zeta_json_keys():
     assert payload["value"] == pytest.approx(1.6449340668, abs=1e-4)
     code, _, err = run_cli(["zeta", "--field", "q", "--s", "1.0"])
     assert code == 1
+
+
+@pytest.mark.parametrize("s,tol,code", [
+    ("2", "1e-6", 0),
+    ("3", "1e-9", 0),
+    ("2", "1e-9", 1),     # relative tail bound 6.7e-7 at the capped cutoff
+    ("1.05", "1e-9", 1),  # tail bound about 2e9
+])
+def test_zeta_tol_is_met_or_refused(s, tol, code):
+    got, out, err = run_cli(["zeta", "--field", "q", "--s", s, "--tol", tol])
+    assert got == code, err
+    if code == 0:
+        payload = json.loads(out)
+        assert payload["tail_bound"] <= float(tol) * payload["value"]
+    else:
+        assert out == "" and len(err.strip().splitlines()) == 1
 
 
 def test_constant_json():
@@ -144,25 +186,22 @@ def test_verify_small_passes():
     assert code == 0
 
 
-def test_threads_env_validation(monkeypatch):
-    code, out, _ = run_cli(["sum", "--field", "q", "--fn", "qfree",
-                            "--order", "2", "--x", "100"],
-                           env={"IDEALFUNC_THREADS": "4"}, monkeypatch=monkeypatch)
-    assert code == 0 and out.strip() == "61"
-    code, _, err = run_cli(["field", "--field", "q"],
-                           env={"IDEALFUNC_THREADS": "zero"}, monkeypatch=monkeypatch)
-    assert code == 1
-    code, _, err = run_cli(["field", "--field", "q"],
-                           env={"IDEALFUNC_THREADS": "0"}, monkeypatch=monkeypatch)
-    assert code == 1
-
-
-def test_output_independent_of_threads_env(monkeypatch):
+def test_output_independent_of_threads_env():
+    # three repeated in-process runs give identical bytes
     argv = ["report", "--field", "q:-1", "--theorem", "1",
             "--order", "2", "--grid", "10:10000:5"]
-    outputs = []
-    for threads in (None, "1", "4"):
-        _, out, _ = run_cli(argv, env={"IDEALFUNC_THREADS": threads},
-                            monkeypatch=monkeypatch)
-        outputs.append(out)
-    assert outputs[0] == outputs[1] == outputs[2]
+    outputs = [run_cli(argv)[1] for _ in range(3)]
+    assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sum", "--field", "q", "--fn", "mobius", "--order", "2", "--x", "inf"],
+    ["sum", "--field", "q", "--fn", "mobius", "--order", "2", "--x", "nan"],
+    ["enumerate", "--field", "q", "--xmax", "inf"],
+    ["zeta", "--field", "q", "--s", "-inf"],
+    ["zeta", "--field", "q", "--s", "two"],
+])
+def test_non_finite_numbers_rejected(argv):
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
