@@ -93,7 +93,7 @@ def _normalizer_value(tag: str, x: float) -> float:
     if tag.startswith("x^(1/") and tag.endswith(")"):
         k = int(tag[5:-1])
         return x ** (1.0 / k)
-    if tag.startswith("x^((d-1)/(d+1)),d="):
+    if tag.startswith("x^((d-1)/(d+1));d="):
         d = int(tag.rsplit("=", 1)[1])
         return x ** ((d - 1.0) / (d + 1.0))
     raise ValueError(f"unknown normalizer tag {tag!r}")
@@ -213,7 +213,7 @@ def count_report(field: FieldSpec, x: float,
     normalized by x^((d-1)/(d+1))."""
     return SummatoryReport(field=field.label, fn="R", k=0, x=x, raw=ideal_count(field, x),
                            main=_c_F(field, opts) * x,
-                           normalizer=f"x^((d-1)/(d+1)),d={field.degree}")
+                           normalizer=f"x^((d-1)/(d+1));d={field.degree}")
 
 
 def mobius_report(field: FieldSpec, k: int, x: float,
@@ -253,7 +253,7 @@ def _kfree_normalizer(d: int, k: int) -> str:
         return "x^(1/3)*log(x)"
     if (d, k) == (3, 2):
         return "x^(1/2)*log(x)"
-    return f"x^((d-1)/(d+1)),d={d}"
+    return f"x^((d-1)/(d+1));d={d}"
 
 
 def kfree_report(field: FieldSpec, k: int, x: float,
@@ -285,6 +285,10 @@ def sweep(kind: str, field: FieldSpec, k: int, x_grid: Sequence[float],
         raise ValueError("x_grid must be strictly increasing")
     if not grid:
         return []
+    # every kind but Liouville needs c_F: refuse a field without one (a table
+    # field) before sieving anything
+    if kind != "liouville":
+        _c_F(field, opts)
     # prime the cumulative cache at the largest x so every point reuses it
     if kind == "count":
         ideal_count(field, grid[-1])

@@ -1,9 +1,12 @@
 import io
 import json
+import os
 
 import pytest
 
+from idealfunc import _sieve
 from idealfunc.cli import main
+from idealfunc.summatory import CSV_HEADER
 
 
 def run_cli(argv):
@@ -111,11 +114,11 @@ def test_report_count_remainder():
     assert [line.split(",")[:5] for line in lines[1:]] == [
         ["q:-1", "R", "0", "100", "79"], ["q:-1", "R", "0", "1000", "787"],
         ["q:-1", "R", "0", "10000", "7854"]]
-    assert all(line.split(",")[7] == "x^((d-1)/(d+1))" for line in lines[1:])
+    assert all(line.split(",")[7] == "x^((d-1)/(d+1));d=2" for line in lines[1:])
     # the remainder against c_F = pi/4 (to its series tail), normalized by x^(1/3)
     row = lines[1].split(",")
     assert float(row[6]) == pytest.approx(79 - 25 * 3.14159265358979, abs=1e-3)
-    assert float(row[9]) == pytest.approx(float(row[6]) / 100 ** (1 / 3))
+    assert float(row[8]) == pytest.approx(float(row[6]) / 100 ** (1 / 3))
     # --order is required for theorems 1-3 only; table fields have no c_F
     code, _, err = run_cli(["report", "--field", "q", "--theorem", "1",
                             "--grid", "10:100:2"])
@@ -127,12 +130,28 @@ def test_report_count_remainder():
         ("R", 0, 10, 0.0), ("R", 0, 100, 0.0)]
 
 
+@pytest.mark.parametrize("theorem", ["0", "1", "2", "3"])
+@pytest.mark.parametrize("k", ["2", "4"])
+def test_report_csv_rows_match_header(theorem, k):
+    code, out, _ = run_cli(["report", "--field", "q:-1", "--theorem", theorem,
+                            "--order", k, "--grid", "10:1000:3"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) > 1
+    assert {len(line.split(",")) for line in lines} == {len(CSV_HEADER.split(","))}
+
+
 def test_report_table_field_count_rejected(tmp_path):
     path = tmp_path / "tbl.txt"
     path.write_text("2 1 1 1\n3 1 1 1\n5 1 1 1\n7 1 1 1\n")
-    code, _, err = run_cli(["report", "--field", f"table:{path}", "--theorem", "0",
-                            "--grid", "2:10:2"])
-    assert code == 1 and err.startswith("error:")
+    # the count, Mobius and k-free reports need c_F, which a table field lacks;
+    # they refuse before sieving anything
+    for theorem in ("0", "1", "3"):
+        _sieve.clear_cache()
+        code, _, err = run_cli(["report", "--field", f"table:{path}", "--theorem", theorem,
+                                "--order", "2", "--grid", "2:10:2"])
+        assert code == 1 and err.startswith("error:"), theorem
+        assert not _sieve._CUM_CACHE, theorem
 
 
 def test_report_bad_grid():
@@ -205,3 +224,14 @@ def test_non_finite_numbers_rejected(argv):
     code, out, err = run_cli(argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("x", ["1e12", "1e300"])
+def test_sum_refuses_x_beyond_physical_memory(x):
+    # only x the preflight refuses: 17 bytes per norm must exceed physical memory
+    assert 17 * float(x) > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    code, out, err = run_cli(["sum", "--field", "q:-1", "--fn", "mobius", "--order", "2",
+                              "--x", x])
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:") and "physical memory" in err

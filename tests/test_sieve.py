@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealfunc._sieve import coefficient_array
+from idealfunc._sieve import _local_table, coefficient_array
 from idealfunc.arith import lambda_k, mu_k, q_k
 from idealfunc.field import make_table_field, parse_field, primes_up_to
 from idealfunc.ideals import enumerate_ideals
@@ -54,3 +54,65 @@ def test_gaussian_table_matches_quadratic():
                 continue
             assert np.array_equal(coefficient_array(table, kind, k, XMAX),
                                   coefficient_array(gaussian, kind, k, XMAX)), (kind, k)
+
+
+# squares of primes and their neighbours, where the sqrt(x) split between
+# the per-prime passes and the batched large-prime writes moves
+BOUNDARY_X = (1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 168, 169, 170)
+BOUNDARY_POINTWISE = {"count": lambda k, A: 1, **POINTWISE}
+
+
+def test_sieve_matches_pointwise_at_split_boundaries():
+    for spec, field in FIELDS.items():
+        ideals = list(enumerate_ideals(field, max(BOUNDARY_X)))
+        for kind, fn in BOUNDARY_POINTWISE.items():
+            for k in (1, 2, 3):
+                if kind == "kfree" and k == 1:
+                    continue
+                expected = [0] * (max(BOUNDARY_X) + 1)
+                for A in ideals:
+                    expected[A.norm] += fn(k, A)
+                for x in BOUNDARY_X:
+                    coeff = coefficient_array(field, kind, k, x)
+                    assert coeff.tolist() == expected[: x + 1], (spec, kind, k, x)
+
+
+def _per_prime_sieve(field, kind, k, xmax):
+    # one pass per prime power for every prime up to xmax, in ascending order
+    dtype = np.float64 if kind == "mobius_density" else np.int64
+    val = np.ones(xmax + 1, dtype=dtype)
+    val[0] = 0
+    for p in primes_up_to(xmax).tolist():
+        table = _local_table(kind, k, p, field.residue_degrees(p),
+                             xmax.bit_length() // (p.bit_length() - 1))
+        pa, a = p, 1
+        while pa <= xmax:
+            if table[a] != 1:
+                idx = np.arange(pa, xmax + 1, pa)
+                exact = idx[(idx // pa) % p != 0]
+                if table[a] == 0:
+                    val[exact] = 0
+                else:
+                    val[exact] *= table[a]
+            pa, a = pa * p, a + 1
+    return val
+
+
+def test_batched_sieve_bytes_match_per_prime_sieve():
+    for spec, field in FIELDS.items():
+        for k in (1, 2, 3):
+            for x in BOUNDARY_X + (1000, XMAX):
+                for kind in ("count", "mobius", "liouville", "kfree", "mobius_density"):
+                    got = coefficient_array(field, kind, k, x)
+                    want = _per_prime_sieve(field, kind, k, x)
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (spec, kind, k, x)
+
+
+def test_mobius_density_zero_signs():
+    # 37 > sqrt(1000) meets c(4) = 0.0 and multiplies it by a negative value
+    coeff = coefficient_array(FIELDS["q"], "mobius_density", 1, 1000)
+    assert coeff[4 * 37] == 0 and np.signbit(coeff[4 * 37])
+    # 11 > sqrt(100) is inert in Z[i], so c(22) is written as 0.0, not 0.0 * c(2)
+    coeff = coefficient_array(FIELDS["q:-1"], "mobius_density", 2, 100)
+    assert coeff[2] < 0 and coeff[22] == 0 and not np.signbit(coeff[22])
