@@ -11,7 +11,16 @@ gets one vectorised pass per power p^a <= x.  A prime p > sqrt(x) divides
 each n <= x at most once, with a cofactor m < p, and no n has two such
 primes, so their writes are disjoint: one vectorised write per cofactor m
 (about sqrt(x) of them) applies every large prime at once, instead of one
-Python pass per prime (664,579 of them at x = 10^7).
+Python pass per prime (664,579 of them at x = 10^7).  Their local values
+come from one splitting lookup per class of `FieldSpec.splitting_keys`
+(p mod |disc| for built-in fields), not one per prime.
+
+For the norm-free rules over a field of degree <= 2 the sieve works in a
+16-bit array: there |c(n)| <= tau(n), the number of divisors of n, and so
+is every partial product of local values met on the way, and
+tau(n) <= 26,880 < 2^15 for n <= 10^15.  The array is widened to int64 only
+when the sieve is done; fields of degree >= 3 (where tau_3(n) can pass
+2^15) sieve in int64, and mobius_density in float64.
 
 Each rule below gives f at the e-th power of a prime ideal of norm `norm`;
 the pointwise functions in `arith` evaluate the same rules over a
@@ -21,12 +30,11 @@ factorization.
 from __future__ import annotations
 
 import math
-import os
 from collections import OrderedDict
 
 import numpy as np
 
-from .field import FieldSpec, primes_up_to
+from .field import FieldSpec, _check_memory, primes_up_to
 
 __all__ = ["coefficient_array", "cumulative_array", "clear_cache"]
 
@@ -77,28 +85,25 @@ def _local_table(kind: str, k: int, p: int, degrees: tuple[int, ...], amax: int)
     return series
 
 
-def _check_memory(xmax: int) -> None:
-    """Refuse an x whose sieve arrays would not fit in physical memory."""
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):  # no sysconf: nothing to check
-        return
-    # about 17 bytes per norm: the int64 coefficients, a bool prime flag, and
-    # one more x-sized int64 array such as most callers hold (a second cached
-    # prefix sum, or np.cumsum of the coefficients)
-    if 17 * (xmax + 1) > physical:
-        raise ValueError(f"x = {min(xmax, 10**308):.3g} is too large to sieve: about 17 bytes "
-                         f"per norm exceed the {physical / 2**30:.1f} GiB of physical memory")
-
-
 def coefficient_array(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarray:
     """Array c with c[n] = sum_{N(A)=n} f(A) for 1 <= n <= xmax (c[0] = 0)."""
     if kind not in _RULES:
         raise ValueError(f"unknown coefficient kind {kind!r}")
     xmax = int(xmax)
     _check_memory(xmax)
-    norm_free = kind != "mobius_density"  # the one rule that reads the norm
-    dtype = np.int64 if norm_free else np.float64
+    if kind == "mobius_density":  # the one rule that reads the norm
+        work = dtype = np.float64
+    else:
+        # |c(n)| <= tau(n) < 2^15 over degree <= 2 (see the module docstring)
+        work = np.int16 if field.degree <= 2 and xmax <= 10**15 else np.int64
+        dtype = np.int64
+    # widened only once _sieve_work has returned and freed its temporaries
+    return _sieve_work(field, kind, k, xmax, work).astype(dtype, copy=False)
+
+
+def _sieve_work(field: FieldSpec, kind: str, k: int, xmax: int, dtype) -> np.ndarray:
+    """The coefficient array of `coefficient_array`, in the work dtype."""
+    norm_free = kind != "mobius_density"
     val = np.ones(xmax + 1, dtype=dtype)
     if xmax >= 0:
         val[0] = 0
@@ -148,17 +153,22 @@ def coefficient_array(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndar
     # large prime at once, and each n still meets its large prime after all
     # its small ones, so float products keep their order.
     large = primes[cut:]
+    # Equal splitting keys mean equal residue degrees, so a norm-free rule
+    # looks each splitting up once per key class, not once per prime;
+    # mobius_density reads the norm, so there each prime is its own key.
+    keys = field.splitting_keys(large) if norm_free else large
+    _, reps, inverse = np.unique(keys, return_index=True, return_inverse=True)
     first = {degrees: table[1] for degrees, table in shared.items()}
-    values = []
-    for p in large.tolist():
+    class_values = []
+    for p in large[reps].tolist():
         degrees = residue_degrees(p)
         v = first.get(degrees)
         if v is None:
             v = _local_table(kind, k, p, degrees, 1)[1]
             if norm_free:
                 first[degrees] = v
-        values.append(v)
-    values = np.array(values, dtype=dtype)
+        class_values.append(v)
+    values = np.array(class_values, dtype=dtype)[inverse]
     zero = values == 0
     scaled = ~zero & (values != 1)
     # a zero value is written, not multiplied in, as in the small-prime passes:

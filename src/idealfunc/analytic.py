@@ -17,7 +17,7 @@ from .field import (
     FieldSpec,
     _chi_table,
     is_fundamental_discriminant,
-    primes_with_norm_up_to,
+    primes_up_to,
 )
 
 __all__ = [
@@ -76,14 +76,25 @@ def _prime_ideal_norm_tail(degree: int, cutoff: int, s: float) -> float:
     return head + inert
 
 
+def _prime_ideal_norms(field: FieldSpec, cutoff: int) -> list[int]:
+    """Norms of the prime ideals with norm <= cutoff, ascending, one per ideal.
+
+    The same norms in the same order as `primes_with_norm_up_to`, without
+    building a label per prime ideal; equal norms give equal Euler factors,
+    so the products and sums below keep their floating-point order.
+    """
+    return sorted(p**f for p in primes_up_to(cutoff).tolist()
+                  for f in field.residue_degrees(p) if p**f <= cutoff)
+
+
 def dedekind_zeta(field: FieldSpec, s: float, opts: EvalOptions = DEFAULT_OPTIONS) -> AnalyticValue:
     """zeta_F(s) for real s > 1 by truncated Euler product over prime ideals."""
     if s <= 1 + 1e-3:
         raise ValueError("s must exceed 1 + 1e-3 (pole at s = 1)")
     cutoff = opts.prime_cutoff
     log_value = 0.0
-    for lab in primes_with_norm_up_to(field, cutoff):
-        log_value -= math.log1p(-float(lab.norm) ** (-s))
+    for norm in _prime_ideal_norms(field, cutoff):
+        log_value -= math.log1p(-float(norm) ** (-s))
     value = math.exp(log_value)
     log_tail = _prime_ideal_norm_tail(field.degree, cutoff, s) / (1.0 - 2.0 ** (-s))
     return AnalyticValue(value=value, tail_bound=value * math.expm1(log_tail),
@@ -151,8 +162,8 @@ def mobius_density_constant(field: FieldSpec, k: int,
         raise ValueError("k must be >= 2")
     cutoff = opts.prime_cutoff
     value = 1.0
-    for lab in primes_with_norm_up_to(field, cutoff):
-        n = float(lab.norm)
+    for norm in _prime_ideal_norms(field, cutoff):
+        n = float(norm)
         value *= 1.0 - (n - 1.0) / (n * (n**k - 1.0))
     log_tail = 2.0 * _prime_ideal_norm_tail(field.degree, cutoff, float(k))
     return AnalyticValue(value=value, tail_bound=value * math.expm1(log_tail),

@@ -7,6 +7,7 @@ numeric output is locale-independent with `.` as the decimal separator.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -15,7 +16,7 @@ from typing import Sequence
 from . import analytic, summatory, verify
 from .analytic import AnalyticValue, EvalOptions
 from .field import FieldSpec, parse_field
-from .ideals import enumerate_ideals, format_ideal
+from .ideals import enumerate_ideals, format_ideal, ideals_of_norm
 
 __all__ = ["main", "run"]
 
@@ -135,7 +136,7 @@ def _find_ideal(field: FieldSpec, spec: str):
         raise UsageError(f"bad ideal designation {spec!r}, expected NORM[:IDX]") from None
     if norm < 1 or idx < 0:
         raise UsageError("ideal norm must be >= 1 and index >= 0")
-    matches = [A for A in enumerate_ideals(field, norm) if A.norm == norm]
+    matches = ideals_of_norm(field, norm)
     if idx >= len(matches):
         raise UsageError(f"no ideal of norm {norm} with index {idx} "
                          f"({len(matches)} such ideals exist)")
@@ -157,8 +158,12 @@ def _cmd_enumerate(args, out) -> int:
     field = parse_field(args.field)
     if args.xmax < 1:
         raise UsageError("--xmax must be >= 1")
+    ideals = enumerate_ideals(field, args.xmax)
+    # enumerate_ideals does all its work, and any refusal, before it yields
+    # the unit ideal, so an xmax the prime sieve refuses prints nothing
+    first = next(ideals)
     print("norm,factorization", file=out)
-    for A in enumerate_ideals(field, args.xmax):
+    for A in itertools.chain((first,), ideals):
         print(f"{A.norm},{format_ideal(A)}", file=out)
     return 0
 

@@ -9,6 +9,7 @@ are supported through an explicit prime-ideal table (``table:<path>``).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from functools import lru_cache
@@ -136,6 +137,17 @@ class FieldSpec:
             return (1,)
         table = _chi_table(self.disc)
         return _QUADRATIC_DEGREES[table[p % len(table)]]
+
+    def splitting_keys(self, primes: np.ndarray) -> np.ndarray:
+        """One integer key per prime; primes with equal keys have equal
+        residue_degrees."""
+        if self.table_degrees is None:
+            # chi_disc(p) depends only on p mod |disc| (all keys 0 over Q)
+            return primes % abs(self.disc)
+        # a class index per distinct degrees tuple, in order of first appearance
+        classes: dict[tuple[int, ...], int] = {}
+        return np.array([classes.setdefault(self.residue_degrees(p), len(classes))
+                         for p in primes.tolist()], dtype=np.int64)
 
 
 # residue degrees above p by chi_disc(p): split, inert, ramified
@@ -265,6 +277,20 @@ def kronecker_symbol(D: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # rational primes
 
+def _check_memory(xmax: int) -> None:
+    """Refuse an x whose sieve arrays would not fit in physical memory."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):  # no sysconf: nothing to check
+        return
+    # about 17 bytes per norm: the int64 coefficients, a bool prime flag, and
+    # one more x-sized int64 array such as most callers hold (a second cached
+    # prefix sum, or np.cumsum of the coefficients)
+    if 17 * (xmax + 1) > physical:
+        raise ValueError(f"x = {min(xmax, 10**308):.3g} is too large to sieve: about 17 bytes "
+                         f"per norm exceed the {physical / 2**30:.1f} GiB of physical memory")
+
+
 _prime_cache: dict[str, object] = {"limit": 0, "primes": np.empty(0, dtype=np.int64)}
 
 
@@ -274,12 +300,16 @@ def primes_up_to(limit: int) -> np.ndarray:
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     if limit > _prime_cache["limit"]:
-        sieve = np.ones(limit + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(limit) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        _prime_cache["primes"] = np.nonzero(sieve)[0].astype(np.int64)
+        _check_memory(limit)
+        # odd numbers only: odd[i] flags 2i + 1, and 2 is prepended
+        odd = np.ones((limit + 1) // 2, dtype=bool)
+        odd[0] = False
+        for i in range(1, (math.isqrt(limit) + 1) // 2):
+            if odd[i]:
+                p = 2 * i + 1
+                odd[p * p // 2 :: p] = False
+        _prime_cache["primes"] = np.concatenate(
+            (np.array([2], dtype=np.int64), 2 * np.flatnonzero(odd).astype(np.int64) + 1))
         _prime_cache["limit"] = limit
     primes: np.ndarray = _prime_cache["primes"]  # type: ignore[assignment]
     cut = np.searchsorted(primes, limit, side="right")

@@ -18,6 +18,8 @@ from .field import (
     NORM_LIMIT,
     FieldSpec,
     PrimeIdealLabel,
+    prime_ideals_above,
+    primes_up_to,
     primes_with_norm_up_to,
 )
 
@@ -34,6 +36,7 @@ __all__ = [
     "divisors",
     "format_ideal",
     "enumerate_ideals",
+    "ideals_of_norm",
     "ideal_count",
     "ideal_count_coprime",
 ]
@@ -182,6 +185,44 @@ def enumerate_ideals(field: FieldSpec, X: float) -> Iterator[IdealFactorization]
     found.sort(key=lambda item: item[0])
     for _key, factors in found:
         yield IdealFactorization(factors)
+
+
+def _factor(n: int) -> list[tuple[int, int]]:
+    """(p, a) for each p^a exactly dividing n >= 1, p ascending."""
+    small = primes_up_to(math.isqrt(n))
+    pairs = []
+    for p in small[n % small == 0].tolist():
+        a = 0
+        while n % p == 0:
+            n //= p
+            a += 1
+        pairs.append((p, a))
+    if n > 1:  # every prime factor up to sqrt(n) is gone, so n is prime
+        pairs.append((n, 1))
+    return pairs
+
+
+def ideals_of_norm(field: FieldSpec, n: int) -> list[IdealFactorization]:
+    """Every ideal of norm n, in the order `enumerate_ideals` yields them.
+
+    Built from the factorization of n: for each p^a exactly dividing n, the
+    ideals of norm p^a are the exponent vectors (e_i) over the prime ideals
+    P_i above p with sum e_i f_i = a, and an ideal of norm n picks one of
+    them for every such p.
+    """
+    if not 1 <= n <= NORM_LIMIT:
+        raise ValueError(f"ideal norm must lie in [1, {NORM_LIMIT}]")
+    local = []
+    for p, a in _factor(n):
+        labels = prime_ideals_above(field, p)
+        local.append([
+            [(lab, e) for lab, e in zip(labels, exps) if e]
+            for exps in iter_product(*(range(a // lab.f + 1) for lab in labels))
+            if sum(lab.f * e for lab, e in zip(labels, exps)) == a
+        ])
+    ideals = [from_factors(pair for part in parts for pair in part)
+              for parts in iter_product(*local)]
+    return sorted(ideals, key=IdealFactorization.sort_key)
 
 
 def ideal_count(field: FieldSpec, X: float) -> int:

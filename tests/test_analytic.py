@@ -13,7 +13,10 @@ from idealfunc.analytic import (
     mobius_density_constant,
     mobius_density_partial_sum,
     residue_c_F,
+    _prime_ideal_norms,
 )
+from idealfunc.field import primes_with_norm_up_to
+
 CATALAN = 0.915965594177219015054603514932
 
 
@@ -99,6 +102,13 @@ def test_residue_matches_ideal_count_density(any_field):
     c = residue_c_F(any_field).value
     x = 10**6
     assert ideal_count(any_field, x) / x == pytest.approx(c, rel=1e-3)
+
+
+def test_euler_product_norms_match_prime_ideal_labels(any_field):
+    # the same norms in the same order, so the Euler products keep their bits
+    for cutoff in (2, 10, 1000, 20_000):
+        assert _prime_ideal_norms(any_field, cutoff) == [
+            lab.norm for lab in primes_with_norm_up_to(any_field, cutoff)]
 
 
 def test_density_constant_range_and_limit(any_field):

@@ -63,6 +63,21 @@ def test_eval():
     assert code == 1
 
 
+def test_eval_large_norm_from_factorization():
+    # 10^9 + 7 is prime and 3 mod 4, so it stays inert in Z[i]: no ideal has
+    # that norm.  10^9 + 9 is prime and 1 mod 4, so it splits.
+    code, out, err = run_cli(["eval", "--field", "q:-1", "--fn", "mobius",
+                              "--order", "2", "--ideal", "1000000007"])
+    assert code == 1 and out == ""
+    assert err.strip() == "error: no ideal of norm 1000000007 with index 0 (0 such ideals exist)"
+    code, out, _ = run_cli(["eval", "--field", "q:-1", "--fn", "jordan",
+                            "--order", "1", "--ideal", "1000000009:1"])
+    assert code == 0 and out.strip() == "1000000008"
+    code, out, _ = run_cli(["eval", "--field", "q", "--fn", "mobius",
+                            "--order", "1", "--ideal", "1000000007"])
+    assert code == 0 and out.strip() == "-1"
+
+
 def test_sum_qfree_anchor():
     code, out, _ = run_cli(["sum", "--field", "q", "--fn", "qfree",
                             "--order", "2", "--x", "100"])
@@ -232,6 +247,15 @@ def test_sum_refuses_x_beyond_physical_memory(x):
     assert 17 * float(x) > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     code, out, err = run_cli(["sum", "--field", "q:-1", "--fn", "mobius", "--order", "2",
                               "--x", x])
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:") and "physical memory" in err
+
+
+def test_enumerate_refuses_xmax_beyond_physical_memory():
+    # only xmax the preflight refuses: 17 bytes per norm must exceed physical memory
+    assert 17 * 1e12 > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    code, out, err = run_cli(["enumerate", "--field", "q:-1", "--xmax", "1e12"])
     assert code == 1 and out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error:") and "physical memory" in err

@@ -1,9 +1,12 @@
 import math
+import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idealfunc import field as field_module
 from idealfunc.field import (
     SplittingType,
     is_fundamental_discriminant,
@@ -98,6 +101,32 @@ def test_primes_with_norm_up_to(rational, gaussian):
     assert [lab.norm for lab in primes_with_norm_up_to(gaussian, 10)] == [2, 5, 5, 9]
     assert [lab.norm for lab in primes_with_norm_up_to(rational, 10)] == [2, 3, 5, 7]
     assert primes_with_norm_up_to(gaussian, 1.5) == []
+
+
+def _trial_division_primes(n):
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def test_primes_up_to_matches_trial_division(monkeypatch):
+    expected = _trial_division_primes(2000)
+    for n in range(2001):  # each limit sieved from an empty cache
+        # limit and primes together, so that teardown restores both
+        monkeypatch.setitem(field_module._prime_cache, "limit", 0)
+        monkeypatch.setitem(field_module._prime_cache, "primes", np.empty(0, dtype=np.int64))
+        got = primes_up_to(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == [p for p in expected if p <= n], n
+    primes_up_to(2000)  # then every limit cut from the grown cache
+    for n in range(2001):
+        assert primes_up_to(n).tolist() == [p for p in expected if p <= n], n
+
+
+def test_prime_sieve_refuses_limit_beyond_physical_memory():
+    # only limits the preflight refuses: 17 bytes per number must exceed physical memory
+    limit = 10**12
+    assert 17 * limit > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    with pytest.raises(ValueError, match="physical memory"):
+        primes_up_to(limit)
 
 
 def test_prime_label_stream_monotone(any_field):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_sieve import FIELDS
+
 from idealfunc import _sieve
 from idealfunc.field import PrimeIdealLabel
 from idealfunc.ideals import (
@@ -18,6 +20,7 @@ from idealfunc.ideals import (
     from_factors,
     ideal_count,
     ideal_count_coprime,
+    ideals_of_norm,
     multiply,
     power,
     prime_power,
@@ -126,6 +129,16 @@ def test_ideal_count_matches_enumeration(any_field):
     for X in (1, 10, 100, 1000, 4000):
         assert ideal_count(any_field, X) == sum(1 for _ in enumerate_ideals(any_field, X))
     assert ideal_count(any_field, 0.5) == 0
+
+
+def test_ideals_of_norm_match_enumeration():
+    nmax = 3000
+    for spec, field in FIELDS.items():
+        by_norm = [[] for _ in range(nmax + 1)]
+        for A in enumerate_ideals(field, nmax):
+            by_norm[A.norm].append(A)
+        for n in range(1, nmax + 1):
+            assert ideals_of_norm(field, n) == by_norm[n], (spec, n)
 
 
 def test_ideal_count_rational(rational):

@@ -14,10 +14,10 @@ from idealfunc.ideals import enumerate_ideals
 XMAX = 3000
 
 
-def _gaussian_table():
+def _gaussian_table(limit=XMAX):
     # Q(i): 2 ramifies, p = 1 mod 4 splits, p = 3 mod 4 stays inert
     rows = {}
-    for p in primes_up_to(XMAX).tolist():
+    for p in primes_up_to(limit).tolist():
         if p == 2:
             rows[p] = [(1, 2, 1)]
         elif p % 4 == 1:
@@ -116,3 +116,45 @@ def test_mobius_density_zero_signs():
     # 11 > sqrt(100) is inert in Z[i], so c(22) is written as 0.0, not 0.0 * c(2)
     coeff = coefficient_array(FIELDS["q:-1"], "mobius_density", 2, 100)
     assert coeff[2] < 0 and coeff[22] == 0 and not np.signbit(coeff[22])
+
+
+def test_equal_splitting_keys_have_equal_residue_degrees():
+    fields = {**FIELDS, "table:q(i)": _gaussian_table(10**5),
+              "q:-1000003": parse_field("q:-1000003")}
+    primes = primes_up_to(10**5)
+    for spec, field in fields.items():
+        keys = field.splitting_keys(primes)
+        assert keys.shape == primes.shape, spec
+        degrees_of = {}
+        for key, p in zip(keys.tolist(), primes.tolist()):
+            degrees = field.residue_degrees(p)
+            assert degrees_of.setdefault(key, degrees) == degrees, (spec, p)
+
+
+def test_count_coefficients_are_divisor_sums_of_chi():
+    # a_F = 1 * chi_D over a quadratic field: c(n) = sum over d | n of chi_D(d)
+    x = 200_000
+    for spec in ("q:-1", "q:-5", "q:2", "q:5"):
+        field = FIELDS[spec]
+        expected = np.zeros(x + 1, dtype=np.int64)
+        for d in range(1, x + 1):
+            chi = field.chi(d)
+            if chi:
+                expected[d::d] += chi
+        assert np.array_equal(coefficient_array(field, "count", 0, x), expected), spec
+
+
+def test_count_over_totally_split_tables_is_divisor_count():
+    # when every prime splits completely, a_F = tau_d, the d-fold divisor
+    # function: the largest coefficients any field of degree d can have
+    # (tau(83160) = 128 already passes 8 bits)
+    x = 100_000
+    tau = np.zeros(x + 1, dtype=np.int64)
+    for d in range(1, x + 1):
+        tau[d::d] += 1
+    tau3 = np.zeros(x + 1, dtype=np.int64)
+    for d in range(1, x + 1):
+        tau3[d::d] += tau[d]
+    for degree, expected in ((2, tau), (3, tau3)):
+        field = make_table_field({p: [(1, 1, degree)] for p in primes_up_to(x).tolist()})
+        assert np.array_equal(coefficient_array(field, "count", 0, x), expected), degree
