@@ -8,7 +8,6 @@ prime-ideal tables extend to higher degree).
 
 from .analytic import (
     AnalyticValue,
-    EvalOptions,
     dedekind_zeta,
     dedekind_zeta_series,
     dirichlet_L,

@@ -21,9 +21,7 @@ from .field import (
 )
 
 __all__ = [
-    "EvalOptions",
     "AnalyticValue",
-    "DEFAULT_OPTIONS",
     "dedekind_zeta",
     "dedekind_zeta_series",
     "dirichlet_L",
@@ -35,19 +33,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EvalOptions:
-    """Truncation bounds for all analytic evaluations."""
-
-    prime_cutoff: int = 100_000
-    series_cutoff: int = 200_000
-
-    def __post_init__(self) -> None:
-        if self.prime_cutoff < 2 or self.series_cutoff < 2:
-            raise ValueError("cutoffs must be >= 2")
-
-
-DEFAULT_OPTIONS = EvalOptions()
+# Euler products run over the prime ideals of norm <= PRIME_CUTOFF; series
+# over the first SERIES_CUTOFF terms
+PRIME_CUTOFF = 100_000
+SERIES_CUTOFF = 200_000
 
 
 @dataclass(frozen=True)
@@ -87,11 +76,13 @@ def _prime_ideal_norms(field: FieldSpec, cutoff: int) -> list[int]:
                   for f in field.residue_degrees(p) if p**f <= cutoff)
 
 
-def dedekind_zeta(field: FieldSpec, s: float, opts: EvalOptions = DEFAULT_OPTIONS) -> AnalyticValue:
-    """zeta_F(s) for real s > 1 by truncated Euler product over prime ideals."""
+def dedekind_zeta(field: FieldSpec, s: float, cutoff: int = PRIME_CUTOFF) -> AnalyticValue:
+    """zeta_F(s) for real s > 1 by truncated Euler product over the prime
+    ideals of norm <= cutoff."""
     if s <= 1 + 1e-3:
         raise ValueError("s must exceed 1 + 1e-3 (pole at s = 1)")
-    cutoff = opts.prime_cutoff
+    if cutoff < 2:
+        raise ValueError("cutoff must be >= 2")
     log_value = 0.0
     for norm in _prime_ideal_norms(field, cutoff):
         log_value -= math.log1p(-float(norm) ** (-s))
@@ -101,12 +92,11 @@ def dedekind_zeta(field: FieldSpec, s: float, opts: EvalOptions = DEFAULT_OPTION
                          method="euler-product")
 
 
-def dedekind_zeta_series(field: FieldSpec, s: float,
-                         opts: EvalOptions = DEFAULT_OPTIONS) -> AnalyticValue:
+def dedekind_zeta_series(field: FieldSpec, s: float) -> AnalyticValue:
     """zeta_F(s) by the coefficient series sum_{n <= N0} a_F(n) n^-s."""
     if s <= 1 + 1e-3:
         raise ValueError("s must exceed 1 + 1e-3 (pole at s = 1)")
-    n0 = opts.series_cutoff
+    n0 = SERIES_CUTOFF
     coeff = _sieve.coefficient_array(field, "count", 0, n0)
     ns = np.arange(n0 + 1, dtype=np.float64)
     ns[0] = 1.0
@@ -119,7 +109,7 @@ def dedekind_zeta_series(field: FieldSpec, s: float,
     return AnalyticValue(value=value, tail_bound=tail, method="series")
 
 
-def dirichlet_L(D: int, s: float, opts: EvalOptions = DEFAULT_OPTIONS) -> AnalyticValue:
+def dirichlet_L(D: int, s: float) -> AnalyticValue:
     """L(s, chi_D) for a fundamental discriminant D != 1 and real s >= 1.
 
     Direct character sum over whole periods (the per-period sums vanish),
@@ -131,7 +121,7 @@ def dirichlet_L(D: int, s: float, opts: EvalOptions = DEFAULT_OPTIONS) -> Analyt
         raise ValueError("s must be >= 1")
     mod = abs(D)
     table = np.array(_chi_table(D), dtype=np.float64)
-    n0 = ((opts.series_cutoff + mod - 1) // mod) * mod  # whole periods only
+    n0 = ((SERIES_CUTOFF + mod - 1) // mod) * mod  # whole periods only
     n = np.arange(1, n0 + 1, dtype=np.float64)
     chi = table[np.arange(1, n0 + 1) % mod]
     value = float(np.dot(chi, n ** (-s)))
@@ -140,18 +130,17 @@ def dirichlet_L(D: int, s: float, opts: EvalOptions = DEFAULT_OPTIONS) -> Analyt
     return AnalyticValue(value=value, tail_bound=tail, method="character-sum")
 
 
-def residue_c_F(field: FieldSpec, opts: EvalOptions = DEFAULT_OPTIONS) -> AnalyticValue:
+def residue_c_F(field: FieldSpec) -> AnalyticValue:
     """Residue of zeta_F at s = 1: exactly 1 for the rationals, L(1, chi_D) for
     quadratic fields (zeta_F = zeta * L(., chi_D))."""
     if field.prime_table is not None:
         raise ValueError("c_F is not available for explicit-table fields")
     if field.degree == 1:
         return AnalyticValue(value=1.0, tail_bound=0.0, method="exact")
-    return dirichlet_L(field.disc, 1.0, opts)
+    return dirichlet_L(field.disc, 1.0)
 
 
-def mobius_density_constant(field: FieldSpec, k: int,
-                            opts: EvalOptions = DEFAULT_OPTIONS) -> AnalyticValue:
+def mobius_density_constant(field: FieldSpec, k: int) -> AnalyticValue:
     """The absolutely convergent ideal sum  sum_A mu_1(A) J_1(A) / (J_k(A) N(A)),
     as an Euler product over prime ideals.
 
@@ -160,12 +149,11 @@ def mobius_density_constant(field: FieldSpec, k: int,
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    cutoff = opts.prime_cutoff
     value = 1.0
-    for norm in _prime_ideal_norms(field, cutoff):
+    for norm in _prime_ideal_norms(field, PRIME_CUTOFF):
         n = float(norm)
         value *= 1.0 - (n - 1.0) / (n * (n**k - 1.0))
-    log_tail = 2.0 * _prime_ideal_norm_tail(field.degree, cutoff, float(k))
+    log_tail = 2.0 * _prime_ideal_norm_tail(field.degree, PRIME_CUTOFF, float(k))
     return AnalyticValue(value=value, tail_bound=value * math.expm1(log_tail),
                          method="euler-product")
 

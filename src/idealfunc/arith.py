@@ -104,8 +104,7 @@ def dirichlet_convolve(f: Callable, g: Callable, A: IdealFactorization) -> int |
     return sum(f(D) * g(quotient(A, D)) for D in divisors(A))
 
 
-def dirichlet_inverse(f: Callable, A: IdealFactorization,
-                      _memo: dict | None = None) -> Fraction:
+def dirichlet_inverse(f: Callable, A: IdealFactorization) -> Fraction:
     """f^{-1}(A), solving f * f^{-1} = delta by recursion on divisors.
 
     Requires f(1) != 0; values are exact rationals.
@@ -113,7 +112,7 @@ def dirichlet_inverse(f: Callable, A: IdealFactorization,
     f_unit = Fraction(f(UNIT))
     if f_unit == 0:
         raise ValueError("f has no Dirichlet inverse: f at the unit ideal is 0")
-    memo: dict = {} if _memo is None else _memo
+    memo: dict = {}
 
     def inv(B: IdealFactorization) -> Fraction:
         got = memo.get(B.factors)

@@ -14,11 +14,11 @@ import sys
 from typing import Sequence
 
 from . import analytic, summatory, verify
-from .analytic import AnalyticValue, EvalOptions
+from .analytic import AnalyticValue
 from .field import FieldSpec, parse_field
 from .ideals import enumerate_ideals, format_ideal, ideals_of_norm
 
-__all__ = ["main", "run"]
+__all__ = ["main"]
 
 
 class UsageError(Exception):
@@ -48,17 +48,13 @@ def _build_parser() -> _Parser:
         p.add_argument("--field", required=True,
                        help="field designation: q, q:<m>, or table:<path>")
 
-    def add_format(p: argparse.ArgumentParser, default: str = "plain") -> None:
-        p.add_argument("--format", choices=("csv", "json", "plain"), default=default)
-
     p = sub.add_parser("field", help="describe a field designation")
     add_field(p)
-    add_format(p)
+    p.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p = sub.add_parser("enumerate", help="stream all ideals with norm <= xmax")
     add_field(p)
     p.add_argument("--xmax", type=_finite_float, required=True)
-    add_format(p, default="csv")
 
     p = sub.add_parser("eval", help="evaluate one arithmetic function at one ideal")
     add_field(p)
@@ -66,7 +62,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--ideal", required=True,
                    help="NORM or NORM:IDX, the IDX-th ideal of that norm in canonical order")
-    add_format(p)
 
     p = sub.add_parser("sum", help="exact summatory value at one x")
     add_field(p)
@@ -75,7 +70,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--fast", action="store_true",
                    help="use the exact inversion formula (qfree only)")
-    add_format(p)
 
     p = sub.add_parser("report", help="remainder reports over a geometric grid")
     add_field(p)
@@ -83,7 +77,7 @@ def _build_parser() -> _Parser:
                    help="0 ideal count, 1 Mobius sum, 2 Liouville sum, 3 k-free count")
     p.add_argument("--order", type=int, help="the order k (theorems 1-3)")
     p.add_argument("--grid", required=True, help="a:b:points (geometric)")
-    add_format(p, default="csv")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("verify", help="run a brute-force invariant suite")
     add_field(p)
@@ -94,13 +88,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("zeta", help="Dedekind zeta value at real s > 1")
     add_field(p)
     p.add_argument("--s", type=_finite_float, required=True)
-    p.add_argument("--tol", type=float, default=None)
-    add_format(p, default="json")
+    p.add_argument("--tol", type=_finite_float, default=None,
+                   help="largest relative tail bound; picks the prime cutoff")
 
     p = sub.add_parser("constant", help="leading constant of the order-k Mobius sum")
     add_field(p)
     p.add_argument("--order", type=int, required=True)
-    add_format(p, default="json")
 
     return parser
 
@@ -174,17 +167,14 @@ def _cmd_eval(args, out) -> int:
     field = parse_field(args.field)
     A = _find_ideal(field, args.ideal)
     k = args.order
-    try:
-        if args.fn == "mobius":
-            value = arith.mu_k(k, A)
-        elif args.fn == "liouville":
-            value = arith.lambda_k(k, A)
-        elif args.fn == "qfree":
-            value = arith.q_k(k, A)
-        else:
-            value = arith.jordan_totient(k, A)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.fn == "mobius":
+        value = arith.mu_k(k, A)
+    elif args.fn == "liouville":
+        value = arith.lambda_k(k, A)
+    elif args.fn == "qfree":
+        value = arith.q_k(k, A)
+    else:
+        value = arith.jordan_totient(k, A)
     print(value, file=out)
     return 0
 
@@ -195,17 +185,14 @@ def _cmd_sum(args, out) -> int:
         raise UsageError("--x must be >= 1")
     if args.fast and args.fn != "qfree":
         raise UsageError("--fast applies to --fn qfree only")
-    try:
-        if args.fn == "mobius":
-            value = summatory.mertens_k(field, args.order, args.x)
-        elif args.fn == "liouville":
-            value = summatory.liouville_sum_k(field, args.order, args.x)
-        elif args.fast:
-            value = summatory.qfree_count_fast(field, args.order, args.x)
-        else:
-            value = summatory.qfree_count(field, args.order, args.x)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.fn == "mobius":
+        value = summatory.mertens_k(field, args.order, args.x)
+    elif args.fn == "liouville":
+        value = summatory.liouville_sum_k(field, args.order, args.x)
+    elif args.fast:
+        value = summatory.qfree_count_fast(field, args.order, args.x)
+    else:
+        value = summatory.qfree_count(field, args.order, args.x)
     print(value, file=out)
     return 0
 
@@ -216,10 +203,7 @@ def _cmd_report(args, out) -> int:
     if args.theorem != "0" and args.order is None:
         raise UsageError("--order is required for theorems 1-3")
     kind = {"0": "count", "1": "mobius", "2": "liouville", "3": "qfree"}[args.theorem]
-    try:
-        reports = summatory.sweep(kind, field, args.order, grid)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    reports = summatory.sweep(kind, field, args.order, grid)
     if args.format == "json":
         rows = [{"field": r.field, "fn": r.fn, "k": r.k, "x": r.x, "raw": r.raw,
                  "main": r.main, "remainder": r.remainder,
@@ -246,35 +230,32 @@ def _cmd_verify(args, out) -> int:
     return 2 if failed else 0
 
 
-def _opts_for_tol(tol: float | None, s: float) -> EvalOptions:
-    if tol is None:
-        return analytic.DEFAULT_OPTIONS
+def _cutoff_for_tol(tol: float | None, s: float) -> int:
+    if tol is None or s <= 1 + 1e-3:  # dedekind_zeta refuses such s
+        return analytic.PRIME_CUTOFF
     if tol <= 0:
         raise UsageError("--tol must be positive")
-    cutoff = int(min(2e6, max(1e4, math.ceil((4.0 / (tol * (s - 1))) ** (1.0 / (s - 1))))))
-    return EvalOptions(prime_cutoff=cutoff, series_cutoff=cutoff)
+    try:
+        cutoff = (4.0 / (tol * (s - 1))) ** (1.0 / (s - 1))
+    except (OverflowError, ZeroDivisionError):  # tol * (s - 1) underflows to 0
+        cutoff = math.inf
+    return int(max(1e4, math.ceil(min(2e6, cutoff))))
 
 
 def _cmd_zeta(args, out) -> int:
     field = parse_field(args.field)
-    try:
-        opts = _opts_for_tol(args.tol, args.s)
-        value = analytic.dedekind_zeta(field, args.s, opts)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cutoff = _cutoff_for_tol(args.tol, args.s)
+    value = analytic.dedekind_zeta(field, args.s, cutoff)
     if args.tol is not None and value.tail_bound > args.tol * value.value:
         raise UsageError(f"--tol {args.tol:g} not reached: tail bound {value.tail_bound:.3g} "
-                         f"at prime cutoff {opts.prime_cutoff}")
+                         f"at prime cutoff {cutoff}")
     print(_analytic_json(value), file=out)
     return 0
 
 
 def _cmd_constant(args, out) -> int:
     field = parse_field(args.field)
-    try:
-        value = analytic.mobius_density_constant(field, args.order)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    value = analytic.mobius_density_constant(field, args.order)
     print(_analytic_json(value), file=out)
     return 0
 
@@ -298,17 +279,9 @@ def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     try:
         args = parser.parse_args(list(argv) if argv is not None else None)
         return _COMMANDS[args.command](args, out)
-    except UsageError as exc:
+    except (UsageError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=err)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-
-
-def run(argv: Sequence[str]) -> int:
-    """Alias for main(), for programmatic use."""
-    return main(argv)
 
 
 def console_main() -> None:

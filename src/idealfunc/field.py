@@ -277,18 +277,22 @@ def kronecker_symbol(D: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # rational primes
 
-def _check_memory(xmax: int) -> None:
-    """Refuse an x whose sieve arrays would not fit in physical memory."""
+def _check_memory(xmax: int, bytes_per_norm: int = 17, what: str = "") -> None:
+    """Refuse work that holds about `bytes_per_norm` bytes for each norm up to
+    xmax when that exceeds physical memory; `what` opens the message.
+
+    The default is a sieve's: the int64 coefficients, a bool prime flag, and
+    one more x-sized int64 array such as most callers hold (a second cached
+    prefix sum, or np.cumsum of the coefficients).
+    """
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):  # no sysconf: nothing to check
         return
-    # about 17 bytes per norm: the int64 coefficients, a bool prime flag, and
-    # one more x-sized int64 array such as most callers hold (a second cached
-    # prefix sum, or np.cumsum of the coefficients)
-    if 17 * (xmax + 1) > physical:
-        raise ValueError(f"x = {min(xmax, 10**308):.3g} is too large to sieve: about 17 bytes "
-                         f"per norm exceed the {physical / 2**30:.1f} GiB of physical memory")
+    if bytes_per_norm * (xmax + 1) > physical:
+        what = what or f"x = {min(xmax, 10**308):.3g} is too large to sieve"
+        raise ValueError(f"{what}: about {bytes_per_norm} bytes per norm exceed "
+                         f"the {physical / 2**30:.1f} GiB of physical memory")
 
 
 _prime_cache: dict[str, object] = {"limit": 0, "primes": np.empty(0, dtype=np.int64)}

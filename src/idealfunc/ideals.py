@@ -18,6 +18,7 @@ from .field import (
     NORM_LIMIT,
     FieldSpec,
     PrimeIdealLabel,
+    _check_memory,
     prime_ideals_above,
     primes_up_to,
     primes_with_norm_up_to,
@@ -162,6 +163,10 @@ def enumerate_ideals(field: FieldSpec, X: float) -> Iterator[IdealFactorization]
     """
     if X < 1:
         return
+    # every ideal is held in a list, about 560 bytes each (tracemalloc at
+    # X = 10^5), before the first is yielded; the mean number of ideals per
+    # norm is c_F: 1 over Q, pi/4 over Z[i], below 2 for most quadratic fields
+    _check_memory(math.floor(X), 1024, f"x = {X:.3g} is too large to enumerate")
     labels = primes_with_norm_up_to(field, X) if X >= 2 else []
     found: list[tuple[tuple, tuple]] = []
 
@@ -189,7 +194,10 @@ def enumerate_ideals(field: FieldSpec, X: float) -> Iterator[IdealFactorization]
 
 def _factor(n: int) -> list[tuple[int, int]]:
     """(p, a) for each p^a exactly dividing n >= 1, p ascending."""
-    small = primes_up_to(math.isqrt(n))
+    root = math.isqrt(n)
+    _check_memory(root, what=f"ideal norm {n} is too large to factor by a prime sieve "
+                             f"up to {root}")
+    small = primes_up_to(root)
     pairs = []
     for p in small[n % small == 0].tolist():
         a = 0

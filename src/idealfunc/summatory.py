@@ -15,14 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _sieve
-from .analytic import (
-    DEFAULT_OPTIONS,
-    EvalOptions,
-    dedekind_zeta,
-    mobius_density_constant,
-    residue_c_F,
-)
-from .field import FieldSpec
+from .analytic import dedekind_zeta, mobius_density_constant, residue_c_F
+from .field import FieldSpec, _check_memory
 from .ideals import ideal_count
 
 __all__ = [
@@ -135,12 +129,18 @@ def integer_kth_root(n: int, k: int) -> int:
         raise ValueError("need n >= 0 and k >= 1")
     if n == 0:
         return 0
-    r = max(int(round(n ** (1.0 / k))), 1)
-    while r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    if k == 2:
+        return math.isqrt(n)
+    if k >= n.bit_length():  # n < 2^k
+        return 1
+    # integer Newton from 2^ceil(bits / k) >= n^(1/k): the iterates fall
+    # strictly until they reach the root
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def qfree_count_fast(field: FieldSpec, k: int, x: float) -> int:
@@ -150,6 +150,8 @@ def qfree_count_fast(field: FieldSpec, k: int, x: float) -> int:
         raise ValueError("k must be >= 2")
     n = _floor_x(x)
     root = integer_kth_root(n, k)
+    _check_memory(root, what=f"x = {n:.3g} is too large for the inversion formula, "
+                             f"which sieves up to x^(1/{k}) = {root:.3g}")
     mu1 = _sieve.coefficient_array(field, "mobius", 1, root)
     total = 0
     for d in range(1, root + 1):
@@ -177,59 +179,56 @@ def qfree_count_fast_array(field: FieldSpec, k: int, xmax: int) -> np.ndarray:
     return total
 
 
-def remainder_R(field: FieldSpec, x: float,
-                opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def remainder_R(field: FieldSpec, x: float) -> float:
     """R(x) = [x]_F - c_F x."""
-    return ideal_count(field, x) - _c_F(field, opts) * x
+    return ideal_count(field, x) - _c_F(field) * x
 
 
 _CONST_CACHE: dict[tuple, float] = {}
 
 
-def _c_F(field: FieldSpec, opts: EvalOptions) -> float:
-    key = ("c_F", field.cache_key(), opts)
+def _c_F(field: FieldSpec) -> float:
+    key = ("c_F", field.cache_key())
     if key not in _CONST_CACHE:
-        _CONST_CACHE[key] = residue_c_F(field, opts).value
+        _CONST_CACHE[key] = residue_c_F(field).value
     return _CONST_CACHE[key]
 
 
-def _zeta_F(field: FieldSpec, s: float, opts: EvalOptions) -> float:
-    key = ("zeta", field.cache_key(), s, opts)
+def _zeta_F(field: FieldSpec, s: float) -> float:
+    key = ("zeta", field.cache_key(), s)
     if key not in _CONST_CACHE:
-        _CONST_CACHE[key] = dedekind_zeta(field, s, opts).value
+        _CONST_CACHE[key] = dedekind_zeta(field, s).value
     return _CONST_CACHE[key]
 
 
-def _density_K(field: FieldSpec, k: int, opts: EvalOptions) -> float:
-    key = ("K", field.cache_key(), k, opts)
+def _density_K(field: FieldSpec, k: int) -> float:
+    key = ("K", field.cache_key(), k)
     if key not in _CONST_CACHE:
-        _CONST_CACHE[key] = mobius_density_constant(field, k, opts).value
+        _CONST_CACHE[key] = mobius_density_constant(field, k).value
     return _CONST_CACHE[key]
 
 
-def count_report(field: FieldSpec, x: float,
-                 opts: EvalOptions = DEFAULT_OPTIONS) -> SummatoryReport:
+def count_report(field: FieldSpec, x: float) -> SummatoryReport:
     """Ideal-count report: main term c_F x, so the remainder is R(x),
     normalized by x^((d-1)/(d+1))."""
     return SummatoryReport(field=field.label, fn="R", k=0, x=x, raw=ideal_count(field, x),
-                           main=_c_F(field, opts) * x,
+                           main=_c_F(field) * x,
                            normalizer=f"x^((d-1)/(d+1));d={field.degree}")
 
 
-def mobius_report(field: FieldSpec, k: int, x: float,
-                  opts: EvalOptions = DEFAULT_OPTIONS) -> SummatoryReport:
+def mobius_report(field: FieldSpec, k: int, x: float) -> SummatoryReport:
     """Order-k Mobius summatory report: main term (c_F / zeta_F(k)) K x,
     remainder normalized by x^(1/k) log x."""
     if k < 2:
         raise ValueError("k must be >= 2")
     raw = mertens_k(field, k, x)
-    main = _c_F(field, opts) / _zeta_F(field, float(k), opts) * _density_K(field, k, opts) * x
+    main = _c_F(field) / _zeta_F(field, float(k)) * _density_K(field, k) * x
     return SummatoryReport(field=field.label, fn="M", k=k, x=x, raw=raw,
                            main=main, normalizer=f"x^(1/{k})*log(x)")
 
 
-def liouville_reports(field: FieldSpec, k: int, x: float,
-                      opts: EvalOptions = DEFAULT_OPTIONS) -> tuple[SummatoryReport, SummatoryReport]:
+def liouville_reports(field: FieldSpec, k: int,
+                      x: float) -> tuple[SummatoryReport, SummatoryReport]:
     """Order-k Liouville cancellation probes (main term 0).
 
     Two normalizations are reported: x^0.6 (square-root-cancellation probe
@@ -256,14 +255,13 @@ def _kfree_normalizer(d: int, k: int) -> str:
     return f"x^((d-1)/(d+1));d={d}"
 
 
-def kfree_report(field: FieldSpec, k: int, x: float,
-                 opts: EvalOptions = DEFAULT_OPTIONS) -> SummatoryReport:
+def kfree_report(field: FieldSpec, k: int, x: float) -> SummatoryReport:
     """k-free count report: main term c_F x / zeta_F(k), remainder normalized
     by the (degree, k) case table."""
     if k < 2:
         raise ValueError("k must be >= 2")
     raw = qfree_count(field, k, x)
-    main = _c_F(field, opts) * x / _zeta_F(field, float(k), opts)
+    main = _c_F(field) * x / _zeta_F(field, float(k))
     return SummatoryReport(field=field.label, fn="Q", k=k, x=x, raw=raw,
                            main=main, normalizer=_kfree_normalizer(field.degree, k))
 
@@ -271,8 +269,8 @@ def kfree_report(field: FieldSpec, k: int, x: float,
 _REPORT_KINDS = {"count", "mobius", "liouville", "qfree"}
 
 
-def sweep(kind: str, field: FieldSpec, k: int, x_grid: Sequence[float],
-          opts: EvalOptions = DEFAULT_OPTIONS) -> list[SummatoryReport]:
+def sweep(kind: str, field: FieldSpec, k: int,
+          x_grid: Sequence[float]) -> list[SummatoryReport]:
     """One report per grid point, sharing a single coefficient sieve pass.
 
     The grid must be strictly increasing; for the Liouville kind both
@@ -288,7 +286,7 @@ def sweep(kind: str, field: FieldSpec, k: int, x_grid: Sequence[float],
     # every kind but Liouville needs c_F: refuse a field without one (a table
     # field) before sieving anything
     if kind != "liouville":
-        _c_F(field, opts)
+        _c_F(field)
     # prime the cumulative cache at the largest x so every point reuses it
     if kind == "count":
         ideal_count(field, grid[-1])
@@ -298,11 +296,11 @@ def sweep(kind: str, field: FieldSpec, k: int, x_grid: Sequence[float],
     out: list[SummatoryReport] = []
     for x in grid:
         if kind == "count":
-            out.append(count_report(field, x, opts))
+            out.append(count_report(field, x))
         elif kind == "mobius":
-            out.append(mobius_report(field, k, x, opts))
+            out.append(mobius_report(field, k, x))
         elif kind == "liouville":
-            out.extend(liouville_reports(field, k, x, opts))
+            out.extend(liouville_reports(field, k, x))
         else:
-            out.append(kfree_report(field, k, x, opts))
+            out.append(kfree_report(field, k, x))
     return out

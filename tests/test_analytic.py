@@ -4,7 +4,6 @@ import pytest
 
 from idealfunc.analytic import (
     AnalyticValue,
-    EvalOptions,
     dedekind_zeta,
     dedekind_zeta_series,
     dirichlet_L,
@@ -20,9 +19,9 @@ from idealfunc.field import primes_with_norm_up_to
 CATALAN = 0.915965594177219015054603514932
 
 
-def test_options_validation():
+def test_options_validation(rational):
     with pytest.raises(ValueError):
-        EvalOptions(prime_cutoff=1)
+        dedekind_zeta(rational, 2.0, cutoff=1)
     with pytest.raises(ValueError):
         AnalyticValue(value=1.0, tail_bound=-1.0, method="x")
 

@@ -15,6 +15,18 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def assert_one_line_error(code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def fake_physical_memory(monkeypatch, nbytes):
+    """Make os.sysconf report `nbytes` of physical memory in 4 KiB pages."""
+    sysconf = os.sysconf
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": nbytes // 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or sysconf(name))
+
+
 def test_field_plain_and_json():
     code, out, _ = run_cli(["field", "--field", "q:-1"])
     assert code == 0
@@ -63,7 +75,7 @@ def test_eval():
     assert code == 1
 
 
-def test_eval_large_norm_from_factorization():
+def test_eval_large_norm_from_factorization(monkeypatch):
     # 10^9 + 7 is prime and 3 mod 4, so it stays inert in Z[i]: no ideal has
     # that norm.  10^9 + 9 is prime and 1 mod 4, so it splits.
     code, out, err = run_cli(["eval", "--field", "q:-1", "--fn", "mobius",
@@ -76,6 +88,13 @@ def test_eval_large_norm_from_factorization():
     code, out, _ = run_cli(["eval", "--field", "q", "--fn", "mobius",
                             "--order", "1", "--ideal", "1000000007"])
     assert code == 0 and out.strip() == "-1"
+    # 2^62 - 1 needs the primes up to 2^31 - 1: refused by the norm the user gave
+    fake_physical_memory(monkeypatch, 8 * 2**30)
+    code, out, err = run_cli(["eval", "--field", "q", "--fn", "mobius",
+                              "--order", "2", "--ideal", "4611686018427387903"])
+    assert_one_line_error(code, out, err)
+    assert err.startswith("error: ideal norm 4611686018427387903 is too large to factor")
+    assert "physical memory" in err
 
 
 def test_sum_qfree_anchor():
@@ -88,6 +107,15 @@ def test_sum_qfree_anchor():
     code, _, err = run_cli(["sum", "--field", "q", "--fn", "mobius",
                             "--order", "1", "--x", "100", "--fast"])
     assert code == 1
+
+
+def test_sum_fast_refuses_large_x_at_once(monkeypatch):
+    # the exact square root of 10^50 is found at once and needs a 10^25 sieve
+    fake_physical_memory(monkeypatch, 8 * 2**30)
+    code, out, err = run_cli(["sum", "--field", "q", "--fn", "qfree",
+                              "--order", "2", "--x", "1e50", "--fast"])
+    assert_one_line_error(code, out, err)
+    assert "x = 1e+50 is too large" in err
 
 
 def test_sum_mobius_liouville():
@@ -191,6 +219,10 @@ def test_zeta_json_keys():
     ("3", "1e-9", 0),
     ("2", "1e-9", 1),     # relative tail bound 6.7e-7 at the capped cutoff
     ("1.05", "1e-9", 1),  # tail bound about 2e9
+    ("0.7", "1e-6", 1),   # the cutoff formula is complex below s = 1
+    ("1.0005", "1e-6", 1),  # and overflows a float near s = 1
+    ("1.002", "1e-300", 1),
+    ("1.5", "5e-324", 1),  # tol * (s - 1) underflows to 0
 ])
 def test_zeta_tol_is_met_or_refused(s, tol, code):
     got, out, err = run_cli(["zeta", "--field", "q", "--s", s, "--tol", tol])
@@ -259,3 +291,47 @@ def test_enumerate_refuses_xmax_beyond_physical_memory():
     assert code == 1 and out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error:") and "physical memory" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--field", "q", "--xmax", "1e6"],
+    ["verify", "--field", "q:-1", "--suite", "identities", "--xmax", "1000000"],
+    ["verify", "--field", "q:-1", "--suite", "counting", "--xmax", "1000000"],
+])
+def test_enumeration_refused_beyond_physical_memory(monkeypatch, argv):
+    # 10^6 ideals take about 0.5 GB in the list enumerate_ideals sorts
+    fake_physical_memory(monkeypatch, 64 * 2**20)
+    code, out, err = run_cli(argv)
+    assert_one_line_error(code, out, err)
+    assert "too large to enumerate" in err and "physical memory" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # float n**k overflows in the Euler product of the density constant
+    ["constant", "--field", "q:-1", "--order", "1000"],
+    ["report", "--field", "q", "--theorem", "1", "--order", "1000", "--grid", "10:100:2"],
+    # float(k) overflows
+    ["constant", "--field", "q", "--order", "9" * 400],
+    ["report", "--field", "q", "--theorem", "3", "--order", "9" * 400, "--grid", "10:100:2"],
+])
+def test_overflow_exits_with_one_line(argv):
+    assert_one_line_error(*run_cli(argv))
+
+
+_WITHOUT_FORMAT = [
+    ["enumerate", "--field", "q", "--xmax", "10"],
+    ["eval", "--field", "q", "--fn", "mobius", "--order", "1", "--ideal", "6"],
+    ["sum", "--field", "q", "--fn", "mobius", "--order", "2", "--x", "10"],
+    ["zeta", "--field", "q", "--s", "2"],
+    ["constant", "--field", "q", "--order", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    *(argv + ["--format", fmt] for argv in _WITHOUT_FORMAT for fmt in ("plain", "csv", "json")),
+    ["field", "--field", "q", "--format", "csv"],
+    ["report", "--field", "q", "--theorem", "0", "--grid", "10:100:2", "--format", "plain"],
+])
+def test_format_only_where_it_changes_the_output(argv):
+    # field takes plain|json and report csv|json; no other subcommand has --format
+    assert_one_line_error(*run_cli(argv))

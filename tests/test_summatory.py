@@ -112,6 +112,17 @@ def test_integer_kth_root():
     for n in range(100):
         r = integer_kth_root(n, 3)
         assert r**3 <= n < (r + 1) ** 3
+    # exact far beyond float precision, where a float first guess is off by
+    # about 10^135 units
+    assert integer_kth_root(10**300 - 1, 2) == 10**150 - 1
+    assert integer_kth_root(10**300 + 1, 2) == 10**150
+    assert integer_kth_root(10**300 - 1, 3) == 10**100 - 1
+    assert integer_kth_root(10**300 + 1, 3) == 10**100
+    for n in (2**997 - 1, 2**997, 3**629 + 5):
+        for k in (1, 3, 4, 5, 7, 64, 996, 997, 998):
+            r = integer_kth_root(n, k)
+            assert r**k <= n < (r + 1) ** k, (n, k)
+        assert integer_kth_root(n, 10**400) == 1
     with pytest.raises(ValueError):
         integer_kth_root(-1, 2)
 
