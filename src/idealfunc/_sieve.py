@@ -36,7 +36,7 @@ import numpy as np
 
 from .field import FieldSpec, _check_memory, primes_up_to
 
-__all__ = ["coefficient_array", "cumulative_array", "clear_cache"]
+__all__ = ["coefficient_array", "cumulative_array", "covers", "clear_cache"]
 
 
 def _count(e: int, k: int, norm: int) -> int:
@@ -191,6 +191,12 @@ def _sieve_work(field: FieldSpec, kind: str, k: int, xmax: int, dtype) -> np.nda
 
 _CUM_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 _CACHE_ENTRIES = 6
+
+
+def covers(field: FieldSpec, kind: str, k: int, xmax: int) -> bool:
+    """Whether a cached prefix-sum array already reaches xmax."""
+    cached = _CUM_CACHE.get((field.cache_key(), kind, k))
+    return cached is not None and len(cached) > xmax
 
 
 def cumulative_array(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarray:

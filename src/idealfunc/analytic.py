@@ -15,7 +15,7 @@ import numpy as np
 from . import _sieve
 from .field import (
     FieldSpec,
-    _chi_table,
+    _chi_array,
     is_fundamental_discriminant,
     primes_up_to,
 )
@@ -120,7 +120,7 @@ def dirichlet_L(D: int, s: float) -> AnalyticValue:
     if s < 1:
         raise ValueError("s must be >= 1")
     mod = abs(D)
-    table = np.array(_chi_table(D), dtype=np.float64)
+    table = _chi_array(D).astype(np.float64)
     n0 = ((SERIES_CUTOFF + mod - 1) // mod) * mod  # whole periods only
     n = np.arange(1, n0 + 1, dtype=np.float64)
     chi = table[np.arange(1, n0 + 1) % mod]
@@ -146,11 +146,15 @@ def mobius_density_constant(field: FieldSpec, k: int) -> AnalyticValue:
 
     The summand is multiplicative and supported on squarefree ideals, so the
     per-prime factor is 1 - (N-1) / (N (N^k - 1)); every factor lies in (0, 1].
+    A factor with N^k >= 2^61 has a term below 2^-60 and rounds to exactly
+    1.0, so it is skipped without forming N^k, which could overflow.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     value = 1.0
     for norm in _prime_ideal_norms(field, PRIME_CUTOFF):
+        if k * (norm.bit_length() - 1) >= 61:  # N^k >= 2^61; norms ascend
+            break
         n = float(norm)
         value *= 1.0 - (n - 1.0) / (n * (n**k - 1.0))
     log_tail = 2.0 * _prime_ideal_norm_tail(field.degree, PRIME_CUTOFF, float(k))

@@ -76,10 +76,18 @@ def delta(A: IdealFactorization) -> int:
     return 1 if A.is_unit else 0
 
 
+# the largest N(A)^k jordan_totient computes exactly, as a power of 2: such a
+# value still prints in decimal under Python's default 4300-digit limit
+JORDAN_MAX_BITS = 10_000
+
+
 def jordan_totient(k: int, A: IdealFactorization) -> int:
     """J_k(A) = N(A)^k prod_{P|A} (1 - N(P)^-k), as an exact positive integer."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k * (A.norm.bit_length() - 1) > JORDAN_MAX_BITS:
+        raise ValueError(f"the Jordan totient at norm {A.norm} is refused for this order: "
+                         f"N(A)^k would pass 2^{JORDAN_MAX_BITS}")
     out = 1
     for lab, e in A.factors:
         out *= lab.norm ** (k * e) - lab.norm ** (k * (e - 1))

@@ -154,11 +154,57 @@ class FieldSpec:
 _QUADRATIC_DEGREES = {1: (1, 1), -1: (2,), 0: (1,)}
 
 
+# the characters of the prime discriminants -4, 8 and -8, over one period
+_TWO_PART_CHI = {-4: (0, 1, 0, -1), 8: (0, 1, 0, -1, 0, -1, 0, 1),
+                 -8: (0, 1, 0, 1, 0, -1, 0, -1)}
+
+
+@lru_cache(maxsize=None)
+def _chi_array(disc: int) -> np.ndarray:
+    """chi_disc(n) for 0 <= n < |disc| (one period), as a read-only int8 array.
+
+    A fundamental discriminant is a product of prime discriminants: one of
+    -4, 8, -8 for its 2-part, and p* = (-1)^((p-1)/2) p for each odd p | disc,
+    whose character is the Legendre symbol (n/p).  chi_disc is the product
+    of their characters, each tiled over the period.
+    """
+    mod = abs(disc)
+    _check_memory(mod, what=f"discriminant {disc} is too large to tabulate its character")
+    chi = np.ones(mod, dtype=np.int8)
+    rest = disc
+    for p in _odd_prime_divisors(mod):
+        legendre = np.full(p, -1, dtype=np.int8)
+        legendre[np.arange(p // 2 + 1, dtype=np.int64) ** 2 % p] = 1
+        legendre[0] = 0
+        chi *= np.tile(legendre, mod // p)
+        rest //= p if p % 4 == 1 else -p
+    if rest != 1:
+        two = np.array(_TWO_PART_CHI[rest], dtype=np.int8)
+        chi *= np.tile(two, mod // len(two))
+    chi.flags.writeable = False
+    return chi
+
+
 @lru_cache(maxsize=None)
 def _chi_table(disc: int) -> tuple[int, ...]:
-    # chi_disc is a Dirichlet character mod |disc|, so one period suffices.
-    mod = abs(disc)
-    return tuple(0 if r == 0 else kronecker_symbol(disc, r) for r in range(mod))
+    # a tuple, for the fast scalar lookups of residue_degrees
+    return tuple(_chi_array(disc).tolist())
+
+
+def _odd_prime_divisors(n: int) -> list[int]:
+    while n % 2 == 0:
+        n //= 2
+    out = []
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 2
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def is_squarefree(n: int) -> bool:

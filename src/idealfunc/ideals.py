@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product as iter_product
 from typing import Iterable, Iterator
 
-from . import _sieve
+from . import _sublinear
 from .field import (
     NORM_LIMIT,
     FieldSpec,
@@ -234,14 +234,13 @@ def ideals_of_norm(field: FieldSpec, n: int) -> list[IdealFactorization]:
 
 
 def ideal_count(field: FieldSpec, X: float) -> int:
-    """[X]_F: the number of ideals with norm <= X, via the coefficient sieve."""
+    """[X]_F: the number of ideals with norm <= X (see `_sublinear.exact_sum`)."""
     if X < 1:
         return 0
     n = math.floor(X)
     if field.degree == 1 and field.prime_table is None:
         return n
-    cum = _sieve.cumulative_array(field, "count", 0, n)
-    return int(cum[n])
+    return _sublinear.exact_sum(field, "count", 0, n)
 
 
 def ideal_count_coprime(field: FieldSpec, X: float, A: IdealFactorization) -> int:

@@ -1,9 +1,11 @@
 """Summatory functions of the order-k Mobius, Liouville and k-free
 indicator functions, exact fast formulas, and remainder reports.
 
-Raw sums are exact integers obtained from per-norm coefficient sieves; the
-report types pair them with real main terms and the normalizers under which
-the remainders are expected to stay bounded.
+Raw sums are exact integers.  A prefix-sum array the sieve cache already
+holds answers; otherwise the rationals and quadratic fields take the
+sublinear formulas of `_sublinear`, and table fields the per-norm
+coefficient sieve.  The report types pair raw sums with real main terms and
+the normalizers under which the remainders are expected to stay bounded.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _sieve
+from . import _sieve, _sublinear
+from ._sublinear import integer_kth_root
 from .analytic import dedekind_zeta, mobius_density_constant, residue_c_F
-from .field import FieldSpec, _check_memory
+from .field import FieldSpec
 from .ideals import ideal_count
 
 __all__ = [
@@ -103,62 +106,32 @@ def mertens_k(field: FieldSpec, k: int, x: float) -> int:
     """Exact sum of mu_k over all ideals of norm <= x."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = _floor_x(x)
-    return int(_sieve.cumulative_array(field, "mobius", k, n)[n])
+    return _sublinear.exact_sum(field, "mobius", k, _floor_x(x))
 
 
 def liouville_sum_k(field: FieldSpec, k: int, x: float) -> int:
     """Exact sum of lambda_k over all ideals of norm <= x."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = _floor_x(x)
-    return int(_sieve.cumulative_array(field, "liouville", k, n)[n])
+    return _sublinear.exact_sum(field, "liouville", k, _floor_x(x))
 
 
 def qfree_count(field: FieldSpec, k: int, x: float) -> int:
-    """Number of k-free ideals of norm <= x, by direct accumulation of q_k."""
+    """Number of k-free ideals of norm <= x."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    n = _floor_x(x)
-    return int(_sieve.cumulative_array(field, "kfree", k, n)[n])
-
-
-def integer_kth_root(n: int, k: int) -> int:
-    """Largest r with r**k <= n."""
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    if n == 0:
-        return 0
-    if k == 2:
-        return math.isqrt(n)
-    if k >= n.bit_length():  # n < 2^k
-        return 1
-    # integer Newton from 2^ceil(bits / k) >= n^(1/k): the iterates fall
-    # strictly until they reach the root
-    r = 1 << -(-n.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
+    return _sublinear.exact_sum(field, "kfree", k, _floor_x(x))
 
 
 def qfree_count_fast(field: FieldSpec, k: int, x: float) -> int:
     """k-free count by the exact inversion formula
-    sum_{N(D) <= x^(1/k)} mu_1(D) [x / N(D)^k]_F; equals qfree_count."""
+    sum_{N(D) <= x^(1/k)} mu_1(D) [x / N(D)^k]_F; equals qfree_count.
+
+    Over Q and quadratic fields this is also the route qfree_count takes.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
-    n = _floor_x(x)
-    root = integer_kth_root(n, k)
-    _check_memory(root, what=f"x = {n:.3g} is too large for the inversion formula, "
-                             f"which sieves up to x^(1/{k}) = {root:.3g}")
-    mu1 = _sieve.coefficient_array(field, "mobius", 1, root)
-    total = 0
-    for d in range(1, root + 1):
-        c = int(mu1[d])
-        if c:
-            total += c * ideal_count(field, n // d**k)
-    return total
+    return _sublinear.kfree_count(field, k, _floor_x(x))
 
 
 def qfree_count_fast_array(field: FieldSpec, k: int, xmax: int) -> np.ndarray:
@@ -288,8 +261,10 @@ def sweep(kind: str, field: FieldSpec, k: int,
     if kind != "liouville":
         _c_F(field)
     # prime the cumulative cache at the largest x so every point reuses it
+    # (the count over Q is floor(x) and needs none)
     if kind == "count":
-        ideal_count(field, grid[-1])
+        if field.degree != 1 or field.prime_table is not None:
+            _sieve.cumulative_array(field, "count", 0, math.floor(grid[-1]))
     else:
         coeff_kind = {"mobius": "mobius", "liouville": "liouville", "qfree": "kfree"}[kind]
         _sieve.cumulative_array(field, coeff_kind, k, math.floor(grid[-1]))

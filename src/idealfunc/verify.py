@@ -70,6 +70,16 @@ def _kth_power_divisors(A: IdealFactorization, k: int) -> list[IdealFactorizatio
     return divisors(IdealFactorization(root))
 
 
+# no prime-ideal exponent of a norm <= 2^62 reaches an order above 62, so
+# larger orders repeat the checks of smaller ones
+KMAX_LIMIT = 64
+
+
+def _check_kmax(kmax: int) -> None:
+    if not 1 <= kmax <= KMAX_LIMIT:
+        raise ValueError(f"kmax must lie in [1, {KMAX_LIMIT}]")
+
+
 def identity_suite(field: FieldSpec, xmax: int = 5000, kmax: int = 4,
                    corr_x: int = 200) -> list[CheckResult]:
     """Exact-identity checks over every ideal of norm <= xmax.
@@ -77,6 +87,7 @@ def identity_suite(field: FieldSpec, xmax: int = 5000, kmax: int = 4,
     corr_x is the summation cutoff used when checking the correlation sum
     against its coprime k-free count (quantified over all A <= xmax).
     """
+    _check_kmax(kmax)
     ideals = list(enumerate_ideals(field, xmax))
     results: list[CheckResult] = []
 
@@ -228,6 +239,7 @@ def _multiplicativity_check(field: FieldSpec, ideals: list[IdealFactorization],
 def counting_suite(field: FieldSpec, xmax: int = 10_000, kmax: int = 4) -> list[CheckResult]:
     """Counting and inversion checks: enumeration vs sieve, coefficient
     identity, coprime counting, and the exact k-free inversion formula."""
+    _check_kmax(kmax)
     results: list[CheckResult] = []
 
     r = CheckResult(f"enumerate_ideals size = ideal_count  [{field.label}]")

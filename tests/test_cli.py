@@ -1,6 +1,9 @@
 import io
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -273,10 +276,11 @@ def test_non_finite_numbers_rejected(argv):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("x", ["1e12", "1e300"])
+@pytest.mark.parametrize("x", ["1e16", "1e300"])
 def test_sum_refuses_x_beyond_physical_memory(x):
-    # only x the preflight refuses: 17 bytes per norm must exceed physical memory
-    assert 17 * float(x) > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    # only x the preflight refuses: 20 bytes per norm of the sublinear route's
+    # tables, which reach x^(2/3), must exceed physical memory
+    assert 20 * float(x) ** (2 / 3) > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     code, out, err = run_cli(["sum", "--field", "q:-1", "--fn", "mobius", "--order", "2",
                               "--x", x])
     assert code == 1 and out == ""
@@ -307,15 +311,62 @@ def test_enumeration_refused_beyond_physical_memory(monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    # float n**k overflows in the Euler product of the density constant
-    ["constant", "--field", "q:-1", "--order", "1000"],
-    ["report", "--field", "q", "--theorem", "1", "--order", "1000", "--grid", "10:100:2"],
+    # exact values that would never finish: a Jordan totient of 400-digit
+    # order, and 10^35 orders of every identity
+    ["eval", "--field", "q:-1", "--fn", "jordan", "--order", "9" * 400, "--ideal", "5"],
+    ["verify", "--field", "q", "--suite", "identities", "--kmax", str(10**35)],
     # float(k) overflows
     ["constant", "--field", "q", "--order", "9" * 400],
     ["report", "--field", "q", "--theorem", "3", "--order", "9" * 400, "--grid", "10:100:2"],
+    # kmax 0 would skip every order-k check and still print "passed"
+    ["verify", "--field", "q", "--suite", "counting", "--kmax", "0"],
 ])
 def test_overflow_exits_with_one_line(argv):
+    t0 = time.perf_counter()
     assert_one_line_error(*run_cli(argv))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_density_constant_at_large_order():
+    # every Euler factor at order 1000 rounds to 1.0: skipped, never overflowed
+    code, out, _ = run_cli(["constant", "--field", "q:-1", "--order", "1000"])
+    assert code == 0 and json.loads(out)["value"] == 1.0
+    code, out, _ = run_cli(["report", "--field", "q", "--theorem", "1", "--order", "1000",
+                            "--grid", "10:100:2"])
+    assert code == 0 and out.splitlines()[1] == "q,M,1000,10,10,10,0,x^(1/1000)*log(x),0"
+
+
+def test_jordan_order_bound():
+    from idealfunc.arith import JORDAN_MAX_BITS
+
+    # J_k = 2^k - 1 at the ramified prime of norm 2 in Z[i]
+    code, out, _ = run_cli(["eval", "--field", "q:-1", "--fn", "jordan",
+                            "--order", str(JORDAN_MAX_BITS), "--ideal", "2"])
+    assert code == 0 and int(out) == 2**JORDAN_MAX_BITS - 1
+    assert_one_line_error(*run_cli(["eval", "--field", "q:-1", "--fn", "jordan",
+                                     "--order", str(JORDAN_MAX_BITS + 1), "--ideal", "2"]))
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--field", "q", "--fn", "mobius", "--order", "1", "--x", "1e9"], "-222"),
+    (["--field", "q", "--fn", "qfree", "--order", "2", "--x", "1e10"], "6079270942"),
+    (["--field", "q", "--fn", "qfree", "--order", "2", "--x", "1e10", "--fast"], "6079270942"),
+    (["--field", "q:-1", "--fn", "mobius", "--order", "2", "--x", "1e9"], "390812897"),
+])
+def test_sum_beyond_the_sieve(argv, expected):
+    # x past the ~4.9e8 where a sieve to x stops fitting in 8 GB
+    code, out, _ = run_cli(["sum", *argv])
+    assert code == 0 and out.strip() == expected
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "idealfunc", "sum", "--field", "q",
+                           "--fn", "qfree", "--order", "2", "--x", "100"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "61\n" and proc.stderr == ""
 
 
 _WITHOUT_FORMAT = [

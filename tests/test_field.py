@@ -76,6 +76,17 @@ def test_kronecker_zero_iff_common_factor(n):
     assert (kronecker_symbol(D, n) == 0) == (math.gcd(abs(D), n) > 1)
 
 
+@pytest.mark.parametrize("m", [-1, -2, -3, 2, 3, 5, -30, 105, -105, 7 * 11 * 13 * 17, -1000003])
+def test_chi_period_matches_kronecker(m):
+    # odd, even, positive and negative discriminants, one to five prime factors
+    disc = make_quadratic_field(m).disc
+    table = field_module._chi_table(disc)
+    assert len(table) == abs(disc) and table[0] == 0
+    step = max(1, abs(disc) // 5000)  # every residue of the small discriminants
+    for r in range(1, abs(disc), step):
+        assert table[r] == kronecker_symbol(disc, r), (disc, r)
+
+
 def test_split_prime_gaussian(gaussian):
     assert split_prime(gaussian, 5) is SplittingType.SPLIT
     assert split_prime(gaussian, 3) is SplittingType.INERT

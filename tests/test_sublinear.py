@@ -1,0 +1,111 @@
+"""The sublinear route of `_sublinear` against the coefficient sieve."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idealfunc import _sieve, _sublinear
+from idealfunc.field import (
+    is_squarefree,
+    make_quadratic_field,
+    make_table_field,
+    parse_field,
+    primes_up_to,
+)
+from idealfunc.summatory import mertens_k, qfree_count_fast
+
+SPECS = ("q", "q:-1", "q:-5", "q:2", "q:5", "q:-3")
+CASES = ([("count", 0)] + [("kfree", k) for k in (2, 3, 4)]
+         + [("mobius", k) for k in (1, 2, 3)] + [("liouville", k) for k in (1, 2, 3)])
+XMAX = 300_000
+# every x <= 300, 25 seeded x above, and the x where the table size
+# T = [x^(2/3)] of the largest of them sits, and its neighbours
+_RANDOM_X = sorted(random.Random(20261018).sample(range(301, XMAX + 1), 25))
+_T = _sublinear.table_size(_RANDOM_X[-1])
+GATE_X = sorted(set(range(1, 301)) | set(_RANDOM_X) | {_T - 1, _T, _T + 1})
+
+
+def _sieve_sums(field, kind, k, xmax):
+    return np.cumsum(_sieve.coefficient_array(field, kind, k, xmax))
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_route_equals_sieve(spec):
+    field = parse_field(spec)
+    for kind, k in CASES:
+        expected = _sieve_sums(field, kind, k, XMAX)
+        got = [_sublinear._SUMS[kind](field, k, x) for x in GATE_X]
+        assert got == expected[GATE_X].tolist(), (kind, k)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_primitives_at_the_table_cutoff(spec):
+    # A below, at and above T, and M at every [x/j], on both sides of the cut
+    field = parse_field(spec)
+    x = 10**5
+    size = _sublinear.table_size(x)
+    counts = _sublinear._Counts(field, size)
+    cum_count = _sieve_sums(field, "count", 0, x)
+    ys = np.array([1, 2, size - 1, size, size + 1, x // 2, x], dtype=np.int64)
+    assert counts.many(ys).tolist() == cum_count[ys].tolist()
+    mertens = _sublinear._Mertens(field, x, counts)
+    js = np.arange(1, x + 1, dtype=np.int64)
+    assert np.array_equal(mertens.many(js), _sieve_sums(field, "mobius", 1, x)[x // js])
+
+
+def _random_fields():
+    m = st.integers(-10**4, 10**4).filter(lambda m: m not in (0, 1) and is_squarefree(m))
+    return st.one_of(st.sampled_from(SPECS).map(parse_field), m.map(make_quadratic_field))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=_random_fields(), case=st.sampled_from(CASES), x=st.integers(1, 20_000))
+def test_route_matches_sieve_on_random_fields(field, case, x):
+    kind, k = case
+    assert _sublinear._SUMS[kind](field, k, x) == int(_sieve_sums(field, kind, k, x)[x])
+
+
+@pytest.mark.parametrize("k", [62, 63, 64, 10**400])
+def test_orders_past_every_exponent(k):
+    field = parse_field("q:-5")
+    for kind in ("kfree", "mobius", "liouville"):
+        assert _sublinear._SUMS[kind](field, k, 5000) == _sieve_sums(field, kind, k, 5000)[-1]
+
+
+def test_cached_array_answers_first(monkeypatch):
+    field = parse_field("q:-5")
+    _sieve.clear_cache()
+    try:
+        cum = _sieve.cumulative_array(field, "mobius", 2, 5000)
+        monkeypatch.setitem(_sublinear._SUMS, "mobius", None)  # the route is not taken
+        assert mertens_k(field, 2, 4000) == cum[4000]
+    finally:
+        _sieve.clear_cache()
+
+
+def test_route_leaves_the_sieve_cache_alone():
+    _sieve.clear_cache()
+    field = parse_field("q:2")
+    assert qfree_count_fast(field, 2, 10**6) == int(_sieve_sums(field, "kfree", 2, 10**6)[-1])
+    assert mertens_k(field, 1, 10**6) == int(_sieve_sums(field, "mobius", 1, 10**6)[-1])
+    assert not _sieve._CUM_CACHE
+
+
+def test_inversion_formula_over_a_table_field():
+    # Q(i) as a prime-ideal table: 2 ramifies, p = 1 mod 4 splits, p = 3 mod 4 is inert
+    table = make_table_field({p: [(1, 2, 1)] if p == 2 else [(1, 1, 2)] if p % 4 == 1
+                              else [(2, 1, 1)] for p in primes_up_to(5000).tolist()})
+    for k in (2, 3):
+        expected = _sieve_sums(table, "kfree", k, 5000)
+        assert [qfree_count_fast(table, k, x) for x in (1, 99, 4999)] == \
+            expected[[1, 99, 4999]].tolist()
+
+
+def test_refuses_before_building_tables():
+    with pytest.raises(ValueError, match="too large: its tables reach"):
+        _sublinear.exact_sum(parse_field("q:-1"), "liouville", 2, 10**300)
+    with pytest.raises(ValueError, match="exceeds"):
+        _sublinear.exact_sum(parse_field("q"), "kfree", 30, 2**63)
