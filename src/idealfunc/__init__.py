@@ -22,23 +22,19 @@ from .arith import (
     dirichlet_inverse,
     jordan_totient,
     lambda_k,
-    mobius_correlation_sum,
     mu_1,
     mu_k,
     q_k,
-    sigma_s,
 )
 from .field import (
     FieldSpec,
     PrimeIdealLabel,
-    SplittingType,
     kronecker_symbol,
     make_quadratic_field,
     make_rational_field,
     make_table_field,
     parse_field,
     primes_with_norm_up_to,
-    split_prime,
 )
 from .ideals import (
     UNIT,
@@ -49,7 +45,6 @@ from .ideals import (
     enumerate_ideals,
     format_ideal,
     ideal_count,
-    ideal_count_coprime,
     multiply,
     power,
     quotient,
@@ -63,7 +58,6 @@ from .summatory import (
     mobius_report,
     qfree_count,
     qfree_count_fast,
-    remainder_R,
     sweep,
 )
 

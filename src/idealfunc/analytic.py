@@ -88,8 +88,14 @@ def dedekind_zeta(field: FieldSpec, s: float, cutoff: int = PRIME_CUTOFF) -> Ana
         log_value -= math.log1p(-float(norm) ** (-s))
     value = math.exp(log_value)
     log_tail = _prime_ideal_norm_tail(field.degree, cutoff, s) / (1.0 - 2.0 ** (-s))
-    return AnalyticValue(value=value, tail_bound=value * math.expm1(log_tail),
-                         method="euler-product")
+    try:
+        tail = value * math.expm1(log_tail)
+    except OverflowError:
+        tail = math.inf
+    if not math.isfinite(tail):  # s close to 1: the bound exceeds every float
+        raise ValueError(f"no finite tail bound for zeta_F at s = {s:g} with prime cutoff "
+                         f"{cutoff}: the relative bound exp({log_tail:.4g}) - 1 overflows")
+    return AnalyticValue(value=value, tail_bound=tail, method="euler-product")
 
 
 def dedekind_zeta_series(field: FieldSpec, s: float) -> AnalyticValue:

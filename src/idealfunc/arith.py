@@ -11,16 +11,7 @@ from fractions import Fraction
 from typing import Callable
 
 from ._sieve import _kfree, _liouville, _mobius
-from .field import FieldSpec
-from .ideals import (
-    UNIT,
-    IdealFactorization,
-    divisors,
-    enumerate_ideals,
-    multiply,
-    power,
-    quotient,
-)
+from .ideals import UNIT, IdealFactorization, divisors, quotient
 
 __all__ = [
     "mu_k",
@@ -29,10 +20,8 @@ __all__ = [
     "q_k",
     "delta",
     "jordan_totient",
-    "sigma_s",
     "dirichlet_convolve",
     "dirichlet_inverse",
-    "mobius_correlation_sum",
 ]
 
 
@@ -94,19 +83,6 @@ def jordan_totient(k: int, A: IdealFactorization) -> int:
     return out
 
 
-def sigma_s(A: IdealFactorization, s: float) -> int | float:
-    """Divisor-norm power sum: sum over D | A of N(D)^s."""
-    if isinstance(s, int) and s >= 0:
-        out_i = 1
-        for lab, e in A.factors:
-            out_i *= sum(lab.norm ** (s * j) for j in range(e + 1))
-        return out_i
-    out = 1.0
-    for lab, e in A.factors:
-        out *= sum(float(lab.norm) ** (s * j) for j in range(e + 1))
-    return out
-
-
 def dirichlet_convolve(f: Callable, g: Callable, A: IdealFactorization) -> int | Fraction:
     """(f * g)(A) = sum over D | A of f(D) g(A/D), exactly."""
     return sum(f(D) * g(quotient(A, D)) for D in divisors(A))
@@ -139,22 +115,3 @@ def dirichlet_inverse(f: Callable, A: IdealFactorization) -> Fraction:
         return out
 
     return inv(A)
-
-
-def mobius_correlation_sum(field: FieldSpec, k: int, A: IdealFactorization,
-                           x: float) -> int:
-    """The shifted-product sum  sum_{N(B) <= x} mu_{k-1}(B) mu_{k-1}(A^{k-1} B).
-
-    Computed literally over the ideal stream.  Vanishes unless A is
-    squarefree, in which case it counts k-free ideals coprime to A with
-    sign mu_1(A).
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    shifted = power(A, k - 1)
-    total = 0
-    for B in enumerate_ideals(field, x):
-        mb = mu_k(k - 1, B)
-        if mb:
-            total += mb * mu_k(k - 1, multiply(shifted, B))
-    return total

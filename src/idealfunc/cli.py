@@ -7,6 +7,7 @@ numeric output is locale-independent with `.` as the decimal separator.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -40,6 +41,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
+@functools.cache  # once per process: parse_args keeps no state between calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="idealfunc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
-from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
-    "SplittingType",
     "PrimeIdealLabel",
     "FieldSpec",
     "make_rational_field",
@@ -28,7 +27,6 @@ __all__ = [
     "kronecker_symbol",
     "is_squarefree",
     "is_fundamental_discriminant",
-    "split_prime",
     "prime_ideals_above",
     "primes_with_norm_up_to",
     "primes_up_to",
@@ -37,38 +35,24 @@ __all__ = [
 NORM_LIMIT = 2**62
 
 
-class SplittingType(Enum):
-    DEGREE1 = "degree1"
-    SPLIT = "split"
-    INERT = "inert"
-    RAMIFIED = "ramified"
-
-
-@dataclass(frozen=True)
-class PrimeIdealLabel:
+class PrimeIdealLabel(namedtuple("PrimeIdealLabel", "norm p index f")):
     """A prime ideal above the rational prime p, with residue degree f.
 
     Conjugate primes above a split p carry indices 0 and 1; everything
     downstream depends on the label only through its norm p**f, so the
-    index exists purely to make orderings canonical.
+    index exists purely to make orderings canonical.  A plain tuple, so
+    hashing, equality and the canonical (norm, p, index) order run in C.
     """
 
-    p: int
-    f: int
-    index: int = 0
-    norm: int = dc_field(init=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p < 2 or self.f < 1 or self.index < 0:
-            raise ValueError(f"bad prime ideal label ({self.p}, {self.f}, {self.index})")
-        object.__setattr__(self, "norm", self.p**self.f)
+    def __new__(cls, p: int, f: int, index: int = 0) -> "PrimeIdealLabel":
+        if p < 2 or f < 1 or index < 0:
+            raise ValueError(f"bad prime ideal label ({p}, {f}, {index})")
+        return tuple.__new__(cls, (p**f, p, index, f))
 
-    @property
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.norm, self.p, self.index)
-
-    def __lt__(self, other: "PrimeIdealLabel") -> bool:
-        return self.sort_key < other.sort_key
+    def __getnewargs__(self) -> tuple[int, int, int]:  # copy and pickle
+        return (self.p, self.f, self.index)
 
 
 # Explicit table entry: (f, ramification exponent, multiplicity).
@@ -369,18 +353,6 @@ def primes_up_to(limit: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # splitting
 
-_SPLITTING = {(1, 1): SplittingType.SPLIT, (2,): SplittingType.INERT,
-              (1,): SplittingType.RAMIFIED}
-
-
-def split_prime(field: FieldSpec, p: int) -> SplittingType:
-    if field.prime_table is not None:
-        raise ValueError("splitting types are not defined for table fields")
-    if field.degree == 1:
-        return SplittingType.DEGREE1
-    return _SPLITTING[field.residue_degrees(p)]
-
-
 def prime_ideals_above(field: FieldSpec, p: int) -> tuple[PrimeIdealLabel, ...]:
     return tuple(PrimeIdealLabel(p, f, i) for i, f in enumerate(field.residue_degrees(p)))
 
@@ -394,5 +366,5 @@ def primes_with_norm_up_to(field: FieldSpec, X: float) -> list[PrimeIdealLabel]:
         for lab in prime_ideals_above(field, p):
             if lab.norm <= X:
                 labels.append(lab)
-    labels.sort(key=lambda lab: lab.sort_key)
+    labels.sort()
     return labels

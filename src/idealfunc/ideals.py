@@ -39,7 +39,6 @@ __all__ = [
     "enumerate_ideals",
     "ideals_of_norm",
     "ideal_count",
-    "ideal_count_coprime",
 ]
 
 
@@ -92,7 +91,7 @@ def from_factors(pairs: Iterable[tuple[PrimeIdealLabel, int]]) -> IdealFactoriza
     kept = [(lab, e) for lab, e in acc.items() if e != 0]
     if any(e < 0 for _, e in kept):
         raise ValueError("negative exponent")
-    kept.sort(key=lambda item: item[0].sort_key)
+    kept.sort()  # labels are distinct, so the exponents are never compared
     return IdealFactorization(tuple(kept))
 
 
@@ -132,10 +131,7 @@ def quotient(A: IdealFactorization, D: IdealFactorization) -> IdealFactorization
 
 
 def coprime(A: IdealFactorization, B: IdealFactorization) -> bool:
-    if len(A.factors) > len(B.factors):
-        A, B = B, A
-    labels = {lab for lab, _ in B.factors}
-    return not any(lab in labels for lab, _ in A.factors)
+    return A.exponents().keys().isdisjoint(lab for lab, _ in B.factors)
 
 
 def divisors(A: IdealFactorization) -> list[IdealFactorization]:
@@ -241,15 +237,3 @@ def ideal_count(field: FieldSpec, X: float) -> int:
     if field.degree == 1 and field.prime_table is None:
         return n
     return _sublinear.exact_sum(field, "count", 0, n)
-
-
-def ideal_count_coprime(field: FieldSpec, X: float, A: IdealFactorization) -> int:
-    """Number of ideals C with norm <= X and (C, A) = 1, by direct filtering."""
-    if X < 1:
-        return 0
-    labels = {lab for lab, _ in A.factors}
-    count = 0
-    for C in enumerate_ideals(field, X):
-        if not any(lab in labels for lab, _ in C.factors):
-            count += 1
-    return count

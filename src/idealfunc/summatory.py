@@ -30,7 +30,6 @@ __all__ = [
     "qfree_count",
     "qfree_count_fast",
     "qfree_count_fast_array",
-    "remainder_R",
     "count_report",
     "mobius_report",
     "liouville_reports",
@@ -150,11 +149,6 @@ def qfree_count_fast_array(field: FieldSpec, k: int, xmax: int) -> np.ndarray:
             lo = d**k
             total[lo:] += c * counts[xs[lo:] // lo]
     return total
-
-
-def remainder_R(field: FieldSpec, x: float) -> float:
-    """R(x) = [x]_F - c_F x."""
-    return ideal_count(field, x) - _c_F(field) * x
 
 
 _CONST_CACHE: dict[tuple, float] = {}

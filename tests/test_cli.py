@@ -237,6 +237,14 @@ def test_zeta_tol_is_met_or_refused(s, tol, code):
         assert out == "" and len(err.strip().splitlines()) == 1
 
 
+def test_zeta_without_finite_tail_bound_refused():
+    # s = 1.002 is accepted, but the tail bound at the default cutoff overflows
+    code, out, err = run_cli(["zeta", "--field", "q", "--s", "1.002"])
+    assert_one_line_error(code, out, err)
+    assert "s = 1.002" in err and "prime cutoff 100000" in err
+    assert "math range error" not in err
+
+
 def test_constant_json():
     code, out, _ = run_cli(["constant", "--field", "q", "--order", "2"])
     assert code == 0
@@ -253,6 +261,86 @@ def test_verify_small_passes():
     code, out, _ = run_cli(["verify", "--field", "q:-5", "--suite", "counting",
                             "--xmax", "300", "--kmax", "3"])
     assert code == 0
+
+
+# stdout of `verify` recorded before prime-ideal labels became plain tuples; a
+# change of label representation must leave it byte-identical
+PINNED_VERIFY = {
+    ("q:-1", "identities", "300"): """\
+ok   |mu_1(A)| = sum of mu_1(D) over D^2 | A  [q:-1]  tested=237
+ok   |mu_2(A)| = sum of mu_1(D) over D^3 | A  [q:-1]  tested=237
+ok   |mu_3(A)| = sum of mu_1(D) over D^4 | A  [q:-1]  tested=237
+ok   |mu_4(A)| = sum of mu_1(D) over D^5 | A  [q:-1]  tested=237
+ok   (q_2 * lambda_1)(A) = delta(A)  [q:-1]  tested=237
+ok   (q_3 * lambda_2)(A) = delta(A)  [q:-1]  tested=237
+ok   (q_4 * lambda_3)(A) = delta(A)  [q:-1]  tested=237
+ok   mu_2(A) = sum mu_1(A/D^2) mu_1(A/D) over D^2 | A  [q:-1]  tested=237
+ok   mu_3(A) = sum mu_2(A/D^3) mu_2(A/D) over D^3 | A  [q:-1]  tested=237
+ok   mu_4(A) = sum mu_3(A/D^4) mu_3(A/D) over D^4 | A  [q:-1]  tested=237
+ok   lambda_1(A) = sum mu_1(A/D^2) over D^2 | A  [q:-1]  tested=237
+ok   lambda_2(A) = sum mu_1(A/D^3) over D^3 | A  [q:-1]  tested=237
+ok   lambda_3(A) = sum mu_1(A/D^4) over D^4 | A  [q:-1]  tested=237
+ok   lambda_4(A) = sum mu_1(A/D^5) over D^5 | A  [q:-1]  tested=237
+ok   mu_1(A^1) = mu_1(A)  [q:-1]  tested=237
+ok   mu_2(A^2) = mu_1(A)  [q:-1]  tested=237
+ok   mu_3(A^3) = mu_1(A)  [q:-1]  tested=237
+ok   mu_4(A^4) = mu_1(A)  [q:-1]  tested=237
+ok   sum mu_1(E)/N(E) over E | A = J_1(A)/N(A)  [q:-1]  tested=237
+ok   correlation sum vs signed coprime 2-free count, x=200  [q:-1]  tested=237
+ok   correlation sum vs signed coprime 3-free count, x=200  [q:-1]  tested=237
+ok   correlation sum vs signed coprime 4-free count, x=200  [q:-1]  tested=237
+ok   f(AB) = f(A) f(B) for coprime A, B  [q:-1]  tested=3000
+passed identities suite: 0 of 23 checks failed
+""",
+    ("q:-1", "counting", "2000"): """\
+ok   enumerate_ideals size = ideal_count  [q:-1]  tested=5
+ok   #(norm n) = sum of chi_D over divisors of n, n <= 2000  [q:-1]  tested=2000
+ok   coprime count = sum mu_1(E) [X/N(E)]_F over E | A  [q:-1]  tested=474
+ok   k-free inversion formula exact for every x <= 2000, k=2  [q:-1]  tested=2000
+ok   k-free inversion formula exact for every x <= 2000, k=3  [q:-1]  tested=2000
+passed counting suite: 0 of 5 checks failed
+""",
+    ("q:5", "identities", "300"): """\
+ok   |mu_1(A)| = sum of mu_1(D) over D^2 | A  [q:5]  tested=128
+ok   |mu_2(A)| = sum of mu_1(D) over D^3 | A  [q:5]  tested=128
+ok   |mu_3(A)| = sum of mu_1(D) over D^4 | A  [q:5]  tested=128
+ok   |mu_4(A)| = sum of mu_1(D) over D^5 | A  [q:5]  tested=128
+ok   (q_2 * lambda_1)(A) = delta(A)  [q:5]  tested=128
+ok   (q_3 * lambda_2)(A) = delta(A)  [q:5]  tested=128
+ok   (q_4 * lambda_3)(A) = delta(A)  [q:5]  tested=128
+ok   mu_2(A) = sum mu_1(A/D^2) mu_1(A/D) over D^2 | A  [q:5]  tested=128
+ok   mu_3(A) = sum mu_2(A/D^3) mu_2(A/D) over D^3 | A  [q:5]  tested=128
+ok   mu_4(A) = sum mu_3(A/D^4) mu_3(A/D) over D^4 | A  [q:5]  tested=128
+ok   lambda_1(A) = sum mu_1(A/D^2) over D^2 | A  [q:5]  tested=128
+ok   lambda_2(A) = sum mu_1(A/D^3) over D^3 | A  [q:5]  tested=128
+ok   lambda_3(A) = sum mu_1(A/D^4) over D^4 | A  [q:5]  tested=128
+ok   lambda_4(A) = sum mu_1(A/D^5) over D^5 | A  [q:5]  tested=128
+ok   mu_1(A^1) = mu_1(A)  [q:5]  tested=128
+ok   mu_2(A^2) = mu_1(A)  [q:5]  tested=128
+ok   mu_3(A^3) = mu_1(A)  [q:5]  tested=128
+ok   mu_4(A^4) = mu_1(A)  [q:5]  tested=128
+ok   sum mu_1(E)/N(E) over E | A = J_1(A)/N(A)  [q:5]  tested=128
+ok   correlation sum vs signed coprime 2-free count, x=200  [q:5]  tested=128
+ok   correlation sum vs signed coprime 3-free count, x=200  [q:5]  tested=128
+ok   correlation sum vs signed coprime 4-free count, x=200  [q:5]  tested=128
+ok   f(AB) = f(A) f(B) for coprime A, B  [q:5]  tested=1233
+passed identities suite: 0 of 23 checks failed
+""",
+    ("q:5", "counting", "2000"): """\
+ok   enumerate_ideals size = ideal_count  [q:5]  tested=5
+ok   #(norm n) = sum of chi_D over divisors of n, n <= 2000  [q:5]  tested=2000
+ok   coprime count = sum mu_1(E) [X/N(E)]_F over E | A  [q:5]  tested=258
+ok   k-free inversion formula exact for every x <= 2000, k=2  [q:5]  tested=2000
+ok   k-free inversion formula exact for every x <= 2000, k=3  [q:5]  tested=2000
+passed counting suite: 0 of 5 checks failed
+""",
+}
+
+
+@pytest.mark.parametrize("spec, suite, xmax", sorted(PINNED_VERIFY))
+def test_verify_output_pinned(spec, suite, xmax):
+    code, out, _ = run_cli(["verify", "--field", spec, "--suite", suite, "--xmax", xmax])
+    assert code == 0 and out == PINNED_VERIFY[spec, suite, xmax]
 
 
 def test_output_independent_of_threads_env():
@@ -359,14 +447,41 @@ def test_sum_beyond_the_sieve(argv, expected):
     assert code == 0 and out.strip() == expected
 
 
-def test_python_dash_m_runs_the_cli():
+def run_fresh(argv):
+    """Run `python -m idealfunc` on argv in a new interpreter."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-m", "idealfunc", "sum", "--field", "q",
-                           "--fn", "qfree", "--order", "2", "--x", "100"],
+    proc = subprocess.run([sys.executable, "-m", "idealfunc", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0 and proc.stdout == "61\n" and proc.stderr == ""
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    assert run_fresh(["sum", "--field", "q", "--fn", "qfree", "--order", "2",
+                      "--x", "100"]) == (0, "61\n", "")
+
+
+def test_one_parser_serves_every_query():
+    # the parser is built once per process; no query may leave state, such as
+    # the --format default of `field` (plain) or `report` (csv), for the next
+    report = ["report", "--field", "q", "--theorem", "0", "--grid", "10:100:2"]
+    session = [
+        report + ["--format", "json"],
+        ["field", "--field", "q:-1"],
+        ["field", "--field", "q:-1", "--format", "json"],
+        report,
+        ["sum", "--field", "q", "--fn", "mobius", "--order", "2", "--x", "100", "--bogus"],
+        ["sum", "--field", "q", "--fn", "mobius", "--order", "2", "--x", "100"],
+        ["enumerate", "--field", "q:-1", "--xmax", "10"],
+        ["eval", "--field", "q:-1", "--fn", "jordan", "--order", "1", "--ideal", "5:1"],
+        ["verify", "--field", "q", "--suite", "counting", "--xmax", "100", "--kmax", "2"],
+        ["zeta", "--field", "q", "--s", "2"],
+        ["constant", "--field", "q", "--order", "2"],
+    ]
+    in_process = [run_cli(argv) for argv in session]
+    assert [code for code, _, _ in in_process] == [0] * 4 + [1] + [0] * 6
+    assert in_process == [run_fresh(argv) for argv in session]
 
 
 _WITHOUT_FORMAT = [

@@ -1,14 +1,18 @@
+import copy
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_sieve import FIELDS
+
 from idealfunc import field as field_module
 from idealfunc.field import (
-    SplittingType,
+    PrimeIdealLabel,
     is_fundamental_discriminant,
     kronecker_symbol,
     make_quadratic_field,
@@ -18,7 +22,6 @@ from idealfunc.field import (
     prime_ideals_above,
     primes_up_to,
     primes_with_norm_up_to,
-    split_prime,
 )
 
 
@@ -88,9 +91,9 @@ def test_chi_period_matches_kronecker(m):
 
 
 def test_split_prime_gaussian(gaussian):
-    assert split_prime(gaussian, 5) is SplittingType.SPLIT
-    assert split_prime(gaussian, 3) is SplittingType.INERT
-    assert split_prime(gaussian, 2) is SplittingType.RAMIFIED
+    assert gaussian.residue_degrees(5) == (1, 1)  # split
+    assert gaussian.residue_degrees(3) == (2,)    # inert
+    assert gaussian.residue_degrees(2) == (1,)    # ramified
     assert [lab.norm for lab in prime_ideals_above(gaussian, 5)] == [5, 5]
     assert [lab.norm for lab in prime_ideals_above(gaussian, 3)] == [9]
     assert [lab.norm for lab in prime_ideals_above(gaussian, 2)] == [2]
@@ -100,12 +103,12 @@ def test_split_prime_matches_kronecker(any_field):
     if any_field.degree == 1:
         pytest.skip("degree 1")
     for p in primes_up_to(200).tolist():
-        kind = split_prime(any_field, p)
+        degrees = any_field.residue_degrees(p)
         if any_field.disc % p == 0:
-            assert kind is SplittingType.RAMIFIED
+            assert degrees == (1,)
         else:
             chi = kronecker_symbol(any_field.disc, p)
-            assert kind is (SplittingType.SPLIT if chi == 1 else SplittingType.INERT)
+            assert degrees == ((1, 1) if chi == 1 else (2,))
 
 
 def test_primes_with_norm_up_to(rational, gaussian):
@@ -153,14 +156,35 @@ def test_prime_label_stream_monotone(any_field):
             assert lab.norm == lab.p**lab.f
 
 
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(sorted(FIELDS)), X=st.integers(2, 3000), rng=st.randoms())
+def test_label_order_is_the_norm_p_index_key(spec, X, rng):
+    labels = primes_with_norm_up_to(FIELDS[spec], X)
+    shuffled = list(labels)
+    rng.shuffle(shuffled)
+    assert sorted(shuffled) == labels
+    assert labels == sorted(shuffled, key=lambda lab: (lab.norm, lab.p, lab.index))
+    for lab in shuffled:
+        twin = PrimeIdealLabel(lab.p, lab.f, lab.index)
+        assert twin == lab and hash(twin) == hash(lab)
+        assert twin == copy.deepcopy(lab) == pickle.loads(pickle.dumps(lab))
+        assert lab.norm == lab.p**lab.f
+    assert len(set(shuffled)) == len(labels)
+
+
+@pytest.mark.parametrize("args", [(1, 1), (2, 0), (2, 1, -1)])
+def test_bad_label_rejected(args):
+    with pytest.raises(ValueError, match="bad prime ideal label"):
+        PrimeIdealLabel(*args)
+
+
 def test_ramification_degree_sums(any_field):
     if any_field.degree == 1:
         pytest.skip("degree 1")
     # sum of e*f over primes above p is the degree
     for p in primes_up_to(100).tolist():
         labels = prime_ideals_above(any_field, p)
-        kind = split_prime(any_field, p)
-        e = 2 if kind is SplittingType.RAMIFIED else 1
+        e = 2 if any_field.disc % p == 0 else 1  # p ramifies iff it divides disc
         assert sum(e * lab.f for lab in labels) == 2
 
 

@@ -8,6 +8,7 @@ from idealfunc.ideals import ideal_count
 from idealfunc.summatory import (
     CSV_HEADER,
     SummatoryReport,
+    count_report,
     integer_kth_root,
     kfree_report,
     liouville_reports,
@@ -17,7 +18,6 @@ from idealfunc.summatory import (
     qfree_count,
     qfree_count_fast,
     qfree_count_fast_array,
-    remainder_R,
     sweep,
 )
 
@@ -140,10 +140,10 @@ def test_integer_kth_root():
 
 def test_remainder_examples(rational, gaussian):
     # on Q the count is exactly floor(x), so R(x) = floor(x) - x
-    assert remainder_R(rational, 10.0) == 0.0
-    assert remainder_R(rational, 10.5) == pytest.approx(-0.5)
+    assert count_report(rational, 10.0).remainder == 0.0
+    assert count_report(rational, 10.5).remainder == pytest.approx(-0.5)
     # Q(i): 9 ideals of norm <= 10, c_F = pi/4
-    got = remainder_R(gaussian, 10.0)
+    got = count_report(gaussian, 10.0).remainder
     assert got == pytest.approx(9 - 2.5 * math.pi, abs=1e-4)
 
 
