@@ -74,15 +74,34 @@ _RULES = {
 }
 
 
-def _local_table(kind: str, k: int, p: int, degrees: tuple[int, ...], amax: int) -> list:
-    """Entry a: sum of f(A) over the ideals A above p of norm p^a, a <= amax."""
-    rule = _RULES[kind]
-    series: list = [1] + [0] * amax
-    for f in degrees:
-        powers = [rule(e, k, p**f) for e in range(amax // f + 1)]
-        series = [sum(series[a - f * e] * powers[e] for e in range(a // f + 1))
-                  for a in range(amax + 1)]
-    return series
+# tables of the norm-free rules by (kind, k, degrees, amax): at most
+# _LOCAL_TABLES_KEPT tuples of at most 63 small ints
+_LOCAL_TABLES: dict[tuple, tuple] = {}
+_LOCAL_TABLES_KEPT = 1024
+
+
+def _local_table(kind: str, k: int, p: int, degrees: tuple[int, ...], amax: int) -> tuple:
+    """Entry a: sum of f(A) over the ideals A above p of norm p^a, a <= amax.
+
+    A norm-free rule's table depends on p only through its degrees, and is
+    built once per process; mobius_density reads the norm, so its tables are
+    built on every call.
+    """
+    key = (kind, k, degrees, amax)
+    table = _LOCAL_TABLES.get(key)
+    if table is None:
+        rule = _RULES[kind]
+        series: list = [1] + [0] * amax
+        for f in degrees:
+            powers = [rule(e, k, p**f) for e in range(amax // f + 1)]
+            series = [sum(series[a - f * e] * powers[e] for e in range(a // f + 1))
+                      for a in range(amax + 1)]
+        table = tuple(series)
+        if kind != "mobius_density":
+            if len(_LOCAL_TABLES) >= _LOCAL_TABLES_KEPT:
+                del _LOCAL_TABLES[next(iter(_LOCAL_TABLES))]  # the oldest
+            _LOCAL_TABLES[key] = table
+    return table
 
 
 def coefficient_array(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarray:
@@ -114,7 +133,7 @@ def _sieve_work(field: FieldSpec, kind: str, k: int, xmax: int, dtype) -> np.nda
     cut = int(np.searchsorted(primes, root, side="right"))
     residue_degrees = field.residue_degrees
     # a norm-free rule gives one table per splitting, shared by its primes
-    shared: dict[tuple[int, ...], list] = {}
+    shared: dict[tuple[int, ...], tuple] = {}
 
     # Small primes, p <= sqrt(xmax): one pass per prime power p^a, writing
     # every n that p^a divides exactly, through strided views of val.
@@ -221,4 +240,12 @@ def cumulative_array(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarr
 
 
 def clear_cache() -> None:
-    _CUM_CACHE.clear()
+    """Empty every per-process memo of the package: the prefix-sum arrays,
+    the norm-free local tables, the parsed table fields, the prime-ideal
+    norms and the report constants.  The grow-only rational-prime array and
+    the per-discriminant character tables stay."""
+    from . import analytic, field, summatory  # analytic and summatory import this module
+
+    for memo in (_CUM_CACHE, _LOCAL_TABLES, field._TABLE_FIELDS, analytic._NORMS,
+                 summatory._CONST_CACHE):
+        memo.clear()

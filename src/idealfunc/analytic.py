@@ -8,11 +8,13 @@ consumers compare within combined bounds, never for exact equality.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _sieve
+from ._sublinear import integer_kth_root
 from .field import (
     FieldSpec,
     _chi_array,
@@ -65,36 +67,104 @@ def _prime_ideal_norm_tail(degree: int, cutoff: int, s: float) -> float:
     return head + inert
 
 
-def _prime_ideal_norms(field: FieldSpec, cutoff: int) -> list[int]:
+# per field (by cache_key): the largest cutoff asked and the sorted norms of
+# the prime ideals up to it, about 8 bytes per prime ideal
+_NORMS: "OrderedDict[tuple, tuple[int, np.ndarray]]" = OrderedDict()
+_NORM_FIELDS_KEPT = 8
+
+
+def _prime_ideal_norms(field: FieldSpec, cutoff: int) -> np.ndarray:
     """Norms of the prime ideals with norm <= cutoff, ascending, one per ideal.
 
-    The same norms in the same order as `primes_with_norm_up_to`, without
-    building a label per prime ideal; equal norms give equal Euler factors,
-    so the products and sums below keep their floating-point order.
+    The same norms in the same order as `primes_with_norm_up_to`, as a
+    read-only int64 array; equal norms give equal Euler factors, so the
+    products and sums below keep their floating-point order.  Each field
+    keeps the array of the largest cutoff asked (grow-only, like
+    `primes_up_to`), and a smaller cutoff takes a prefix of it.
     """
-    return sorted(p**f for p in primes_up_to(cutoff).tolist()
-                  for f in field.residue_degrees(p) if p**f <= cutoff)
+    key = field.cache_key()
+    held = _NORMS.get(key)
+    if held is None or held[0] < cutoff:
+        held = (cutoff, _sorted_norms(field, cutoff))  # a field that fails is not kept
+        _NORMS[key] = held
+        if len(_NORMS) > _NORM_FIELDS_KEPT:
+            _NORMS.popitem(last=False)
+    else:
+        _NORMS.move_to_end(key)
+    norms = held[1]
+    return norms[: int(np.searchsorted(norms, cutoff, side="right"))]
 
 
-def dedekind_zeta(field: FieldSpec, s: float, cutoff: int = PRIME_CUTOFF) -> AnalyticValue:
-    """zeta_F(s) for real s > 1 by truncated Euler product over the prime
-    ideals of norm <= cutoff."""
-    if s <= 1 + 1e-3:
-        raise ValueError("s must exceed 1 + 1e-3 (pole at s = 1)")
-    if cutoff < 2:
-        raise ValueError("cutoff must be >= 2")
+def _sorted_norms(field: FieldSpec, cutoff: int) -> np.ndarray:
+    cutoff = int(cutoff)
+    primes = primes_up_to(cutoff)
+    # equal splitting keys mean equal residue degrees: one lookup per class
+    _, reps, inverse = np.unique(field.splitting_keys(primes), return_index=True,
+                                 return_inverse=True)
+    class_degrees = [field.residue_degrees(p) for p in primes[reps].tolist()]
+    parts = [np.empty(0, dtype=np.int64)]
+    for f in sorted({f for degrees in class_degrees for f in degrees}):
+        # ideals of degree f above each prime, for the primes with p^f <= cutoff
+        count = np.array([degrees.count(f) for degrees in class_degrees], dtype=np.int64)
+        top = int(np.searchsorted(primes, integer_kth_root(cutoff, f), side="right"))
+        parts.append(np.repeat(primes[:top] ** f, count[inverse[:top]]))
+    norms = np.sort(np.concatenate(parts))
+    norms.flags.writeable = False
+    return norms
+
+
+def _euler_zeta(norms: list[float], degree: int, cutoff: int,
+                s: float) -> tuple[float, float, float]:
+    """(value, log_tail, tail) of the Euler product over `norms`: the value,
+    the log of one plus its relative tail bound, and the tail bound, which is
+    inf when it exceeds every float."""
     log_value = 0.0
-    for norm in _prime_ideal_norms(field, cutoff):
-        log_value -= math.log1p(-float(norm) ** (-s))
+    for n in norms:
+        log_value -= math.log1p(-n ** (-s))
     value = math.exp(log_value)
-    log_tail = _prime_ideal_norm_tail(field.degree, cutoff, s) / (1.0 - 2.0 ** (-s))
+    log_tail = _prime_ideal_norm_tail(degree, cutoff, s) / (1.0 - 2.0 ** (-s))
     try:
         tail = value * math.expm1(log_tail)
     except OverflowError:
         tail = math.inf
+    return value, log_tail, tail
+
+
+def _least_bounded_s(norms: list[float], degree: int, cutoff: int, s: float) -> float:
+    """The least float s' > s whose tail bound is finite at this cutoff, for
+    an s whose bound is not; the bound falls as s grows."""
+    lo, hi = s, 1.0 + 2.0 * (s - 1.0)
+    while not math.isfinite(_euler_zeta(norms, degree, cutoff, hi)[2]):
+        lo, hi = hi, 1.0 + 2.0 * (hi - 1.0)
+    while True:  # bisect until lo and hi are adjacent floats
+        mid = lo + (hi - lo) / 2.0
+        if not lo < mid < hi:
+            return hi
+        if math.isfinite(_euler_zeta(norms, degree, cutoff, mid)[2]):
+            hi = mid
+        else:
+            lo = mid
+
+
+def dedekind_zeta(field: FieldSpec, s: float, cutoff: int = PRIME_CUTOFF) -> AnalyticValue:
+    """zeta_F(s) for real s > 1 by truncated Euler product over the prime
+    ideals of norm <= cutoff.
+
+    Near s = 1 the tail bound exceeds every float, and such an s is refused
+    with the least s that this cutoff answers (about 1.0028 over Q and 1.0054
+    over quadratic fields at the default cutoff).
+    """
+    if s <= 1 + 1e-3:
+        raise ValueError("s must exceed 1 + 1e-3 (pole at s = 1)")
+    if cutoff < 2:
+        raise ValueError("cutoff must be >= 2")
+    norms = _prime_ideal_norms(field, cutoff).astype(np.float64).tolist()
+    value, log_tail, tail = _euler_zeta(norms, field.degree, cutoff, s)
     if not math.isfinite(tail):  # s close to 1: the bound exceeds every float
+        least = _least_bounded_s(norms, field.degree, cutoff, s)
         raise ValueError(f"no finite tail bound for zeta_F at s = {s:g} with prime cutoff "
-                         f"{cutoff}: the relative bound exp({log_tail:.4g}) - 1 overflows")
+                         f"{cutoff}: the relative bound exp({log_tail:.4g}) - 1 overflows; "
+                         f"s >= {least!r} answers at this cutoff")
     return AnalyticValue(value=value, tail_bound=tail, method="euler-product")
 
 
@@ -157,11 +227,11 @@ def mobius_density_constant(field: FieldSpec, k: int) -> AnalyticValue:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
+    norms = _prime_ideal_norms(field, PRIME_CUTOFF)
+    # N^k >= 2^61 exactly when N >= 2^ceil(61/k); norms ascend
+    stop = int(np.searchsorted(norms, 2 ** -(-61 // k)))
     value = 1.0
-    for norm in _prime_ideal_norms(field, PRIME_CUTOFF):
-        if k * (norm.bit_length() - 1) >= 61:  # N^k >= 2^61; norms ascend
-            break
-        n = float(norm)
+    for n in norms[:stop].astype(np.float64).tolist():
         value *= 1.0 - (n - 1.0) / (n * (n**k - 1.0))
     log_tail = 2.0 * _prime_ideal_norm_tail(field.degree, PRIME_CUTOFF, float(k))
     return AnalyticValue(value=value, tail_bound=value * math.expm1(log_tail),

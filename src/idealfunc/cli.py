@@ -94,7 +94,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("zeta", help="Dedekind zeta value at real s > 1")
     add_field(p)
-    p.add_argument("--s", type=_finite_float, required=True)
+    p.add_argument("--s", type=_finite_float, required=True,
+                   help="s > 1.001; at the default cutoff the tail bound is finite "
+                        "from about s = 1.0028 over q and 1.0054 over q:<m>, and a "
+                        "refused s is told the least s that answers")
     p.add_argument("--tol", type=_finite_float, default=None,
                    help="largest relative tail bound; picks the prime cutoff")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from pathlib import Path
@@ -244,10 +244,34 @@ def make_table_field(rows: dict[int, list[TableRow]], label: str = "table") -> F
     return FieldSpec(degree=degree, disc=0, label=label, prime_table=table)
 
 
+# the last few table fields parsed, by (path, file text): with the text, its
+# prime_table and table_degrees, about 320 bytes per prime of the table
+_TABLE_FIELDS: "OrderedDict[tuple[str, str], FieldSpec]" = OrderedDict()
+_TABLE_FIELDS_KEPT = 4
+
+
 def load_prime_table(path: str | Path) -> FieldSpec:
-    """Parse a whitespace-separated table file: `p f e multiplicity` per line."""
+    """Parse a whitespace-separated table file: `p f e multiplicity` per line.
+
+    The file is read on every call, and a text parsed before under the same
+    path gives the field parsed then, so an edited table parses again.
+    """
+    text = Path(path).read_text()
+    key = (str(path), text)
+    field = _TABLE_FIELDS.get(key)
+    if field is None:
+        field = _parse_prime_table(path, text)  # a table that fails is not kept
+        _TABLE_FIELDS[key] = field
+        if len(_TABLE_FIELDS) > _TABLE_FIELDS_KEPT:
+            _TABLE_FIELDS.popitem(last=False)
+    else:
+        _TABLE_FIELDS.move_to_end(key)
+    return field
+
+
+def _parse_prime_table(path: str | Path, text: str) -> FieldSpec:
     rows: dict[int, list[TableRow]] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

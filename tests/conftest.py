@@ -1,6 +1,6 @@
 import pytest
 
-from idealfunc import make_quadratic_field, make_rational_field
+from idealfunc import _sieve, make_quadratic_field, make_rational_field
 
 FIELD_PARAMS = {
     "q": make_rational_field,
@@ -24,3 +24,11 @@ def gaussian():
 @pytest.fixture(params=sorted(FIELD_PARAMS))
 def any_field(request):
     return FIELD_PARAMS[request.param]()
+
+
+@pytest.fixture
+def fresh_memos():
+    """Empty every per-process memo before and after the test."""
+    _sieve.clear_cache()
+    yield
+    _sieve.clear_cache()

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from idealfunc.analytic import (
@@ -14,7 +15,8 @@ from idealfunc.analytic import (
     residue_c_F,
     _prime_ideal_norms,
 )
-from idealfunc.field import primes_with_norm_up_to
+from idealfunc.field import parse_field, primes_with_norm_up_to
+from test_sieve import FIELDS, _gaussian_table
 
 CATALAN = 0.915965594177219015054603514932
 
@@ -106,8 +108,106 @@ def test_residue_matches_ideal_count_density(any_field):
 def test_euler_product_norms_match_prime_ideal_labels(any_field):
     # the same norms in the same order, so the Euler products keep their bits
     for cutoff in (2, 10, 1000, 20_000):
-        assert _prime_ideal_norms(any_field, cutoff) == [
+        assert _prime_ideal_norms(any_field, cutoff).tolist() == [
             lab.norm for lab in primes_with_norm_up_to(any_field, cutoff)]
+
+
+# cutoffs growing, then shrinking, then growing past the largest asked
+NORM_CUTOFFS = (2, 10, 1000, 20_000, 100_000, 20_000, 1000, 10, 2,
+                10, 1000, 20_000, 100_000, 200_000)
+
+
+def test_memoised_norms_match_prime_ideal_labels(fresh_memos):
+    fields = {**FIELDS, "table:q(i) to 10^5": _gaussian_table(10**5),
+              "q:-1000003": parse_field("q:-1000003")}
+    for spec, field in fields.items():
+        for cutoff in NORM_CUTOFFS:
+            try:
+                want = [lab.norm for lab in primes_with_norm_up_to(field, cutoff)]
+            except ValueError:  # a prime beyond the end of a table
+                with pytest.raises(ValueError):
+                    _prime_ideal_norms(field, cutoff)
+                continue
+            got = _prime_ideal_norms(field, cutoff)
+            assert got.dtype == np.int64 and not got.flags.writeable, spec
+            assert got.tolist() == want, (spec, cutoff)
+
+
+# float.hex of dedekind_zeta and mobius_density_constant, recorded before their
+# prime-ideal norms were memoised: the Euler products must keep their bits
+PINNED_ZETA = {  # (field, s): (value, tail_bound)
+    ("q", 1.01): ("0x1.27208c9d1d486p+4", "0x1.86a21ea612035p+259"),
+    ("q", 1.5): ("0x1.4e39967f90facp+1", "0x1.a4f0fec7bb69cp-6"),
+    ("q", 2.0): ("0x1.a51a50015a262p+0", "0x1.705ce7ebbfd70p-16"),
+    ("q", 2.5): ("0x1.576bb56fea490p+0", "0x1.27752782e8044p-25"),
+    ("q", 3.0): ("0x1.33ba004efae2fp+0", "0x1.2e7dd16dbf6d8p-34"),
+    ("q", 4.0): ("0x1.151322ac7d839p+0", "0x1.bc4d586fd22bap-52"),
+    ("q:-1", 1.01): ("0x1.d0c3717fa261dp+3", "0x1.94e25f1dfe259p+514"),
+    ("q:-1", 1.5): ("0x1.20f03f2e8a26ap+1", "0x1.6d8c72788c964p-5"),
+    ("q:-1", 2.0): ("0x1.81b73598c5a57p+0", "0x1.513b0dd75d17bp-15"),
+    ("q:-1", 2.5): ("0x1.45c6ca6f00e49p+0", "0x1.181c0dc178f31p-24"),
+    ("q:-1", 3.0): ("0x1.2a2ba40374c74p+0", "0x1.24e8eecce1e51p-33"),
+    ("q:-1", 4.0): ("0x1.1202f5bf1027ep+0", "0x1.b716158d44a00p-51"),
+    ("q:-5", 1.01): ("0x1.9d440fda67761p+4", "0x1.680582ab84b47p+515"),
+    ("q:-5", 1.5): ("0x1.9af1b19c8ea71p+1", "0x1.03f39eb2015f3p-4"),
+    ("q:-5", 2.0): ("0x1.db05adc57f05dp+0", "0x1.9f4fae1ab186ap-15"),
+    ("q:-5", 2.5): ("0x1.6fedaa532e856p+0", "0x1.3c5a46f3c1ac8p-24"),
+    ("q:-5", 3.0): ("0x1.4007b6c53a619p+0", "0x1.3a62467fdfdbcp-33"),
+    ("q:-5", 4.0): ("0x1.189f28792f03ap+0", "0x1.c1adb9a184fb8p-51"),
+    ("q:2", 1.01): ("0x1.7237f18371505p+3", "0x1.428533a82f55bp+514"),
+    ("q:2", 1.5): ("0x1.045bd640f2e1dp+1", "0x1.496423822edc9p-5"),
+    ("q:2", 2.0): ("0x1.6f5a366bc078ap+0", "0x1.412cfa9cd8879p-15"),
+    ("q:2", 2.5): ("0x1.3e54dc11b2cffp+0", "0x1.11b54b2bac09bp-24"),
+    ("q:2", 3.0): ("0x1.26eb4bee46af8p+0", "0x1.21b7460eda625p-33"),
+    ("q:2", 4.0): ("0x1.11589af3374b5p+0", "0x1.b60519ff8983cp-51"),
+    ("q:5", 1.01): ("0x1.00261d362737fp+3", "0x1.be4b5acc9e490p+513"),
+    ("q:5", 1.5): ("0x1.88d2bbe5409cap+0", "0x1.f0fa4a370a590p-6"),
+    ("q:5", 2.0): ("0x1.296338eff4e69p+0", "0x1.04016cae436cdp-15"),
+    ("q:5", 2.5): ("0x1.104597364b52bp+0", "0x1.d435d1d5fe8bcp-25"),
+    ("q:5", 3.0): ("0x1.070d62f17b61dp+0", "0x1.02694ad81c56cp-33"),
+    ("q:5", 4.0): ("0x1.017eecefd7cdfp+0", "0x1.9c9eece703a7bp-51"),
+}
+PINNED_DENSITY = {  # (field, k): (value, tail_bound)
+    ("q", 2): ("0x1.68acb8e4e72f2p-1", "0x1.d9418c381afc8p-17"),
+    ("q", 3): ("0x1.ca533ee3d5c54p-1", "0x1.8a364a555a08fp-34"),
+    ("q", 4): ("0x1.e9f2090cffcd3p-1", "0x1.7046038c08ec6p-51"),
+    ("q", 5): ("0x1.f631f987d6fb1p-1", "0x1.731ae83e9c0a6p-68"),
+    ("q", 12): ("0x1.ffefd4cce70ecp-1", "0x1.c9403dd8cfe03p-186"),
+    ("q", 62): ("0x1.0000000000000p+0", "0x1.d8d73fc49aba0p-1019"),
+    ("q:-1", 2): ("0x1.7fdcd95fb8e7cp-1", "0x1.f76b578a97220p-16"),
+    ("q:-1", 3): ("0x1.d4134a014230ep-1", "0x1.92570b703982cp-33"),
+    ("q:-1", 4): ("0x1.ed8d7679e2e7fp-1", "0x1.72ba6e85b317dp-50"),
+    ("q:-1", 5): ("0x1.f7791fefc0935p-1", "0x1.73c7ed0cfc4efp-67"),
+    ("q:-1", 12): ("0x1.ffeffec79f229p-1", "0x1.c8e198b4362ddp-185"),
+    ("q:-1", 62): ("0x1.0000000000000p+0", "0x1.d853c72cc3ccbp-1018"),
+    ("q:-5", 2): ("0x1.4a23334eb4f65p-1", "0x1.b0f606eb8b56dp-16"),
+    ("q:-5", 3): ("0x1.be0cf2a2f0e08p-1", "0x1.7f6889b5a9137p-33"),
+    ("q:-5", 4): ("0x1.e5bdf4a241a59p-1", "0x1.6cdc846779e52p-50"),
+    ("q:-5", 5): ("0x1.f4ca6d0bb4da9p-1", "0x1.71ccd86146087p-67"),
+    ("q:-5", 12): ("0x1.ffefaab607eabp-1", "0x1.c8e14dad284c1p-185"),
+    ("q:-5", 62): ("0x1.0000000000000p+0", "0x1.d853c72cc3ccbp-1018"),
+    ("q:2", 2): ("0x1.8f4f62ced8f53p-1", "0x1.05d6c5dede7aap-15"),
+    ("q:2", 3): ("0x1.d81eb2dfc1904p-1", "0x1.95d10b42d5ffcp-33"),
+    ("q:2", 4): ("0x1.ee7ed161b59dbp-1", "0x1.736fb9488b1b5p-50"),
+    ("q:2", 5): ("0x1.f7ae9b24db977p-1", "0x1.73ef6b1584294p-67"),
+    ("q:2", 12): ("0x1.ffeffefed8befp-1", "0x1.c8e198e57f5cdp-185"),
+    ("q:2", 62): ("0x1.0000000000000p+0", "0x1.d853c72cc3ccbp-1018"),
+    ("q:5", 2): ("0x1.c322bcc0dc199p-1", "0x1.27d28d2acc765p-15"),
+    ("q:5", 3): ("0x1.f51782486df50p-1", "0x1.aeb841849f1b8p-33"),
+    ("q:5", 4): ("0x1.fdb258ba2186bp-1", "0x1.7edad0d4fa242p-50"),
+    ("q:5", 5): ("0x1.ff7aca87d182dp-1", "0x1.79b17763e100fp-67"),
+    ("q:5", 12): ("0x1.fffffe63d209cp-1", "0x1.c8efdfda2f11ep-185"),
+    ("q:5", 62): ("0x1.0000000000000p+0", "0x1.d853c72cc3ccbp-1018"),
+}
+
+
+def test_analytic_values_keep_their_bits(fresh_memos):
+    for (spec, s), (value, tail) in PINNED_ZETA.items():
+        z = dedekind_zeta(parse_field(spec), s)
+        assert (z.value.hex(), z.tail_bound.hex()) == (value, tail), (spec, s)
+    for (spec, k), (value, tail) in PINNED_DENSITY.items():
+        K = mobius_density_constant(parse_field(spec), k)
+        assert (K.value.hex(), K.tail_bound.hex()) == (value, tail), (spec, k)
 
 
 def test_density_constant_range_and_limit(any_field):

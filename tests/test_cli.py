@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -200,6 +201,32 @@ def test_report_table_field_count_rejected(tmp_path):
         assert not _sieve._CUM_CACHE, theorem
 
 
+def _table_text(primes, gaussian):
+    # Q(i) (2 ramifies, p = 1 mod 4 splits, p = 3 mod 4 stays inert), or Q
+    if not gaussian:
+        return "".join(f"{p} 1 1 1\n" for p in primes)
+    return "".join("2 1 2 1\n" if p == 2 else f"{p} 1 1 2\n" if p % 4 == 1
+                   else f"{p} 2 1 1\n" for p in primes)
+
+
+def test_rewritten_table_gives_the_new_answer(tmp_path, fresh_memos):
+    from idealfunc.field import primes_up_to
+
+    primes = primes_up_to(2000).tolist()
+    path = tmp_path / "field.table"
+    argv = ["--fn", "qfree", "--order", "2", "--x", "2000"]
+    want = {spec: run_cli(["sum", "--field", spec, *argv])[1] for spec in ("q", "q:-1")}
+    assert want["q"] != want["q:-1"]
+    for text, spec in ((_table_text(primes, True), "q:-1"), (_table_text(primes, False), "q"),
+                       ("2 1 1\n", None), (_table_text(primes, True), "q:-1")):
+        path.write_text(text)  # the same path, a new text before each sum
+        code, out, err = run_cli(["sum", "--field", f"table:{path}", *argv])
+        if spec is None:  # a table that fails to parse
+            assert_one_line_error(code, out, err)
+        else:
+            assert (code, out) == (0, want[spec]), err
+
+
 def test_report_bad_grid():
     for grid in ("10", "100:10:3", "0:10:3", "a:b:c"):
         code, _, err = run_cli(["report", "--field", "q", "--theorem", "1",
@@ -237,12 +264,23 @@ def test_zeta_tol_is_met_or_refused(s, tol, code):
         assert out == "" and len(err.strip().splitlines()) == 1
 
 
-def test_zeta_without_finite_tail_bound_refused():
-    # s = 1.002 is accepted, but the tail bound at the default cutoff overflows
-    code, out, err = run_cli(["zeta", "--field", "q", "--s", "1.002"])
-    assert_one_line_error(code, out, err)
-    assert "s = 1.002" in err and "prime cutoff 100000" in err
-    assert "math range error" not in err
+def test_zeta_without_finite_tail_bound_refused(fresh_memos):
+    for spec in ("q", "q:-1"):
+        # s = 1.002 is accepted, but the tail bound at the default cutoff overflows
+        code, out, err = run_cli(["zeta", "--field", spec, "--s", "1.002"])
+        assert_one_line_error(code, out, err)
+        assert "s = 1.002" in err and "prime cutoff 100000" in err
+        assert "math range error" not in err
+        # the refusal names the least s that answers: it does, and the float
+        # below it does not
+        least = err.rsplit("s >= ", 1)[1].split()[0]
+        assert 1.002 < float(least) < 1.01
+        code, out, err = run_cli(["zeta", "--field", spec, "--s", least])
+        assert code == 0 and json.loads(out)["tail_bound"] < math.inf, err
+        below = repr(math.nextafter(float(least), 1.0))
+        code, out, err = run_cli(["zeta", "--field", spec, "--s", below])
+        assert_one_line_error(code, out, err)
+        assert f"s >= {least} " in err
 
 
 def test_constant_json():
