@@ -241,11 +241,13 @@ def cumulative_array(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarr
 
 def clear_cache() -> None:
     """Empty every per-process memo of the package: the prefix-sum arrays,
-    the norm-free local tables, the parsed table fields, the prime-ideal
-    norms and the report constants.  The grow-only rational-prime array and
-    the per-discriminant character tables stay."""
-    from . import analytic, field, summatory  # analytic and summatory import this module
+    the norm-free local tables, the route tables of `_sublinear`, the parsed
+    table fields, the prime-ideal norms and the report constants.  The
+    grow-only rational-prime array and the per-discriminant character tables
+    stay."""
+    # these modules import this one
+    from . import _sublinear, analytic, field, summatory
 
-    for memo in (_CUM_CACHE, _LOCAL_TABLES, field._TABLE_FIELDS, analytic._NORMS,
-                 summatory._CONST_CACHE):
+    for memo in (_CUM_CACHE, _LOCAL_TABLES, _sublinear._TABLES, field._TABLE_FIELDS,
+                 analytic._NORMS, summatory._CONST_CACHE):
         memo.clear()

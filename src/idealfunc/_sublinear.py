@@ -36,6 +36,8 @@ Up to T both come from prefix sums of `_sieve.coefficient_array`.  From them:
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
+from typing import Callable
 
 import numpy as np
 
@@ -82,6 +84,60 @@ def exact_sum(field: FieldSpec, kind: str, k: int, x: int) -> int:
     return int(_sieve.cumulative_array(field, kind, k, x)[x])
 
 
+# Per field (by cache_key), the x-independent tables of the route, each kept
+# at the largest reach asked (grow-only, like `primes_up_to`): the prefix sums
+# of the count coefficients ("count") and of mu_1 ("mertens"), and for each
+# order k the k-full n with G(n) != 0 and G(n) (("kfull", k)).  A table that
+# reaches past what an x needs is as good, since it only moves work from the
+# formulas into lookups, so a sweep that asks its largest x first builds one
+# set of tables for every point.  At most _ROUTE_FIELDS_KEPT fields and
+# _ROUTE_BYTES_KEPT bytes are kept; a larger table is built, used and dropped.
+_TABLES: "OrderedDict[object, dict]" = OrderedDict()
+_ROUTE_FIELDS_KEPT = 8
+_ROUTE_BYTES_KEPT = 32 * 2**20
+
+
+def _kept_table(field: FieldSpec, name: str | tuple, reach: int,
+                build: Callable[[int], np.ndarray]) -> np.ndarray:
+    """The int64 table `name` of field from build(reach), or the kept one if it
+    reaches at least as far."""
+    key = field.cache_key()
+    held = _TABLES.get(key, {}).get(name)
+    if held is None or held[0] < reach:
+        held = (reach, build(reach))  # a table that fails to build is not kept
+        held[1].flags.writeable = False
+        _keep(key, name, held)
+    else:
+        _TABLES.move_to_end(key)
+    return held[1]
+
+
+def _keep(key: object, name: str | tuple, held: tuple[int, np.ndarray]) -> None:
+    if held[1].nbytes > _ROUTE_BYTES_KEPT:
+        return
+    tables = _TABLES.setdefault(key, {})
+    tables[name] = held
+    _TABLES.move_to_end(key)
+    # drop the least recently used fields, then this field's other tables
+    while (len(_TABLES) > _ROUTE_FIELDS_KEPT
+           or sum(t.nbytes for ts in _TABLES.values() for _, t in ts.values())
+           > _ROUTE_BYTES_KEPT):
+        if len(_TABLES) > 1:
+            _TABLES.popitem(last=False)
+        else:
+            del tables[next(other for other in tables if other != name)]
+
+
+def _prefix_sums(field: FieldSpec, kind: str, k: int, size: int) -> np.ndarray:
+    coeff = _sieve.coefficient_array(field, kind, k, size)
+    return np.cumsum(coeff, out=coeff)
+
+
+def _mertens_table(field: FieldSpec, size: int) -> np.ndarray:
+    """Prefix sums of mu_1 up to at least size."""
+    return _kept_table(field, "mertens", size, lambda n: _prefix_sums(field, "mobius", 1, n))
+
+
 def _reserve(x: int, size: int) -> None:
     """Refuse x before any table of `size` norms is built, when it would not
     fit in memory or x leaves the 64-bit arithmetic below.
@@ -101,14 +157,40 @@ def _character(disc: int) -> tuple[np.ndarray, np.ndarray]:
     return chi, np.cumsum(chi)
 
 
-def _hyperbola(chi: np.ndarray, S: np.ndarray, y: int) -> int:
-    """A(y) over a quadratic field, from `_character` of its discriminant,
-    in O(sqrt(y))."""
+# the terms of a batch of hyperbola sums, held at once: one y with more
+# terms than this is a batch of its own
+_HYPERBOLA_TERMS = 2**18
+
+
+def _isqrt_many(ys: np.ndarray) -> np.ndarray:
+    """isqrt of each entry of the int64 array ys, 0 <= y < 2^62: the float
+    root is off by at most one there."""
+    us = np.sqrt(ys.astype(np.float64)).astype(np.int64)
+    us -= us * us > ys
+    us += (us + 1) * (us + 1) <= ys
+    return us
+
+
+def _hyperbola(chi: np.ndarray, S: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """A(y) over a quadratic field at each entry y >= 1 of the int64 array ys,
+    from `_character` of its discriminant, in O(sqrt(y)) each: the terms of
+    several y are laid end to end and summed by segment."""
     mod = len(chi)
-    u = math.isqrt(y)
-    a = np.arange(1, u + 1, dtype=np.int64)
-    q = y // a
-    return int(np.dot(chi[a % mod], q) + S[q % mod].sum()) - u * int(S[u % mod])
+    us = _isqrt_many(ys)
+    out = -us * S[us % mod]
+    starts = np.concatenate(([0], np.cumsum(us)))  # y = ys[i] has terms starts[i]:starts[i+1]
+    i = 0
+    while i < len(ys):
+        j = max(i + 1, int(np.searchsorted(starts, starts[i] + _HYPERBOLA_TERMS,
+                                           side="right")) - 1)
+        offsets = starts[i:j] - starts[i]
+        # a runs over 1..u within each segment
+        a = np.arange(1, int(starts[j] - starts[i]) + 1, dtype=np.int64)
+        a -= np.repeat(offsets, us[i:j])
+        q = np.repeat(ys[i:j], us[i:j]) // a
+        out[i:j] += np.add.reduceat(chi[a % mod] * q + S[q % mod], offsets)
+        i = j
+    return out
 
 
 class _Counts:
@@ -119,8 +201,9 @@ class _Counts:
         self.size = size
         self.table = None  # over Q, A(y) = y needs none
         if field.degree > 1:
-            coeff = _sieve.coefficient_array(field, "count", 0, size)
-            self.table = np.cumsum(coeff, out=coeff)
+            self.table = _kept_table(field, "count", size,
+                                     lambda n: _prefix_sums(field, "count", 0, n))
+            self.size = len(self.table) - 1
         if field.degree == 2 and field.prime_table is None:
             self.character = _character(field.disc)
 
@@ -129,12 +212,10 @@ class _Counts:
         if self.table is None:
             return ys
         out = self.table[np.minimum(ys, self.size)]
-        for i in np.flatnonzero(ys > self.size).tolist():
-            out[i] = _hyperbola(*self.character, int(ys[i]))
+        above = ys > self.size
+        if above.any():
+            out[above] = _hyperbola(*self.character, ys[above])
         return out
-
-    def at(self, y: int) -> int:
-        return int(self.many(np.array([y], dtype=np.int64))[0])
 
     def coefficients(self, r: int) -> np.ndarray:
         """a_F(1), ..., a_F(r), for r <= size."""
@@ -148,10 +229,10 @@ class _Mertens:
 
     def __init__(self, field: FieldSpec, x: int, counts: _Counts):
         self.x = x
-        size = counts.size
-        coeff = _sieve.coefficient_array(field, "mobius", 1, size)
-        table = self.table = np.cumsum(coeff, out=coeff)
+        table = self.table = _mertens_table(field, table_size(x))
+        # A and M are both known up to size (A needs no table over Q), and
         # [x/j] > size exactly when j <= last
+        size = len(table) - 1 if counts.table is None else min(len(table) - 1, counts.size)
         last = self.last = x // (size + 1)
         big = self.big = np.zeros(last + 1, dtype=np.int64)
         if not last:
@@ -159,18 +240,19 @@ class _Mertens:
         js = np.arange(1, last + 1, dtype=np.int64)
         count_big = np.concatenate(([0], counts.many(x // js)))
         root = math.isqrt(x)
-        a = counts.coefficients(root)
-        mu = np.diff(table[: root + 1])
+        a = counts.coefficients(root)  # a[i] = a_F(i + 1)
+        mu = np.diff(table[: root + 1])  # mu[i] = c(i + 1)
+        count = (lambda ys: ys) if counts.table is None else counts.table.__getitem__
+        ns = np.arange(1, root + 1, dtype=np.int64)
         for j in range(last, 0, -1):
             v = x // j
             u = math.isqrt(v)
-            n = np.arange(1, u + 1, dtype=np.int64)
-            q = v // n
-            head = min(u, last // j)  # [v/n] > size, a quotient found before
-            m_q = np.concatenate((big[j * n[:head]], table[q[head:]]))
-            a_q = np.concatenate((count_big[j * n[:head]], counts.many(q[head:])))
-            big[j] = (1 - int(np.dot(a[1:u], m_q[1:])) - int(np.dot(mu[:u], a_q))
-                      + counts.at(u) * int(table[u]))
+            head = min(u, last // j)  # [v/n] > size: M and A found before
+            jn = j * ns[:head]
+            q = v // ns[head:u]  # [v/n] <= size: from the tables
+            big[j] = (1 - int(np.dot(a[1:head], big[jn[1:]])) - int(np.dot(a[head:u], table[q]))
+                      - int(np.dot(mu[:head], count_big[jn])) - int(np.dot(mu[head:u], count(q)))
+                      + int(count(u)) * int(table[u]))
 
     def many(self, js: np.ndarray) -> np.ndarray:
         """M([x/j]) at each entry of the int64 array js."""
@@ -184,7 +266,7 @@ def _count(field: FieldSpec, k: int, x: int) -> int:
     if field.degree == 1:
         return x
     _reserve(x, math.isqrt(x))  # the arrays of one hyperbola sum
-    return _hyperbola(*_character(field.disc), x)
+    return int(_hyperbola(*_character(field.disc), np.array([x], dtype=np.int64))[0])
 
 
 def kfree_count(field: FieldSpec, k: int, x: int) -> int:
@@ -197,7 +279,7 @@ def kfree_count(field: FieldSpec, k: int, x: int) -> int:
     else:
         size = table_size(x) if field.prime_table is None else x
     _reserve(x, size)
-    mu = _sieve.coefficient_array(field, "mobius", 1, root)
+    mu = np.diff(_mertens_table(field, root)[: root + 1], prepend=0)
     d = np.flatnonzero(mu)
     # d^k <= x < 2^63; an order above 62 leaves d = [1] alone, and 1^64 = 1
     return int(np.dot(mu[d], _Counts(field, size).many(x // d ** min(k, 64))))
@@ -210,12 +292,19 @@ def _g_series(p: int, degrees: tuple[int, ...], k: int, amax: int) -> list[int]:
     return [sum(mu1[i] * muk[a - i] for i in range(a + 1)) for a in range(amax + 1)]
 
 
-def _kfull(field: FieldSpec, k: int, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every k-full n <= x with G(n) != 0, and G(n)."""
+def _kfull(field: FieldSpec, k: int, x: int) -> np.ndarray:
+    """Every k-full n <= x with G(n) != 0 and G(n), as the rows of a (2, m)
+    array ascending in n.  G(n) does not depend on x, so the kept rows of a
+    larger x answer too."""
+    held = _kept_table(field, ("kfull", k), x, lambda reach: _kfull_rows(field, k, reach))
+    return held[:, : int(np.searchsorted(held[0], x, side="right"))]
+
+
+def _kfull_rows(field: FieldSpec, k: int, x: int) -> np.ndarray:
     primes = primes_up_to(integer_kth_root(x, k))
     node_n, node_g = [1], [1]
     if not len(primes):
-        return np.array(node_n, dtype=np.int64), np.array(node_g, dtype=np.int64)
+        return np.array([node_n, node_g], dtype=np.int64)
     amax = max(x.bit_length(), 2 * k)
     # one series per splitting, as mobius rules do not read the norm: row i
     # of g_of holds G at the powers of primes[i]
@@ -256,7 +345,7 @@ def _kfull(field: FieldSpec, k: int, x: int) -> tuple[np.ndarray, np.ndarray]:
     descend(1, 1, 0)
     ns = np.concatenate([np.array(node_n, dtype=np.int64), *leaf_n])
     gs = np.concatenate([np.array(node_g, dtype=np.int64), *leaf_g])
-    return ns, gs
+    return np.stack((ns, gs))[:, np.argsort(ns)]
 
 
 def _mobius(field: FieldSpec, k: int, x: int) -> int:

@@ -113,34 +113,74 @@ def _sorted_norms(field: FieldSpec, cutoff: int) -> np.ndarray:
     return norms
 
 
-def _euler_zeta(norms: list[float], degree: int, cutoff: int,
-                s: float) -> tuple[float, float, float]:
-    """(value, log_tail, tail) of the Euler product over `norms`: the value,
-    the log of one plus its relative tail bound, and the tail bound, which is
-    inf when it exceeds every float."""
+def _euler_value(norms: list[float], s: float) -> float:
+    """The Euler product over `norms` at s; at least 1, and falling as s grows."""
     log_value = 0.0
     for n in norms:
         log_value -= math.log1p(-n ** (-s))
-    value = math.exp(log_value)
-    log_tail = _prime_ideal_norm_tail(degree, cutoff, s) / (1.0 - 2.0 ** (-s))
+    return math.exp(log_value)
+
+
+def _log_tail(degree: int, cutoff: int, s: float) -> float:
+    """The log of one plus the relative tail bound of the Euler product."""
+    return _prime_ideal_norm_tail(degree, cutoff, s) / (1.0 - 2.0 ** (-s))
+
+
+def _tail(value: float, log_tail: float) -> float:
+    """The tail bound value * (exp(log_tail) - 1), or inf past every float."""
     try:
-        tail = value * math.expm1(log_tail)
+        return value * math.expm1(log_tail)
     except OverflowError:
-        tail = math.inf
-    return value, log_tail, tail
+        return math.inf
 
 
-def _least_bounded_s(norms: list[float], degree: int, cutoff: int, s: float) -> float:
+# a relative slack on the bounds that known Euler products give at a nearby
+# s: the products, as computed, fall with s to within about one ulp of their
+# log, far below this
+_PRODUCT_SLACK = 1.0 + 1e-12
+
+
+def _least_bounded_s(norms: list[float], degree: int, cutoff: int, s: float,
+                     value: float) -> float:
     """The least float s' > s whose tail bound is finite at this cutoff, for
-    an s whose bound is not; the bound falls as s grows."""
+    an s whose bound is not and the product `value` at s; the bound falls as
+    s grows.
+
+    A bisection on the bound.  The product falls as s grows and is at least
+    1, so the products already computed bound it at each step; a step that
+    these bounds leave open first computes the products at the ends of its
+    bracket, and only then, if still open, the product at the step.  So every
+    step decides as the product itself would, and most compute none.
+    """
+    products = {s: value}
+
+    def product(t: float) -> float:
+        if t not in products:
+            products[t] = _euler_value(norms, t)
+        return products[t]
+
+    def finite(t: float, ends: tuple[float, ...]) -> bool:
+        log_tail = _log_tail(degree, cutoff, t)
+        for fresh in (False, True):
+            upper = min(v for u, v in products.items() if u <= t)
+            lower = max((v for u, v in products.items() if u > t), default=1.0)
+            if math.isfinite(_tail(upper * _PRODUCT_SLACK, log_tail)):
+                return True
+            if not math.isfinite(_tail(lower / _PRODUCT_SLACK, log_tail)):
+                return False
+            if not fresh:
+                for end in ends:
+                    product(end)
+        return math.isfinite(_tail(product(t), log_tail))
+
     lo, hi = s, 1.0 + 2.0 * (s - 1.0)
-    while not math.isfinite(_euler_zeta(norms, degree, cutoff, hi)[2]):
+    while not finite(hi, (lo,)):
         lo, hi = hi, 1.0 + 2.0 * (hi - 1.0)
     while True:  # bisect until lo and hi are adjacent floats
         mid = lo + (hi - lo) / 2.0
         if not lo < mid < hi:
             return hi
-        if math.isfinite(_euler_zeta(norms, degree, cutoff, mid)[2]):
+        if finite(mid, (lo, hi)):
             hi = mid
         else:
             lo = mid
@@ -159,9 +199,11 @@ def dedekind_zeta(field: FieldSpec, s: float, cutoff: int = PRIME_CUTOFF) -> Ana
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     norms = _prime_ideal_norms(field, cutoff).astype(np.float64).tolist()
-    value, log_tail, tail = _euler_zeta(norms, field.degree, cutoff, s)
+    value = _euler_value(norms, s)
+    log_tail = _log_tail(field.degree, cutoff, s)
+    tail = _tail(value, log_tail)
     if not math.isfinite(tail):  # s close to 1: the bound exceeds every float
-        least = _least_bounded_s(norms, field.degree, cutoff, s)
+        least = _least_bounded_s(norms, field.degree, cutoff, s, value)
         raise ValueError(f"no finite tail bound for zeta_F at s = {s:g} with prime cutoff "
                          f"{cutoff}: the relative bound exp({log_tail:.4g}) - 1 overflows; "
                          f"s >= {least!r} answers at this cutoff")

@@ -78,6 +78,7 @@ class FieldSpec:
     # {p: residue degrees} of a prime_table, one entry per prime ideal
     table_degrees: dict[int, tuple[int, ...]] | None = dc_field(
         init=False, compare=False, repr=False)
+    _key: "_CacheKey" = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         degrees = None
@@ -86,6 +87,8 @@ class FieldSpec:
                        for p, rows in self.prime_table}
         # an instance attribute, not a class default, keeps residue_degrees fast
         object.__setattr__(self, "table_degrees", degrees)
+        object.__setattr__(self, "_key",
+                           _CacheKey((self.degree, self.disc, self.m, self.prime_table)))
         if degrees is not None:
             return
         if self.degree == 1:
@@ -99,8 +102,10 @@ class FieldSpec:
         else:
             raise ValueError("native support covers degree 1 and 2 only; use a prime table")
 
-    def cache_key(self) -> tuple:
-        return (self.degree, self.disc, self.m, self.prime_table)
+    def cache_key(self) -> "_CacheKey":
+        """The key of this field in the per-process memos: equal for equal
+        fields, and hashed once per FieldSpec rather than once per lookup."""
+        return self._key
 
     def chi(self, n: int) -> int:
         """Splitting character chi_disc(n) for quadratic fields."""
@@ -132,6 +137,28 @@ class FieldSpec:
         classes: dict[tuple[int, ...], int] = {}
         return np.array([classes.setdefault(self.residue_degrees(p), len(classes))
                          for p in primes.tolist()], dtype=np.int64)
+
+
+class _CacheKey:
+    """A tuple with its hash taken once.  Equality still compares the whole
+    tuple (after an identity check), so distinct prime tables never share a
+    key; a tuple would hash all of a prime_table on every memo lookup."""
+
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value: tuple):
+        self.value = value
+        self._hash = hash(value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (isinstance(other, _CacheKey) and self._hash == other._hash
+                                 and self.value == other.value)
+
+    def __reduce__(self):  # hash again on unpickling: hash(None) varies by process
+        return _CacheKey, (self.value,)
 
 
 # residue degrees above p by chi_disc(p): split, inert, ramified

@@ -233,14 +233,52 @@ def kfree_report(field: FieldSpec, k: int, x: float) -> SummatoryReport:
                            main=main, normalizer=_kfree_normalizer(field.degree, k))
 
 
-_REPORT_KINDS = {"count", "mobius", "liouville", "qfree"}
+# the coefficient kind of each report kind
+_REPORT_KINDS = {"count": "count", "mobius": "mobius", "liouville": "liouville",
+                 "qfree": "kfree"}
+
+# One sieve costs about _SIEVE_NS ns per norm up to the largest x.  Once the
+# route's tables are built at the largest x, each further point by the route
+# costs about _ROUTE_NS[kind] ns per norm of its table size T = [x^(2/3)].
+# Measured over q:-1 and q:5 at k = 2, best of 5 on a 2-vCPU Xeon: the sieve
+# to 10^6 takes 25-33 ns per norm for every kind (7-22 over q), and the 199
+# points of 1000:1000000:200 below 10^6 add 26-31 (count), 38-50 (kfree),
+# 30-35 (mobius) and 164-205 (liouville; 82 over q) ns per norm of their T.
+# Left out: the first point's cold tables (2-5 ms at 10^6), and the fixed
+# costs, under 2 ms a grid, of both sides at small x.
+_ROUTE_NS = {"count": 30, "kfree": 45, "mobius": 35, "liouville": 190}
+_SIEVE_NS = 30
+
+
+def _sieve_costs_less(field: FieldSpec, kind: str, grid: list[float]) -> bool:
+    """Whether one sieve to the largest x of the grid costs less than the
+    route at every point."""
+    if kind == "count" and field.degree == 1:  # [x] = floor(x) needs neither
+        return False
+    route = _ROUTE_NS[kind] * sum(_sublinear.table_size(math.floor(x)) for x in grid)
+    return _SIEVE_NS * math.floor(grid[-1]) < route
+
+
+def _reports_at(kind: str, field: FieldSpec, k: int, x: float) -> tuple[SummatoryReport, ...]:
+    if kind == "count":
+        return (count_report(field, x),)
+    if kind == "mobius":
+        return (mobius_report(field, k, x),)
+    if kind == "liouville":
+        return liouville_reports(field, k, x)
+    return (kfree_report(field, k, x),)
 
 
 def sweep(kind: str, field: FieldSpec, k: int,
           x_grid: Sequence[float]) -> list[SummatoryReport]:
-    """One report per grid point, sharing a single coefficient sieve pass.
+    """One report per grid point, each raw sum exact.
 
-    The grid must be strictly increasing; for the Liouville kind both
+    Every point is answered as `sum` answers it, largest x first: over Q
+    and quadratic fields by the sublinear route, whose tables built for the
+    largest x serve every point, and over a table field by one sieve to the
+    largest x, which every point reads.  A grid dense enough that such a
+    sieve costs less than the route at every point primes it first.  The
+    grid must be strictly increasing; for the Liouville kind both
     normalizations are emitted per point.  The count kind ignores k.
     """
     if kind not in _REPORT_KINDS:
@@ -254,22 +292,9 @@ def sweep(kind: str, field: FieldSpec, k: int,
     # field) before sieving anything
     if kind != "liouville":
         _c_F(field)
-    # prime the cumulative cache at the largest x so every point reuses it
-    # (the count over Q is floor(x) and needs none)
-    if kind == "count":
-        if field.degree != 1 or field.prime_table is not None:
-            _sieve.cumulative_array(field, "count", 0, math.floor(grid[-1]))
-    else:
-        coeff_kind = {"mobius": "mobius", "liouville": "liouville", "qfree": "kfree"}[kind]
-        _sieve.cumulative_array(field, coeff_kind, k, math.floor(grid[-1]))
-    out: list[SummatoryReport] = []
-    for x in grid:
-        if kind == "count":
-            out.append(count_report(field, x))
-        elif kind == "mobius":
-            out.append(mobius_report(field, k, x))
-        elif kind == "liouville":
-            out.extend(liouville_reports(field, k, x))
-        else:
-            out.append(kfree_report(field, k, x))
-    return out
+    coeff_kind = _REPORT_KINDS[kind]
+    if _sieve_costs_less(field, coeff_kind, grid):
+        _sieve.cumulative_array(field, coeff_kind, 0 if kind == "count" else k,
+                                math.floor(grid[-1]))
+    per_point = [_reports_at(kind, field, k, x) for x in reversed(grid)]
+    return [r for reports in reversed(per_point) for r in reports]

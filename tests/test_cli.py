@@ -8,8 +8,11 @@ import time
 
 import pytest
 
-from idealfunc import _sieve
+from pathlib import Path
+
+from idealfunc import _sieve, _sublinear, summatory
 from idealfunc.cli import main
+from idealfunc.field import parse_field, primes_up_to
 from idealfunc.summatory import CSV_HEADER
 
 
@@ -227,6 +230,132 @@ def test_rewritten_table_gives_the_new_answer(tmp_path, fresh_memos):
             assert (code, out) == (0, want[spec]), err
 
 
+REPORT_FIELDS = ("q", "q:-1", "q:-5", "q:2", "q:5")
+REPORT_KINDS = {"0": "count", "1": "mobius", "2": "liouville", "3": "kfree"}
+
+
+def _report_argv(spec, theorem, k, grid):
+    return ["report", "--field", spec, "--theorem", theorem, "--order", k, "--grid", grid]
+
+
+def _sieve_primed_report(spec, theorem, k, grid):
+    # a report whose every point reads one prefix-sum array to the largest x
+    _sieve.clear_cache()
+    top = math.floor(float(grid.split(":")[1]))
+    _sieve.cumulative_array(parse_field(spec), REPORT_KINDS[theorem],
+                            0 if theorem == "0" else int(k), top)
+    return run_cli(_report_argv(spec, theorem, k, grid))
+
+
+@pytest.mark.parametrize("spec", REPORT_FIELDS)
+def test_report_matches_the_sieve_primed_report(spec, fresh_memos):
+    # the sparse grid takes the route at every point and the dense small one
+    # a sieve: the bytes are those of the sieve either way
+    for grid in ("1000:1000000:8", "1:500:40"):
+        for theorem, k in [("0", "2")] + [(t, k) for t in "123" for k in "23"]:
+            _sieve.clear_cache()
+            got = run_cli(_report_argv(spec, theorem, k, grid))
+            assert got[0] == 0 and got == _sieve_primed_report(spec, theorem, k, grid), \
+                (grid, theorem, k)
+
+
+@pytest.mark.parametrize("theorem, sieves", [("1", 0), ("2", 1)])
+def test_dense_grid_sieves_once(theorem, sieves, fresh_memos, monkeypatch):
+    # 200 points to 10^6: the Liouville route would cost more than one sieve,
+    # the Mobius route less; both give the bytes of the other side
+    argv = _report_argv("q:-1", theorem, "2", "1000:1000000:200")
+    calls = []
+    sieve = _sieve.coefficient_array
+    monkeypatch.setattr(_sieve, "coefficient_array", lambda field, kind, k, xmax:
+                        calls.append(xmax) or sieve(field, kind, k, xmax))
+    code, out, _ = run_cli(argv)
+    assert code == 0 and calls.count(10**6) == sieves
+    if sieves:
+        assert calls == [10**6] and _sieve.covers(parse_field("q:-1"), "liouville", 2, 10**6)
+    _sieve.clear_cache()
+    monkeypatch.setattr(summatory, "_sieve_costs_less", lambda field, kind, grid: not sieves)
+    assert run_cli(argv) == (0, out, "")
+
+
+def test_sparse_grid_keeps_no_sieve_array(fresh_memos):
+    for theorem in "0123":
+        for spec in REPORT_FIELDS:
+            code, _, _ = run_cli(_report_argv(spec, theorem, "2", "1000:1000000:8"))
+            assert code == 0
+            assert all(len(cum) <= 10**5 for cum in _sieve._CUM_CACHE.values()), (spec, theorem)
+
+
+def test_report_over_a_table_field_matches_its_quadratic_field(tmp_path, fresh_memos,
+                                                               monkeypatch):
+    path = tmp_path / "qi.table"
+    path.write_text(_table_text(primes_up_to(20_000).tolist(), True))
+    calls = []
+    sieve = _sieve.coefficient_array
+    monkeypatch.setattr(_sieve, "coefficient_array", lambda field, kind, k, xmax:
+                        calls.append(xmax) or sieve(field, kind, k, xmax))
+    for grid in ("1000:20000:5", "1:20000:300"):
+        _sieve.clear_cache()
+        calls.clear()
+        code, table_out, err = run_cli(_report_argv(f"table:{path}", "2", "2", grid))
+        assert code == 0, err
+        assert calls == [20_000]  # a table field has no route: one sieve
+        assert table_out == run_cli(_report_argv("q:-1", "2", "2", grid))[1].replace(
+            "q:-1,", f"table:{path},")
+
+
+def test_report_reaches_as_far_as_sum():
+    code, out, err = run_cli(_report_argv("q", "1", "2", "1e9:1e9:1"))
+    assert code == 0, err
+    raw = out.splitlines()[1].split(",")[4]
+    assert raw == "428249584"
+    assert run_cli(["sum", "--field", "q", "--fn", "mobius", "--order", "2",
+                    "--x", "1e9"])[1] == raw + "\n"
+
+
+def _module_dicts():
+    # every dict at module level in the package, by (module, name)
+    return {(module.__name__, name): value
+            for module in (sys.modules[n] for n in list(sys.modules)
+                           if n == "idealfunc" or n.startswith("idealfunc."))
+            for name, value in vars(module).items() if isinstance(value, dict)}
+
+
+def test_one_session_of_every_subcommand_keeps_bounded_memos(tmp_path, fresh_memos):
+    path = tmp_path / "qi.table"
+    path.write_text(_table_text(primes_up_to(20_000).tolist(), True))
+    table = f"table:{path}"
+    before = {key: len(d) for key, d in _module_dicts().items()}
+    session = [
+        ["field", "--field", "q:-1"],
+        ["enumerate", "--field", "q:5", "--xmax", "50"],
+        ["eval", "--field", "q:-5", "--fn", "liouville", "--order", "2", "--ideal", "36"],
+        ["sum", "--field", table, "--fn", "qfree", "--order", "2", "--x", "20000"],
+        ["sum", "--field", table, "--fn", "qfree", "--order", "2", "--x", "20000", "--fast"],
+        ["report", "--field", table, "--theorem", "2", "--order", "2", "--grid", "10:20000:4"],
+        ["verify", "--field", "q:2", "--suite", "counting", "--xmax", "300", "--kmax", "2"],
+        ["zeta", "--field", "q:-1", "--s", "2"],
+        ["constant", "--field", "q:5", "--order", "3"],
+    ]
+    for spec in REPORT_FIELDS:
+        session += [_report_argv(spec, theorem, "2", "1000:1000000:8") for theorem in "0123"]
+        session += [["sum", "--field", spec, "--fn", fn, "--order", "3", "--x", "1e7"]
+                    for fn in ("mobius", "liouville", "qfree")]
+    for argv in session:
+        code, _, err = run_cli(argv)
+        assert code == 0, (argv, err)
+    # the route's tables stay within the bounds README states
+    kept = [t for tables in _sublinear._TABLES.values() for _, t in tables.values()]
+    assert 0 < sum(t.nbytes for t in kept) <= _sublinear._ROUTE_BYTES_KEPT == 32 * 2**20
+    assert len(_sublinear._TABLES) <= _sublinear._ROUTE_FIELDS_KEPT == 8
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert "8 fields" in readme and "32 MiB" in readme
+    # every module-level dict the session grew is a memo, and the reset empties it
+    grown = [key for key, d in _module_dicts().items() if len(d) > before.get(key, 0)]
+    assert ("idealfunc._sublinear", "_TABLES") in grown and len(grown) >= 6
+    _sieve.clear_cache()
+    assert [key for key in grown if _module_dicts()[key]] == []
+
+
 def test_report_bad_grid():
     for grid in ("10", "100:10:3", "0:10:3", "a:b:c"):
         code, _, err = run_cli(["report", "--field", "q", "--theorem", "1",
@@ -281,6 +410,24 @@ def test_zeta_without_finite_tail_bound_refused(fresh_memos):
         code, out, err = run_cli(["zeta", "--field", spec, "--s", below])
         assert_one_line_error(code, out, err)
         assert f"s >= {least} " in err
+
+
+@pytest.mark.parametrize("tol, least", [("1e-300", "1.0027161041423927"),
+                                         (None, "1.0027367581132114")])
+def test_zeta_refusal_bisects_on_the_bound(tol, least, fresh_memos, monkeypatch):
+    # the least s that answers, at the largest and the default cutoff; the
+    # bisection takes about 50 steps, and the bound alone decides most
+    from idealfunc import analytic
+
+    products = []
+    euler_value = analytic._euler_value
+    monkeypatch.setattr(analytic, "_euler_value",
+                        lambda norms, s: products.append(s) or euler_value(norms, s))
+    argv = ["zeta", "--field", "q", "--s", "1.002"] + (["--tol", tol] if tol else [])
+    code, out, err = run_cli(argv)
+    assert_one_line_error(code, out, err)
+    assert f"s >= {least} answers at this cutoff" in err
+    assert 2 <= len(products) <= 12
 
 
 def test_constant_json():

@@ -208,3 +208,24 @@ def test_parse_field(tmp_path):
 def test_table_field_consistency_check():
     with pytest.raises(ValueError):
         make_table_field({2: [(1, 2, 1)], 3: [(3, 1, 1)]})  # degrees 2 vs 3
+
+
+def test_cache_key_is_exact_and_taken_once():
+    rows = {p: [(1, 1, 2)] for p in primes_up_to(2000).tolist()}
+    a, b = make_table_field(rows), make_table_field(dict(rows))
+    other = make_table_field({**rows, 3: [(2, 1, 1)]})  # 3 inert, not split
+    # one key object per field: no hash of the table per lookup
+    assert a.cache_key() is a.cache_key()
+    # equal tables share a key, and a distinct table never does, even when
+    # its hash collides
+    assert a.cache_key() == b.cache_key() and hash(a.cache_key()) == hash(b.cache_key())
+    assert a.cache_key() != other.cache_key()
+    forged = copy.copy(other.cache_key())
+    forged._hash = hash(a.cache_key())
+    assert forged != a.cache_key() and len({a.cache_key(), forged}) == 2
+    assert parse_field("q:-1").cache_key() == make_quadratic_field(-1).cache_key()
+    assert parse_field("q:-1").cache_key() != parse_field("q").cache_key()
+    for field in (a, parse_field("q:5")):
+        for twin in (copy.deepcopy(field), pickle.loads(pickle.dumps(field))):
+            assert twin.cache_key() == field.cache_key()
+            assert hash(twin.cache_key()) == hash(field.cache_key())

@@ -1,5 +1,6 @@
 """The sublinear route of `_sublinear` against the coefficient sieve."""
 
+import math
 import random
 
 import numpy as np
@@ -16,6 +17,7 @@ from idealfunc.field import (
     primes_up_to,
 )
 from idealfunc.summatory import mertens_k, qfree_count_fast
+from test_sieve import FIELDS as SIEVE_FIELDS
 
 SPECS = ("q", "q:-1", "q:-5", "q:2", "q:5", "q:-3")
 CASES = ([("count", 0)] + [("kfree", k) for k in (2, 3, 4)]
@@ -42,8 +44,9 @@ def test_route_equals_sieve(spec):
 
 
 @pytest.mark.parametrize("spec", SPECS)
-def test_primitives_at_the_table_cutoff(spec):
+def test_primitives_at_the_table_cutoff(spec, fresh_memos):
     # A below, at and above T, and M at every [x/j], on both sides of the cut
+    # (no kept table reaches past T)
     field = parse_field(spec)
     x = 10**5
     size = _sublinear.table_size(x)
@@ -54,6 +57,19 @@ def test_primitives_at_the_table_cutoff(spec):
     mertens = _sublinear._Mertens(field, x, counts)
     js = np.arange(1, x + 1, dtype=np.int64)
     assert np.array_equal(mertens.many(js), _sieve_sums(field, "mobius", 1, x)[x // js])
+
+
+def test_hyperbola_batches(monkeypatch):
+    # batches of a few terms, and y with more terms than a batch holds
+    monkeypatch.setattr(_sublinear, "_HYPERBOLA_TERMS", 7)
+    edges = [n * n + d for n in (1, 2, 3, 2**31 - 1) for d in (-1, 0, 1) if n * n + d > 0]
+    assert _sublinear._isqrt_many(np.array(edges)).tolist() == [math.isqrt(y) for y in edges]
+    for spec in ("q:-1", "q:5", "q:-3"):
+        field = parse_field(spec)
+        counts = _sieve_sums(field, "count", 0, 3000)
+        ys = np.array([1, 2, 3, 48, 49, 50, 999, 3000, 2, 2500], dtype=np.int64)
+        got = _sublinear._hyperbola(*_sublinear._character(field.disc), ys)
+        assert got.tolist() == counts[ys].tolist(), spec
 
 
 def _random_fields():
@@ -109,3 +125,47 @@ def test_refuses_before_building_tables():
         _sublinear.exact_sum(parse_field("q:-1"), "liouville", 2, 10**300)
     with pytest.raises(ValueError, match="exceeds"):
         _sublinear.exact_sum(parse_field("q"), "kfree", 30, 2**63)
+
+
+@pytest.mark.parametrize("spec", sorted(SIEVE_FIELDS))
+def test_route_equals_sieve_with_kept_tables(spec, fresh_memos):
+    # the kept tables grown at a larger x answer a smaller one, and grow from a
+    # smaller x to a larger one; every kind shares them.  A table field's only
+    # route is the inversion formula, and its table stops at 3000.
+    field = SIEVE_FIELDS[spec]
+    if field.prime_table is None:
+        xs, cases, route = (1, 2, 97, 1000, 2999, 50_000), CASES, _sublinear._SUMS
+    else:
+        xs = (1, 2, 97, 1000, 2999, 3000)
+        cases = [("kfree", k) for k in (2, 3, 4)]
+        route = {"kfree": _sublinear.kfree_count}
+    expected = {case: _sieve_sums(field, *case, max(xs)) for case in cases}
+    for order in (xs[::-1], xs):
+        _sieve.clear_cache()
+        for kind, k in cases:
+            got = [route[kind](field, k, x) for x in order]
+            assert got == expected[kind, k][list(order)].tolist(), (kind, k, order)
+    assert _sublinear._TABLES  # the route kept its tables
+
+
+def test_kept_route_tables_are_bounded(fresh_memos, monkeypatch):
+    kept_bytes = lambda: sum(t.nbytes for ts in _sublinear._TABLES.values()  # noqa: E731
+                             for _, t in ts.values())
+    monkeypatch.setattr(_sublinear, "_ROUTE_FIELDS_KEPT", 2)
+    specs = ("q:-1", "q:5", "q:-5")
+    for spec in specs:
+        field = parse_field(spec)
+        assert _sublinear.exact_sum(field, "liouville", 2, 10**5) == \
+            int(_sieve_sums(field, "liouville", 2, 10**5)[-1])
+    assert list(_sublinear._TABLES) == [parse_field(s).cache_key() for s in specs[1:]]
+    # a table past the byte bound is built, used and dropped; older tables
+    # make room for a newer one
+    size = _sublinear.table_size(10**6)
+    monkeypatch.setattr(_sublinear, "_ROUTE_BYTES_KEPT", 8 * size)
+    field = parse_field("q:2")
+    for x, kind in ((10**6, "liouville"), (10**4, "mobius"), (10**4, "liouville")):
+        assert _sublinear.exact_sum(field, kind, 2, x) == \
+            int(_sieve_sums(field, kind, 2, x)[-1])
+        assert kept_bytes() <= 8 * size and len(_sublinear._TABLES) <= 2
+    assert all(t.nbytes < 8 * size for ts in _sublinear._TABLES.values() for _, t in ts.values())
+    assert field.cache_key() in _sublinear._TABLES
