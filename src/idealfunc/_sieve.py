@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from typing import Callable
 
 import numpy as np
 
 from .field import FieldSpec, _check_memory, primes_up_to
 
-__all__ = ["coefficient_array", "cumulative_array", "covers", "clear_cache"]
+__all__ = ["coefficient_array", "cumulative_array", "covers", "kept_array", "clear_cache"]
 
 
 def _count(e: int, k: int, norm: int) -> int:
@@ -206,48 +207,70 @@ def _sieve_work(field: FieldSpec, kind: str, k: int, xmax: int, dtype) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# cumulative-sum cache (bounded: each 10^7 entry costs ~80 MB)
+# The one memo of per-field arrays, keyed by (field.cache_key(), name): the
+# prefix sums of the sieve (name (kind, k)), the k-full rows of `_sublinear`
+# (("kfull", k)) and the prime-ideal norms of `analytic` ("norms").  Each is
+# kept read-only, beside the reach it was built for.  The least recently used
+# arrays are dropped while the kept bytes exceed _KEPT_BYTES, but the newest
+# is always kept.
 
 _CUM_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_CACHE_ENTRIES = 6
+_REACHES: dict[tuple, int] = {}
+_KEPT_BYTES = 32 * 2**20
+
+
+def kept_array(field: FieldSpec, name: object, reach: int,
+               build: Callable[[int], np.ndarray]) -> np.ndarray:
+    """The kept array `name` of field if it was built for a reach at least
+    as far, else build(reach), kept."""
+    key = (field.cache_key(), name)
+    if _REACHES.get(key, -1) >= reach:
+        _CUM_CACHE.move_to_end(key)
+        return _CUM_CACHE[key]
+    if key in _REACHES:  # the shorter array goes before the longer is built
+        del _CUM_CACHE[key], _REACHES[key]
+    array = build(reach)  # an array that fails to build is not kept
+    array.flags.writeable = False
+    _CUM_CACHE[key] = array
+    _REACHES[key] = reach
+    kept = sum(a.nbytes for a in _CUM_CACHE.values())
+    while kept > _KEPT_BYTES and len(_CUM_CACHE) > 1:
+        dropped, old = _CUM_CACHE.popitem(last=False)
+        del _REACHES[dropped]
+        kept -= old.nbytes
+    return array
 
 
 def covers(field: FieldSpec, kind: str, k: int, xmax: int) -> bool:
-    """Whether a cached prefix-sum array already reaches xmax."""
-    cached = _CUM_CACHE.get((field.cache_key(), kind, k))
-    return cached is not None and len(cached) > xmax
+    """Whether a kept prefix-sum array already reaches xmax."""
+    return _REACHES.get((field.cache_key(), (kind, k)), -1) >= xmax
 
 
 def cumulative_array(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarray:
-    """Prefix sums of the coefficient array; cum[x] = sum_{n <= x} c(n)."""
-    xmax = int(xmax)
-    key = (field.cache_key(), kind, k)
-    cached = _CUM_CACHE.get(key)
-    if cached is not None and len(cached) > xmax:
-        _CUM_CACHE.move_to_end(key)
-        return cached
+    """Prefix sums of the coefficient array; cum[x] = sum_{n <= x} c(n).
+
+    Kept in the memo above: the array may reach past xmax, and is read-only.
+    """
+    return kept_array(field, (kind, k), int(xmax),
+                      lambda reach: _cumulate(field, kind, k, reach))
+
+
+def _cumulate(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarray:
     _check_memory(xmax)
     if kind == "count" and field.disc == 1:  # the rationals: one ideal of each norm
-        cum = np.arange(xmax + 1, dtype=np.int64)
-    else:
-        coeff = coefficient_array(field, kind, k, xmax)
-        cum = np.cumsum(coeff, out=coeff)  # in place: one x-sized array, not two
-    _CUM_CACHE[key] = cum
-    _CUM_CACHE.move_to_end(key)
-    while len(_CUM_CACHE) > _CACHE_ENTRIES:
-        _CUM_CACHE.popitem(last=False)
-    return cum
+        return np.arange(xmax + 1, dtype=np.int64)
+    coeff = coefficient_array(field, kind, k, xmax)
+    return np.cumsum(coeff, out=coeff)  # in place: one x-sized array, not two
 
 
 def clear_cache() -> None:
-    """Empty every per-process memo of the package: the prefix-sum arrays,
-    the norm-free local tables, the route tables of `_sublinear`, the parsed
-    table fields, the prime-ideal norms and the report constants.  The
-    grow-only rational-prime array and the per-discriminant character tables
-    stay."""
+    """Empty every per-process memo of the package: the kept per-field
+    arrays, the norm-free local tables, the parsed table fields and the
+    report constants.  The grow-only rational-prime array and the
+    per-discriminant character tables stay."""
     # these modules import this one
-    from . import _sublinear, analytic, field, summatory
+    from . import field, summatory
 
-    for memo in (_CUM_CACHE, _LOCAL_TABLES, _sublinear._TABLES, field._TABLE_FIELDS,
-                 analytic._NORMS, summatory._CONST_CACHE):
+    for memo in (_CUM_CACHE, _REACHES, _LOCAL_TABLES, field._TABLE_FIELDS,
+                 summatory._CONST_CACHE):
         memo.clear()

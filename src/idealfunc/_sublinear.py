@@ -20,7 +20,11 @@ Every sum here is built from two primitives of a built-in field F:
   [x/j] above the table size T = [x^(2/3)], largest j first: O(x^(2/3))
   operations in all, as in Deleglise & Rivat (Exp. Math. 5, 1996).
 
-Up to T both come from prefix sums of `_sieve.coefficient_array`.  From them:
+Up to T both come from `_sieve.cumulative_array`, whose memo keeps each
+table, and the k-full rows below, at the largest reach asked.  A table that
+reaches past what an x needs only moves work from the formulas into lookups,
+so a sweep that asks its largest x first builds one set of tables for every
+point.  From them:
 
 * the k-free count is sum_{d <= x^(1/k)} c(d) A([x/d^k]);
 * M_k for k >= 2 is sum_n G(n) A([x/n]), where mu_k = 1_F * g with
@@ -36,8 +40,6 @@ Up to T both come from prefix sums of `_sieve.coefficient_array`.  From them:
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from typing import Callable
 
 import numpy as np
 
@@ -82,60 +84,6 @@ def exact_sum(field: FieldSpec, kind: str, k: int, x: int) -> int:
     if field.prime_table is None and not _sieve.covers(field, kind, k, x):
         return _SUMS[kind](field, k, x)
     return int(_sieve.cumulative_array(field, kind, k, x)[x])
-
-
-# Per field (by cache_key), the x-independent tables of the route, each kept
-# at the largest reach asked (grow-only, like `primes_up_to`): the prefix sums
-# of the count coefficients ("count") and of mu_1 ("mertens"), and for each
-# order k the k-full n with G(n) != 0 and G(n) (("kfull", k)).  A table that
-# reaches past what an x needs is as good, since it only moves work from the
-# formulas into lookups, so a sweep that asks its largest x first builds one
-# set of tables for every point.  At most _ROUTE_FIELDS_KEPT fields and
-# _ROUTE_BYTES_KEPT bytes are kept; a larger table is built, used and dropped.
-_TABLES: "OrderedDict[object, dict]" = OrderedDict()
-_ROUTE_FIELDS_KEPT = 8
-_ROUTE_BYTES_KEPT = 32 * 2**20
-
-
-def _kept_table(field: FieldSpec, name: str | tuple, reach: int,
-                build: Callable[[int], np.ndarray]) -> np.ndarray:
-    """The int64 table `name` of field from build(reach), or the kept one if it
-    reaches at least as far."""
-    key = field.cache_key()
-    held = _TABLES.get(key, {}).get(name)
-    if held is None or held[0] < reach:
-        held = (reach, build(reach))  # a table that fails to build is not kept
-        held[1].flags.writeable = False
-        _keep(key, name, held)
-    else:
-        _TABLES.move_to_end(key)
-    return held[1]
-
-
-def _keep(key: object, name: str | tuple, held: tuple[int, np.ndarray]) -> None:
-    if held[1].nbytes > _ROUTE_BYTES_KEPT:
-        return
-    tables = _TABLES.setdefault(key, {})
-    tables[name] = held
-    _TABLES.move_to_end(key)
-    # drop the least recently used fields, then this field's other tables
-    while (len(_TABLES) > _ROUTE_FIELDS_KEPT
-           or sum(t.nbytes for ts in _TABLES.values() for _, t in ts.values())
-           > _ROUTE_BYTES_KEPT):
-        if len(_TABLES) > 1:
-            _TABLES.popitem(last=False)
-        else:
-            del tables[next(other for other in tables if other != name)]
-
-
-def _prefix_sums(field: FieldSpec, kind: str, k: int, size: int) -> np.ndarray:
-    coeff = _sieve.coefficient_array(field, kind, k, size)
-    return np.cumsum(coeff, out=coeff)
-
-
-def _mertens_table(field: FieldSpec, size: int) -> np.ndarray:
-    """Prefix sums of mu_1 up to at least size."""
-    return _kept_table(field, "mertens", size, lambda n: _prefix_sums(field, "mobius", 1, n))
 
 
 def _reserve(x: int, size: int) -> None:
@@ -201,8 +149,7 @@ class _Counts:
         self.size = size
         self.table = None  # over Q, A(y) = y needs none
         if field.degree > 1:
-            self.table = _kept_table(field, "count", size,
-                                     lambda n: _prefix_sums(field, "count", 0, n))
+            self.table = _sieve.cumulative_array(field, "count", 0, size)
             self.size = len(self.table) - 1
         if field.degree == 2 and field.prime_table is None:
             self.character = _character(field.disc)
@@ -229,7 +176,7 @@ class _Mertens:
 
     def __init__(self, field: FieldSpec, x: int, counts: _Counts):
         self.x = x
-        table = self.table = _mertens_table(field, table_size(x))
+        table = self.table = _sieve.cumulative_array(field, "mobius", 1, table_size(x))
         # A and M are both known up to size (A needs no table over Q), and
         # [x/j] > size exactly when j <= last
         size = len(table) - 1 if counts.table is None else min(len(table) - 1, counts.size)
@@ -279,7 +226,7 @@ def kfree_count(field: FieldSpec, k: int, x: int) -> int:
     else:
         size = table_size(x) if field.prime_table is None else x
     _reserve(x, size)
-    mu = np.diff(_mertens_table(field, root)[: root + 1], prepend=0)
+    mu = np.diff(_sieve.cumulative_array(field, "mobius", 1, root)[: root + 1], prepend=0)
     d = np.flatnonzero(mu)
     # d^k <= x < 2^63; an order above 62 leaves d = [1] alone, and 1^64 = 1
     return int(np.dot(mu[d], _Counts(field, size).many(x // d ** min(k, 64))))
@@ -296,7 +243,7 @@ def _kfull(field: FieldSpec, k: int, x: int) -> np.ndarray:
     """Every k-full n <= x with G(n) != 0 and G(n), as the rows of a (2, m)
     array ascending in n.  G(n) does not depend on x, so the kept rows of a
     larger x answer too."""
-    held = _kept_table(field, ("kfull", k), x, lambda reach: _kfull_rows(field, k, reach))
+    held = _sieve.kept_array(field, ("kfull", k), x, lambda reach: _kfull_rows(field, k, reach))
     return held[:, : int(np.searchsorted(held[0], x, side="right"))]
 
 

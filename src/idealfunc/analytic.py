@@ -8,7 +8,6 @@ consumers compare within combined bounds, never for exact equality.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,31 +66,16 @@ def _prime_ideal_norm_tail(degree: int, cutoff: int, s: float) -> float:
     return head + inert
 
 
-# per field (by cache_key): the largest cutoff asked and the sorted norms of
-# the prime ideals up to it, about 8 bytes per prime ideal
-_NORMS: "OrderedDict[tuple, tuple[int, np.ndarray]]" = OrderedDict()
-_NORM_FIELDS_KEPT = 8
-
-
 def _prime_ideal_norms(field: FieldSpec, cutoff: int) -> np.ndarray:
     """Norms of the prime ideals with norm <= cutoff, ascending, one per ideal.
 
     The same norms in the same order as `primes_with_norm_up_to`, as a
     read-only int64 array; equal norms give equal Euler factors, so the
     products and sums below keep their floating-point order.  Each field
-    keeps the array of the largest cutoff asked (grow-only, like
-    `primes_up_to`), and a smaller cutoff takes a prefix of it.
+    keeps the array of the largest cutoff asked in the memo of `_sieve`, as
+    "norms", and a smaller cutoff takes a prefix of it.
     """
-    key = field.cache_key()
-    held = _NORMS.get(key)
-    if held is None or held[0] < cutoff:
-        held = (cutoff, _sorted_norms(field, cutoff))  # a field that fails is not kept
-        _NORMS[key] = held
-        if len(_NORMS) > _NORM_FIELDS_KEPT:
-            _NORMS.popitem(last=False)
-    else:
-        _NORMS.move_to_end(key)
-    norms = held[1]
+    norms = _sieve.kept_array(field, "norms", cutoff, lambda reach: _sorted_norms(field, reach))
     return norms[: int(np.searchsorted(norms, cutoff, side="right"))]
 
 
@@ -108,9 +92,7 @@ def _sorted_norms(field: FieldSpec, cutoff: int) -> np.ndarray:
         count = np.array([degrees.count(f) for degrees in class_degrees], dtype=np.int64)
         top = int(np.searchsorted(primes, integer_kth_root(cutoff, f), side="right"))
         parts.append(np.repeat(primes[:top] ** f, count[inverse[:top]]))
-    norms = np.sort(np.concatenate(parts))
-    norms.flags.writeable = False
-    return norms
+    return np.sort(np.concatenate(parts))
 
 
 def _euler_value(norms: list[float], s: float) -> float:

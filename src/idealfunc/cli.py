@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -288,7 +289,16 @@ def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv) if argv is not None else None)
-        return _COMMANDS[args.command](args, out)
+        code = _COMMANDS[args.command](args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull, so
+        # the flush at exit fails no second time (the recipe of the `signal`
+        # module's documentation)
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 1
     except (UsageError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=err)
         return 1

@@ -294,6 +294,12 @@ def sweep(kind: str, field: FieldSpec, k: int,
         _c_F(field)
     coeff_kind = _REPORT_KINDS[kind]
     if _sieve_costs_less(field, coeff_kind, grid):
+        # the constants first: they keep norms arrays in the one memo, and
+        # only the newest kept array is sure to stay there
+        if kind in ("mobius", "qfree") and k >= 2:
+            _zeta_F(field, float(k))
+            if kind == "mobius":
+                _density_K(field, k)
         _sieve.cumulative_array(field, coeff_kind, 0 if kind == "count" else k,
                                 math.floor(grid[-1]))
     per_point = [_reports_at(kind, field, k, x) for x in reversed(grid)]

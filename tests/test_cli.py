@@ -10,7 +10,7 @@ import pytest
 
 from pathlib import Path
 
-from idealfunc import _sieve, _sublinear, summatory
+from idealfunc import _sieve, summatory
 from idealfunc.cli import main
 from idealfunc.field import parse_field, primes_up_to
 from idealfunc.summatory import CSV_HEADER
@@ -277,6 +277,24 @@ def test_dense_grid_sieves_once(theorem, sieves, fresh_memos, monkeypatch):
     assert run_cli(argv) == (0, out, "")
 
 
+@pytest.mark.parametrize("theorem", ["1", "3"])
+def test_dense_grid_past_the_budget_sieves_once(theorem, fresh_memos, monkeypatch):
+    # the report's constants keep norms arrays; they are found before the
+    # sieve is primed, so the primed array stays the newest kept, and every
+    # point reads it though it is over the budget
+    argv = _report_argv("q:-1", theorem, "2", "1000:1000000:400")
+    want = run_cli(argv)
+    assert want[0] == 0
+    _sieve.clear_cache()
+    calls = []
+    sieve = _sieve.coefficient_array
+    monkeypatch.setattr(_sieve, "coefficient_array", lambda field, kind, k, xmax:
+                        calls.append(xmax) or sieve(field, kind, k, xmax))
+    monkeypatch.setattr(_sieve, "_KEPT_BYTES", 8 * 10**6)  # the array takes 8 (10^6 + 1)
+    assert run_cli(argv) == want
+    assert calls == [10**6]
+
+
 def test_sparse_grid_keeps_no_sieve_array(fresh_memos):
     for theorem in "0123":
         for spec in REPORT_FIELDS:
@@ -343,15 +361,17 @@ def test_one_session_of_every_subcommand_keeps_bounded_memos(tmp_path, fresh_mem
     for argv in session:
         code, _, err = run_cli(argv)
         assert code == 0, (argv, err)
-    # the route's tables stay within the bounds README states
-    kept = [t for tables in _sublinear._TABLES.values() for _, t in tables.values()]
-    assert 0 < sum(t.nbytes for t in kept) <= _sublinear._ROUTE_BYTES_KEPT == 32 * 2**20
-    assert len(_sublinear._TABLES) <= _sublinear._ROUTE_FIELDS_KEPT == 8
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    assert "8 fields" in readme and "32 MiB" in readme
+    # the kept arrays stay within the one budget README states, but for the newest
+    kept = list(_sieve._CUM_CACHE.values())
+    assert 0 < sum(a.nbytes for a in kept) <= _sieve._KEPT_BYTES + kept[-1].nbytes
+    assert _sieve._KEPT_BYTES == 32 * 2**20
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    assert "one memo of per-field arrays, 32 MiB in all" in readme
+    assert "the newest array is always kept" in readme
     # every module-level dict the session grew is a memo, and the reset empties it
     grown = [key for key, d in _module_dicts().items() if len(d) > before.get(key, 0)]
-    assert ("idealfunc._sublinear", "_TABLES") in grown and len(grown) >= 6
+    assert {("idealfunc._sieve", "_CUM_CACHE"), ("idealfunc._sieve", "_REACHES")} <= set(grown)
+    assert len(grown) >= 5
     _sieve.clear_cache()
     assert [key for key in grown if _module_dicts()[key]] == []
 
@@ -632,14 +652,29 @@ def test_sum_beyond_the_sieve(argv, expected):
     assert code == 0 and out.strip() == expected
 
 
+def _fresh_env():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def run_fresh(argv):
     """Run `python -m idealfunc` on argv in a new interpreter."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-m", "idealfunc", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_fresh_env(), timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    # the reader takes one line and closes the pipe while enumerate still writes
+    proc = subprocess.Popen([sys.executable, "-m", "idealfunc", "enumerate", "--field", "q",
+                             "--xmax", "100000"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=_fresh_env())
+    assert proc.stdout.readline() == "norm,factorization\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, "")
 
 
 def test_python_dash_m_runs_the_cli():

@@ -3,10 +3,11 @@
 from collections import defaultdict
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealfunc._sieve import _local_table, coefficient_array
+from idealfunc._sieve import _local_table, coefficient_array, cumulative_array
 from idealfunc.arith import lambda_k, mu_k, q_k
 from idealfunc.field import make_table_field, parse_field, primes_up_to
 from idealfunc.ideals import enumerate_ideals
@@ -158,3 +159,12 @@ def test_count_over_totally_split_tables_is_divisor_count():
     for degree, expected in ((2, tau), (3, tau3)):
         field = make_table_field({p: [(1, 1, degree)] for p in primes_up_to(x).tolist()})
         assert np.array_equal(coefficient_array(field, "count", 0, x), expected), degree
+
+
+def test_kept_arrays_are_read_only(fresh_memos):
+    # a kept prefix-sum array is shared by every later caller, so none may write to it
+    for spec, kind, k in (("q", "count", 0), ("q:-1", "count", 0), ("q:5", "mobius", 2)):
+        cum = cumulative_array(FIELDS[spec], kind, k, 1000)
+        with pytest.raises(ValueError, match="read-only"):
+            cum[5] = 0
+        assert cumulative_array(FIELDS[spec], kind, k, 500) is cum

@@ -16,7 +16,8 @@ from idealfunc.field import (
     parse_field,
     primes_up_to,
 )
-from idealfunc.summatory import mertens_k, qfree_count_fast
+from idealfunc.ideals import ideal_count
+from idealfunc.summatory import liouville_sum_k, mertens_k, qfree_count_fast
 from test_sieve import FIELDS as SIEVE_FIELDS
 
 SPECS = ("q", "q:-1", "q:-5", "q:2", "q:5", "q:-3")
@@ -102,12 +103,31 @@ def test_cached_array_answers_first(monkeypatch):
         _sieve.clear_cache()
 
 
-def test_route_leaves_the_sieve_cache_alone():
-    _sieve.clear_cache()
-    field = parse_field("q:2")
-    assert qfree_count_fast(field, 2, 10**6) == int(_sieve_sums(field, "kfree", 2, 10**6)[-1])
+def test_route_keeps_no_array_past_its_table_size(fresh_memos):
+    # the route keeps its tables in the one memo of the sieve, but none of
+    # them reaches past T = [x^(2/3)]: no x-sized array is built or kept
+    field, x = parse_field("q:2"), 10**6
+    assert qfree_count_fast(field, 2, x) == int(_sieve_sums(field, "kfree", 2, x)[-1])
+    assert mertens_k(field, 1, x) == int(_sieve_sums(field, "mobius", 1, x)[-1])
+    assert liouville_sum_k(field, 2, x) == int(_sieve_sums(field, "liouville", 2, x)[-1])
+    size = _sublinear.table_size(x)
+    assert _sieve._REACHES and max(_sieve._REACHES.values()) <= size
+    assert max(len(array) for array in _sieve._CUM_CACHE.values()) <= size + 1
+
+
+def test_route_tables_answer_the_sieve(fresh_memos, monkeypatch):
+    # the route's count and mu_1 tables are the sieve's prefix sums: a smaller
+    # x that they cover is answered from them, with no route and no new sieve
+    field = parse_field("q:-1")
     assert mertens_k(field, 1, 10**6) == int(_sieve_sums(field, "mobius", 1, 10**6)[-1])
-    assert not _sieve._CUM_CACHE
+    monkeypatch.setattr(_sublinear, "_SUMS", {})
+    calls = []
+    sieve = _sieve.coefficient_array
+    monkeypatch.setattr(_sieve, "coefficient_array", lambda field, kind, k, xmax:
+                        calls.append(xmax) or sieve(field, kind, k, xmax))
+    assert mertens_k(field, 1, 5000) == int(_sieve_sums(field, "mobius", 1, 5000)[-1])
+    assert ideal_count(field, 5000) == int(_sieve_sums(field, "count", 0, 5000)[-1])
+    assert calls == [5000, 5000]  # the two reference sums above, and no other
 
 
 def test_inversion_formula_over_a_table_field():
@@ -145,27 +165,33 @@ def test_route_equals_sieve_with_kept_tables(spec, fresh_memos):
         for kind, k in cases:
             got = [route[kind](field, k, x) for x in order]
             assert got == expected[kind, k][list(order)].tolist(), (kind, k, order)
-    assert _sublinear._TABLES  # the route kept its tables
+    # the route kept its mu_1 table in the memo of the sieve
+    assert (field.cache_key(), ("mobius", 1)) in _sieve._CUM_CACHE
 
 
 def test_kept_route_tables_are_bounded(fresh_memos, monkeypatch):
-    kept_bytes = lambda: sum(t.nbytes for ts in _sublinear._TABLES.values()  # noqa: E731
-                             for _, t in ts.values())
-    monkeypatch.setattr(_sublinear, "_ROUTE_FIELDS_KEPT", 2)
+    kept_bytes = lambda: sum(a.nbytes for a in _sieve._CUM_CACHE.values())  # noqa: E731
+    # a budget of two fields' Liouville tables at 10^5 (the count and mu_1
+    # prefix sums to T): a third field pushes out the least recently used one
+    size = _sublinear.table_size(10**5)
+    monkeypatch.setattr(_sieve, "_KEPT_BYTES", 2 * 2 * 8 * (size + 1))
     specs = ("q:-1", "q:5", "q:-5")
     for spec in specs:
         field = parse_field(spec)
         assert _sublinear.exact_sum(field, "liouville", 2, 10**5) == \
             int(_sieve_sums(field, "liouville", 2, 10**5)[-1])
-    assert list(_sublinear._TABLES) == [parse_field(s).cache_key() for s in specs[1:]]
-    # a table past the byte bound is built, used and dropped; older tables
-    # make room for a newer one
+    assert [key for key, _ in _sieve._CUM_CACHE] == \
+        [parse_field(s).cache_key() for s in specs[1:] for _ in range(2)]
+    # an array past the budget is kept only while it is the newest; older
+    # arrays make room for a newer one
     size = _sublinear.table_size(10**6)
-    monkeypatch.setattr(_sublinear, "_ROUTE_BYTES_KEPT", 8 * size)
+    monkeypatch.setattr(_sieve, "_KEPT_BYTES", 8 * size)
     field = parse_field("q:2")
     for x, kind in ((10**6, "liouville"), (10**4, "mobius"), (10**4, "liouville")):
         assert _sublinear.exact_sum(field, kind, 2, x) == \
             int(_sieve_sums(field, kind, 2, x)[-1])
-        assert kept_bytes() <= 8 * size and len(_sublinear._TABLES) <= 2
-    assert all(t.nbytes < 8 * size for ts in _sublinear._TABLES.values() for _, t in ts.values())
-    assert field.cache_key() in _sublinear._TABLES
+        assert kept_bytes() <= 8 * size or len(_sieve._CUM_CACHE) == 1
+        if x == 10**6:  # its mu_1 table alone is over the budget
+            assert list(_sieve._CUM_CACHE) == [(field.cache_key(), ("mobius", 1))]
+    assert all(a.nbytes < 8 * size for a in _sieve._CUM_CACHE.values())
+    assert field.cache_key() in {key for key, _ in _sieve._CUM_CACHE}
