@@ -17,14 +17,15 @@ Every sum here is built from two primitives of a built-in field F:
       M(v) = 1 - sum_{2<=n<=u} a_F(n) M([v/n]) - sum_{m<=u} c(m) A([v/m]) + A(u) M(u).
 
   Each [v/n] with v = [x/j] is again [x/(jn)], so M is found at every
-  [x/j] above the table size T = [x^(2/3)], largest j first: O(x^(2/3))
-  operations in all, as in Deleglise & Rivat (Exp. Math. 5, 1996).
+  [x/j] above the table size T = [x^(2/3)]: O(x^(2/3)) operations in all,
+  as in Deleglise & Rivat (Exp. Math. 5, 1996).  With L = [x/(T+1)], each
+  j in (L/2, L] reads M only at jn > L, so those j go together, then the
+  j in (L/4, L/2], and so on, each batch over every x of a grid.
 
 Up to T both come from `_sieve.cumulative_array`, whose memo keeps each
-table, and the k-full rows below, at the largest reach asked.  A table that
-reaches past what an x needs only moves work from the formulas into lookups,
-so a sweep that asks its largest x first builds one set of tables for every
-point.  From them:
+table, and the k-full rows below, at the largest reach asked.  A grid builds
+one set of tables, for its largest x, and holds it for every point.  From
+them:
 
 * the k-free count is sum_{d <= x^(1/k)} c(d) A([x/d^k]);
 * M_k for k >= 2 is sum_n G(n) A([x/n]), where mu_k = 1_F * g with
@@ -46,7 +47,7 @@ import numpy as np
 from . import _sieve
 from .field import NORM_LIMIT, FieldSpec, _check_memory, _chi_array, primes_up_to
 
-__all__ = ["exact_sum", "kfree_count", "table_size", "integer_kth_root"]
+__all__ = ["exact_sums", "kfree_counts", "table_size", "integer_kth_root"]
 
 
 def integer_kth_root(n: int, k: int) -> int:
@@ -74,16 +75,19 @@ def table_size(x: int) -> int:
     return integer_kth_root(x * x, 3)
 
 
-def exact_sum(field: FieldSpec, kind: str, k: int, x: int) -> int:
+def exact_sums(field: FieldSpec, kind: str, k: int, xs: list[int]) -> list[int]:
     """The sum of the coefficients of `kind` ("count", "kfree", "mobius" or
-    "liouville", as in `_sieve`) over the ideals of norm <= x.
+    "liouville", as in `_sieve`) over the ideals of norm <= x, at each x of
+    the non-empty xs.
 
-    A cached prefix-sum array that covers x answers; otherwise a built-in
-    field takes the formulas of this module and a table field the sieve.
+    A cached prefix-sum array that covers the largest x answers; otherwise a
+    built-in field takes the formulas of this module and a table field the
+    sieve, once for every x.
     """
-    if field.prime_table is None and not _sieve.covers(field, kind, k, x):
-        return _SUMS[kind](field, k, x)
-    return int(_sieve.cumulative_array(field, kind, k, x)[x])
+    top = max(xs)
+    if field.prime_table is None and not _sieve.covers(field, kind, k, top):
+        return _SUMS[kind](field, k, xs)
+    return _sieve.cumulative_array(field, kind, k, top)[xs].tolist()
 
 
 def _reserve(x: int, size: int) -> None:
@@ -105,9 +109,10 @@ def _character(disc: int) -> tuple[np.ndarray, np.ndarray]:
     return chi, np.cumsum(chi)
 
 
-# the terms of a batch of hyperbola sums, held at once: one y with more
-# terms than this is a batch of its own
-_HYPERBOLA_TERMS = 2**18
+# the cells of one block of hyperbola sums or of the recursion for M, held
+# at once (1 MiB per int64 array: 2^18 raised the peak RSS of M_1 at 10^10
+# over Q by 1.5 MB); a row wider than this is a block of its own
+_HYPERBOLA_TERMS = 2**17
 
 
 def _isqrt_many(ys: np.ndarray) -> np.ndarray:
@@ -119,26 +124,40 @@ def _isqrt_many(ys: np.ndarray) -> np.ndarray:
     return us
 
 
+def _quotients(ys: np.ndarray, ns: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """The block [y/n] for the column ys (int64, y < 2^62) and the row ns of
+    increasing n >= 1, with 0 where n > u of the row (the column us).  Below
+    2^52 the float quotient is exact: it is at least 1/n from the next
+    integer, more than the rounding error."""
+    q = (ys.astype(np.float64) / ns).astype(np.int64) if ys.max() < 2**52 else ys // ns
+    tail = int(np.searchsorted(ns, us.min(), side="right"))  # no cell to clear before
+    q[:, tail:] *= ns[tail:] <= us
+    return q
+
+
 def _hyperbola(chi: np.ndarray, S: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """A(y) over a quadratic field at each entry y >= 1 of the int64 array ys,
     from `_character` of its discriminant, in O(sqrt(y)) each: the terms of
-    several y are laid end to end and summed by segment."""
-    mod = len(chi)
+    several y, widest first, are the rows of one block."""
     us = _isqrt_many(ys)
-    out = -us * S[us % mod]
-    starts = np.concatenate(([0], np.cumsum(us)))  # y = ys[i] has terms starts[i]:starts[i+1]
+    out = np.empty_like(ys)
+    order = np.argsort(-ys)
     i = 0
     while i < len(ys):
-        j = max(i + 1, int(np.searchsorted(starts, starts[i] + _HYPERBOLA_TERMS,
-                                           side="right")) - 1)
-        offsets = starts[i:j] - starts[i]
-        # a runs over 1..u within each segment
-        a = np.arange(1, int(starts[j] - starts[i]) + 1, dtype=np.int64)
-        a -= np.repeat(offsets, us[i:j])
-        q = np.repeat(ys[i:j], us[i:j]) // a
-        out[i:j] += np.add.reduceat(chi[a % mod] * q + S[q % mod], offsets)
-        i = j
+        width = int(us[order[i]])
+        rows = order[i : i + max(1, _HYPERBOLA_TERMS // width)]
+        q = _quotients(ys[rows, None], np.arange(1, width + 1), us[rows, None])
+        out[rows] = _hyperbola_rows(chi, S, q, us[rows])
+        i += len(rows)
     return out
+
+
+def _hyperbola_rows(chi: np.ndarray, S: np.ndarray, q: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """A(y) for each row of the `_quotients` block q = [y/n], n = 1, 2, ...,
+    with 0 past u = isqrt(y) (chi(0) = S(0) = 0)."""
+    mod = len(chi)
+    chi_n = chi[np.arange(1, q.shape[1] + 1) % mod]
+    return q @ chi_n + S[q % mod].sum(axis=1) - us * S[us % mod]
 
 
 class _Counts:
@@ -172,64 +191,93 @@ class _Counts:
 
 
 class _Mertens:
-    """M(v) at every v = [x/j]: a prefix-sum table up to T, the recursion above."""
+    """M(v) at every v = [x/j] of each x of a grid: a prefix-sum table up to
+    T of the largest x, the recursion above for every x at once."""
 
-    def __init__(self, field: FieldSpec, x: int, counts: _Counts):
-        self.x = x
-        table = self.table = _sieve.cumulative_array(field, "mobius", 1, table_size(x))
+    def __init__(self, field: FieldSpec, xs: list[int], counts: _Counts):
+        self.xs = xs
+        table = self.table = _sieve.cumulative_array(field, "mobius", 1, table_size(max(xs)))
         # A and M are both known up to size (A needs no table over Q), and
-        # [x/j] > size exactly when j <= last
+        # [x/j] > size exactly when j <= last; M([x/j]) for such j goes to
+        # big[base + j], and big[0] stays 0
         size = len(table) - 1 if counts.table is None else min(len(table) - 1, counts.size)
-        last = self.last = x // (size + 1)
-        big = self.big = np.zeros(last + 1, dtype=np.int64)
-        if not last:
-            return
-        js = np.arange(1, last + 1, dtype=np.int64)
-        count_big = np.concatenate(([0], counts.many(x // js)))
-        root = math.isqrt(x)
+        lasts = self.lasts = np.array(xs, dtype=np.int64) // (size + 1)
+        base = self.base = np.concatenate(([0], np.cumsum(lasts + 1)[:-1]))
+        big = self.big = np.zeros(int(lasts.sum()) + len(xs), dtype=np.int64)
+        # one row per (x, j), in rounds: j reads M only at jn, whose
+        # last // (jn) is under half of last // j, so the rows of each power
+        # of 2 in last // j go together; within a round the largest [x/j]
+        # come first, so the rows of a block have close widths u
+        point = np.repeat(np.arange(len(xs)), lasts)
+        js = np.arange(1, len(point) + 1) - np.repeat(np.cumsum(lasts) - lasts, lasts)
+        vs = np.array(xs, dtype=np.int64)[point] // js
+        ratios = lasts[point] // js
+        rounds = np.frexp(ratios)[1]
+        order = np.lexsort((-vs, rounds))
+        js, vs, ratios, rounds = js[order], vs[order], ratios[order], rounds[order]
+        places = base[point[order]] + js
+        count_big = np.zeros_like(big)
+        us = _isqrt_many(vs)
+        heads = np.minimum(us, ratios)
+        root = math.isqrt(max(xs))
         a = counts.coefficients(root)  # a[i] = a_F(i + 1)
         mu = np.diff(table[: root + 1])  # mu[i] = c(i + 1)
         count = (lambda ys: ys) if counts.table is None else counts.table.__getitem__
         ns = np.arange(1, root + 1, dtype=np.int64)
-        for j in range(last, 0, -1):
-            v = x // j
-            u = math.isqrt(v)
-            head = min(u, last // j)  # [v/n] > size: M and A found before
-            jn = j * ns[:head]
-            q = v // ns[head:u]  # [v/n] <= size: from the tables
-            big[j] = (1 - int(np.dot(a[1:head], big[jn[1:]])) - int(np.dot(a[head:u], table[q]))
-                      - int(np.dot(mu[:head], count_big[jn])) - int(np.dot(mu[head:u], count(q)))
-                      + int(count(u)) * int(table[u]))
+        ends = np.searchsorted(rounds, rounds, side="right")
+        i = 0
+        while i < len(vs):
+            # rows i:e share a round, and their widths u are at most us[i]
+            width = int(us[i])
+            e = min(int(ends[i]), i + max(1, _HYPERBOLA_TERMS // width))
+            v, u, head, j = vs[i:e, None], us[i:e], heads[i:e, None], js[i:e, None]
+            q = _quotients(v, ns[:width], u[:, None])
+            # A(v), read at n = 1 below and by later rounds (A(y) = y over Q)
+            count_big[places[i:e]] = (vs[i:e] if counts.table is None
+                                      else _hyperbola_rows(*counts.character, q, u))
+            # n <= head: M and A at [x/(jn)], found in an earlier round
+            cols = ns[: int(head.max())]
+            at = np.where(cols <= head, (places[i:e, None] - j) + j * cols, 0)
+            acc = big[at[:, 1:]] @ a[1 : len(cols)] + count_big[at] @ mu[: len(cols)]
+            # head < n <= u: from the tables
+            q[:, : len(cols)] *= cols > head
+            acc += table[q] @ a[:width] + count(q) @ mu[:width]
+            big[places[i:e]] = 1 - acc + count(u) * table[u]
+            i = e
 
-    def many(self, js: np.ndarray) -> np.ndarray:
-        """M([x/j]) at each entry of the int64 array js."""
-        out = self.table[np.minimum(self.x // js, len(self.table) - 1)]
-        head = js <= self.last
-        out[head] = self.big[js[head]]
+    def many(self, i: int, js: np.ndarray) -> np.ndarray:
+        """M([x/j]) for the i-th x at each entry of the int64 array js."""
+        out = self.table[np.minimum(self.xs[i] // js, len(self.table) - 1)]
+        head = js <= self.lasts[i]
+        out[head] = self.big[self.base[i] + js[head]]
         return out
 
 
-def _count(field: FieldSpec, k: int, x: int) -> int:
+def _count(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
     if field.degree == 1:
-        return x
-    _reserve(x, math.isqrt(x))  # the arrays of one hyperbola sum
-    return int(_hyperbola(*_character(field.disc), np.array([x], dtype=np.int64))[0])
+        return list(xs)
+    _reserve(max(xs), math.isqrt(max(xs)))  # the arrays of one hyperbola sum
+    return _hyperbola(*_character(field.disc), np.array(xs, dtype=np.int64)).tolist()
 
 
-def kfree_count(field: FieldSpec, k: int, x: int) -> int:
-    """The number of k-free ideals of norm <= x, by the inversion formula
-    sum_{d <= x^(1/k)} c(d) A([x/d^k]).  A table field has no chi_D, so its
-    table of A reaches x."""
-    root = integer_kth_root(x, k)
+def kfree_counts(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
+    """The number of k-free ideals of norm <= x at each x of xs, by the
+    inversion formula sum_{d <= x^(1/k)} c(d) A([x/d^k]).  A table field has
+    no chi_D, so its table of A reaches the largest x."""
+    top = max(xs)
+    root = integer_kth_root(top, k)
     if field.degree == 1:
         size = root
     else:
-        size = table_size(x) if field.prime_table is None else x
-    _reserve(x, size)
+        size = table_size(top) if field.prime_table is None else top
+    _reserve(top, size)
     mu = np.diff(_sieve.cumulative_array(field, "mobius", 1, root)[: root + 1], prepend=0)
+    counts = _Counts(field, size)
     d = np.flatnonzero(mu)
-    # d^k <= x < 2^63; an order above 62 leaves d = [1] alone, and 1^64 = 1
-    return int(np.dot(mu[d], _Counts(field, size).many(x // d ** min(k, 64))))
+    # d^k <= the largest x < 2^63, and A([x/d^k]) = A(0) = 0 past a smaller
+    # x; an order above 62 leaves d = [1] alone, and 1^64 = 1
+    powers = d ** min(k, 64)
+    return [int(np.dot(mu[d], counts.many(x // powers))) for x in xs]
 
 
 def _g_series(p: int, degrees: tuple[int, ...], k: int, amax: int) -> list[int]:
@@ -295,25 +343,30 @@ def _kfull_rows(field: FieldSpec, k: int, x: int) -> np.ndarray:
     return np.stack((ns, gs))[:, np.argsort(ns)]
 
 
-def _mobius(field: FieldSpec, k: int, x: int) -> int:
-    size = table_size(x)
+def _mobius(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
+    top = max(xs)
+    size = table_size(top)
     if k == 1:
-        _reserve(x, size)
-        return int(_Mertens(field, x, _Counts(field, size)).many(np.array([1]))[0])
-    _reserve(x, size if field.degree == 2 else integer_kth_root(x, k))
-    ns, gs = _kfull(field, k, x)
-    return int(np.dot(gs, _Counts(field, size).many(x // ns)))
-
-
-def _liouville(field: FieldSpec, k: int, x: int) -> int:
-    size = table_size(x)
-    _reserve(x, size)
+        _reserve(top, size)
+        mertens = _Mertens(field, xs, _Counts(field, size))
+        return [int(mertens.many(i, np.ones(1, dtype=np.int64))[0]) for i in range(len(xs))]
+    _reserve(top, size if field.degree == 2 else integer_kth_root(top, k))
+    ns, gs = _kfull(field, k, top)
     counts = _Counts(field, size)
-    mertens = _Mertens(field, x, counts)
-    a = counts.coefficients(integer_kth_root(x, k + 1))
+    return [int(np.dot(gs, counts.many(x // ns))) for x in xs]  # A(0) = 0
+
+
+def _liouville(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
+    top = max(xs)
+    size = table_size(top)
+    _reserve(top, size)
+    counts = _Counts(field, size)
+    mertens = _Mertens(field, xs, counts)
+    a = counts.coefficients(integer_kth_root(top, k + 1))
     m = np.flatnonzero(a) + 1
-    # as in kfree_count: m^(k+1) <= x, and a huge k leaves m = [1]
-    return int(np.dot(a[m - 1], mertens.many(m ** min(k + 1, 64))))
+    # m^(k+1) <= the largest x (M([x/j]) = 0 for j > x), and a huge k leaves m = [1]
+    js = m ** min(k + 1, 64)
+    return [int(np.dot(a[m - 1], mertens.many(i, js))) for i in range(len(xs))]
 
 
-_SUMS = {"count": _count, "kfree": kfree_count, "mobius": _mobius, "liouville": _liouville}
+_SUMS = {"count": _count, "kfree": kfree_counts, "mobius": _mobius, "liouville": _liouville}

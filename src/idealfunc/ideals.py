@@ -230,10 +230,10 @@ def ideals_of_norm(field: FieldSpec, n: int) -> list[IdealFactorization]:
 
 
 def ideal_count(field: FieldSpec, X: float) -> int:
-    """[X]_F: the number of ideals with norm <= X (see `_sublinear.exact_sum`)."""
+    """[X]_F: the number of ideals with norm <= X (see `_sublinear.exact_sums`)."""
     if X < 1:
         return 0
     n = math.floor(X)
     if field.degree == 1 and field.prime_table is None:
         return n
-    return _sublinear.exact_sum(field, "count", 0, n)
+    return _sublinear.exact_sums(field, "count", 0, [n])[0]

@@ -20,7 +20,6 @@ from . import _sieve, _sublinear
 from ._sublinear import integer_kth_root
 from .analytic import dedekind_zeta, mobius_density_constant, residue_c_F
 from .field import FieldSpec
-from .ideals import ideal_count
 
 __all__ = [
     "SummatoryReport",
@@ -105,21 +104,21 @@ def mertens_k(field: FieldSpec, k: int, x: float) -> int:
     """Exact sum of mu_k over all ideals of norm <= x."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _sublinear.exact_sum(field, "mobius", k, _floor_x(x))
+    return _sublinear.exact_sums(field, "mobius", k, [_floor_x(x)])[0]
 
 
 def liouville_sum_k(field: FieldSpec, k: int, x: float) -> int:
     """Exact sum of lambda_k over all ideals of norm <= x."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _sublinear.exact_sum(field, "liouville", k, _floor_x(x))
+    return _sublinear.exact_sums(field, "liouville", k, [_floor_x(x)])[0]
 
 
 def qfree_count(field: FieldSpec, k: int, x: float) -> int:
     """Number of k-free ideals of norm <= x."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    return _sublinear.exact_sum(field, "kfree", k, _floor_x(x))
+    return _sublinear.exact_sums(field, "kfree", k, [_floor_x(x)])[0]
 
 
 def qfree_count_fast(field: FieldSpec, k: int, x: float) -> int:
@@ -130,7 +129,7 @@ def qfree_count_fast(field: FieldSpec, k: int, x: float) -> int:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    return _sublinear.kfree_count(field, k, _floor_x(x))
+    return _sublinear.kfree_counts(field, k, [_floor_x(x)])[0]
 
 
 def qfree_count_fast_array(field: FieldSpec, k: int, xmax: int) -> np.ndarray:
@@ -154,44 +153,24 @@ def qfree_count_fast_array(field: FieldSpec, k: int, xmax: int) -> np.ndarray:
 _CONST_CACHE: dict[tuple, float] = {}
 
 
-def _c_F(field: FieldSpec) -> float:
-    key = ("c_F", field.cache_key())
+def _constant(name: str, fn, field: FieldSpec, *args) -> float:
+    """fn(field, *args).value, found once per process under `name`."""
+    key = (name, field.cache_key(), *args)
     if key not in _CONST_CACHE:
-        _CONST_CACHE[key] = residue_c_F(field).value
-    return _CONST_CACHE[key]
-
-
-def _zeta_F(field: FieldSpec, s: float) -> float:
-    key = ("zeta", field.cache_key(), s)
-    if key not in _CONST_CACHE:
-        _CONST_CACHE[key] = dedekind_zeta(field, s).value
-    return _CONST_CACHE[key]
-
-
-def _density_K(field: FieldSpec, k: int) -> float:
-    key = ("K", field.cache_key(), k)
-    if key not in _CONST_CACHE:
-        _CONST_CACHE[key] = mobius_density_constant(field, k).value
+        _CONST_CACHE[key] = fn(field, *args).value
     return _CONST_CACHE[key]
 
 
 def count_report(field: FieldSpec, x: float) -> SummatoryReport:
     """Ideal-count report: main term c_F x, so the remainder is R(x),
     normalized by x^((d-1)/(d+1))."""
-    return SummatoryReport(field=field.label, fn="R", k=0, x=x, raw=ideal_count(field, x),
-                           main=_c_F(field) * x,
-                           normalizer=f"x^((d-1)/(d+1));d={field.degree}")
+    return sweep("count", field, 0, [x])[0]
 
 
 def mobius_report(field: FieldSpec, k: int, x: float) -> SummatoryReport:
     """Order-k Mobius summatory report: main term (c_F / zeta_F(k)) K x,
     remainder normalized by x^(1/k) log x."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    raw = mertens_k(field, k, x)
-    main = _c_F(field) / _zeta_F(field, float(k)) * _density_K(field, k) * x
-    return SummatoryReport(field=field.label, fn="M", k=k, x=x, raw=raw,
-                           main=main, normalizer=f"x^(1/{k})*log(x)")
+    return sweep("mobius", field, k, [x])[0]
 
 
 def liouville_reports(field: FieldSpec, k: int,
@@ -202,12 +181,7 @@ def liouville_reports(field: FieldSpec, k: int,
     with epsilon 0.1) and x exp(-sqrt(log x)) (the unconditional shape; the
     constant in the exponent is a reporting convention, not a proved value).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    raw = liouville_sum_k(field, k, x)
-    mk = lambda tag: SummatoryReport(field=field.label, fn="L", k=k, x=x,  # noqa: E731
-                                     raw=raw, main=0.0, normalizer=tag)
-    return (mk("x^0.6"), mk("x*exp(-sqrt(log(x)))"))
+    return tuple(sweep("liouville", field, k, [x]))
 
 
 def _kfree_normalizer(d: int, k: int) -> str:
@@ -225,61 +199,24 @@ def _kfree_normalizer(d: int, k: int) -> str:
 def kfree_report(field: FieldSpec, k: int, x: float) -> SummatoryReport:
     """k-free count report: main term c_F x / zeta_F(k), remainder normalized
     by the (degree, k) case table."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    raw = qfree_count(field, k, x)
-    main = _c_F(field) * x / _zeta_F(field, float(k))
-    return SummatoryReport(field=field.label, fn="Q", k=k, x=x, raw=raw,
-                           main=main, normalizer=_kfree_normalizer(field.degree, k))
+    return sweep("qfree", field, k, [x])[0]
 
 
-# the coefficient kind of each report kind
-_REPORT_KINDS = {"count": "count", "mobius": "mobius", "liouville": "liouville",
-                 "qfree": "kfree"}
-
-# One sieve costs about _SIEVE_NS ns per norm up to the largest x.  Once the
-# route's tables are built at the largest x, each further point by the route
-# costs about _ROUTE_NS[kind] ns per norm of its table size T = [x^(2/3)].
-# Measured over q:-1 and q:5 at k = 2, best of 5 on a 2-vCPU Xeon: the sieve
-# to 10^6 takes 25-33 ns per norm for every kind (7-22 over q), and the 199
-# points of 1000:1000000:200 below 10^6 add 26-31 (count), 38-50 (kfree),
-# 30-35 (mobius) and 164-205 (liouville; 82 over q) ns per norm of their T.
-# Left out: the first point's cold tables (2-5 ms at 10^6), and the fixed
-# costs, under 2 ms a grid, of both sides at small x.
-_ROUTE_NS = {"count": 30, "kfree": 45, "mobius": 35, "liouville": 190}
-_SIEVE_NS = 30
-
-
-def _sieve_costs_less(field: FieldSpec, kind: str, grid: list[float]) -> bool:
-    """Whether one sieve to the largest x of the grid costs less than the
-    route at every point."""
-    if kind == "count" and field.degree == 1:  # [x] = floor(x) needs neither
-        return False
-    route = _ROUTE_NS[kind] * sum(_sublinear.table_size(math.floor(x)) for x in grid)
-    return _SIEVE_NS * math.floor(grid[-1]) < route
-
-
-def _reports_at(kind: str, field: FieldSpec, k: int, x: float) -> tuple[SummatoryReport, ...]:
-    if kind == "count":
-        return (count_report(field, x),)
-    if kind == "mobius":
-        return (mobius_report(field, k, x),)
-    if kind == "liouville":
-        return liouville_reports(field, k, x)
-    return (kfree_report(field, k, x),)
+# the coefficient kind and the least order of each report kind
+_REPORT_KINDS = {"count": ("count", 0), "mobius": ("mobius", 2),
+                 "liouville": ("liouville", 1), "qfree": ("kfree", 2)}
 
 
 def sweep(kind: str, field: FieldSpec, k: int,
           x_grid: Sequence[float]) -> list[SummatoryReport]:
     """One report per grid point, each raw sum exact.
 
-    Every point is answered as `sum` answers it, largest x first: over Q
-    and quadratic fields by the sublinear route, whose tables built for the
-    largest x serve every point, and over a table field by one sieve to the
-    largest x, which every point reads.  A grid dense enough that such a
-    sieve costs less than the route at every point primes it first.  The
-    grid must be strictly increasing; for the Liouville kind both
-    normalizations are emitted per point.  The count kind ignores k.
+    Every point is answered as `sum` answers it, in one call for the whole
+    grid: over Q and quadratic fields by the sublinear route, whose tables
+    built for the largest x serve every point, and over a table field by one
+    sieve to the largest x, which every point reads.  The grid must be
+    strictly increasing; for the Liouville kind both normalizations are
+    emitted per point.  The count kind ignores k.
     """
     if kind not in _REPORT_KINDS:
         raise ValueError(f"unknown report kind {kind!r}")
@@ -291,16 +228,23 @@ def sweep(kind: str, field: FieldSpec, k: int,
     # every kind but Liouville needs c_F: refuse a field without one (a table
     # field) before sieving anything
     if kind != "liouville":
-        _c_F(field)
-    coeff_kind = _REPORT_KINDS[kind]
-    if _sieve_costs_less(field, coeff_kind, grid):
-        # the constants first: they keep norms arrays in the one memo, and
-        # only the newest kept array is sure to stay there
-        if kind in ("mobius", "qfree") and k >= 2:
-            _zeta_F(field, float(k))
-            if kind == "mobius":
-                _density_K(field, k)
-        _sieve.cumulative_array(field, coeff_kind, 0 if kind == "count" else k,
-                                math.floor(grid[-1]))
-    per_point = [_reports_at(kind, field, k, x) for x in reversed(grid)]
-    return [r for reports in reversed(per_point) for r in reports]
+        c_F = _constant("c_F", residue_c_F, field)
+    coeff_kind, least = _REPORT_KINDS[kind]
+    k = 0 if kind == "count" else k
+    if k < least:
+        raise ValueError(f"k must be >= {least}")
+    raws = _sublinear.exact_sums(field, coeff_kind, k, [_floor_x(x) for x in grid])
+    if kind == "liouville":
+        return [SummatoryReport(field.label, "L", k, x, raw, 0.0, tag)
+                for x, raw in zip(grid, raws) for tag in ("x^0.6", "x*exp(-sqrt(log(x)))")]
+    if kind == "count":
+        fn, main, normalizer = "R", lambda x: c_F * x, f"x^((d-1)/(d+1));d={field.degree}"
+    else:
+        zeta = _constant("zeta", dedekind_zeta, field, float(k))
+        if kind == "mobius":
+            K = _constant("K", mobius_density_constant, field, k)
+            fn, main, normalizer = "M", lambda x: c_F / zeta * K * x, f"x^(1/{k})*log(x)"
+        else:
+            fn, main, normalizer = "Q", lambda x: c_F * x / zeta, _kfree_normalizer(field.degree, k)
+    return [SummatoryReport(field.label, fn, k, x, raw, main(x), normalizer)
+            for x, raw in zip(grid, raws)]

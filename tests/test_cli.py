@@ -10,7 +10,7 @@ import pytest
 
 from pathlib import Path
 
-from idealfunc import _sieve, summatory
+from idealfunc import _sieve
 from idealfunc.cli import main
 from idealfunc.field import parse_field, primes_up_to
 from idealfunc.summatory import CSV_HEADER
@@ -249,9 +249,9 @@ def _sieve_primed_report(spec, theorem, k, grid):
 
 @pytest.mark.parametrize("spec", REPORT_FIELDS)
 def test_report_matches_the_sieve_primed_report(spec, fresh_memos):
-    # the sparse grid takes the route at every point and the dense small one
-    # a sieve: the bytes are those of the sieve either way
-    for grid in ("1000:1000000:8", "1:500:40"):
+    # every grid takes the route, however dense: the bytes are those of one
+    # sieve to its largest x
+    for grid in ("1000:1000000:8", "1:500:40", "1000:1000000:200"):
         for theorem, k in [("0", "2")] + [(t, k) for t in "123" for k in "23"]:
             _sieve.clear_cache()
             got = run_cli(_report_argv(spec, theorem, k, grid))
@@ -259,40 +259,25 @@ def test_report_matches_the_sieve_primed_report(spec, fresh_memos):
                 (grid, theorem, k)
 
 
-@pytest.mark.parametrize("theorem, sieves", [("1", 0), ("2", 1)])
-def test_dense_grid_sieves_once(theorem, sieves, fresh_memos, monkeypatch):
-    # 200 points to 10^6: the Liouville route would cost more than one sieve,
-    # the Mobius route less; both give the bytes of the other side
-    argv = _report_argv("q:-1", theorem, "2", "1000:1000000:200")
-    calls = []
-    sieve = _sieve.coefficient_array
-    monkeypatch.setattr(_sieve, "coefficient_array", lambda field, kind, k, xmax:
-                        calls.append(xmax) or sieve(field, kind, k, xmax))
-    code, out, _ = run_cli(argv)
-    assert code == 0 and calls.count(10**6) == sieves
-    if sieves:
-        assert calls == [10**6] and _sieve.covers(parse_field("q:-1"), "liouville", 2, 10**6)
-    _sieve.clear_cache()
-    monkeypatch.setattr(summatory, "_sieve_costs_less", lambda field, kind, grid: not sieves)
-    assert run_cli(argv) == (0, out, "")
-
-
-@pytest.mark.parametrize("theorem", ["1", "3"])
+@pytest.mark.parametrize("theorem", ["1", "2", "3"])
 def test_dense_grid_past_the_budget_sieves_once(theorem, fresh_memos, monkeypatch):
-    # the report's constants keep norms arrays; they are found before the
-    # sieve is primed, so the primed array stays the newest kept, and every
-    # point reads it though it is over the budget
-    argv = _report_argv("q:-1", theorem, "2", "1000:1000000:400")
+    # with a budget under the route's two tables, only the newest kept array
+    # is sure to stay; the grid holds the tables built for its largest x, so
+    # each is sieved once, not once per point
+    argv = _report_argv("q:-1", theorem, "2", "2e5:1e6:3")
     want = run_cli(argv)
     assert want[0] == 0
     _sieve.clear_cache()
     calls = []
     sieve = _sieve.coefficient_array
     monkeypatch.setattr(_sieve, "coefficient_array", lambda field, kind, k, xmax:
-                        calls.append(xmax) or sieve(field, kind, k, xmax))
-    monkeypatch.setattr(_sieve, "_KEPT_BYTES", 8 * 10**6)  # the array takes 8 (10^6 + 1)
+                        calls.append((kind, xmax)) or sieve(field, kind, k, xmax))
+    monkeypatch.setattr(_sieve, "_KEPT_BYTES", 8 * 10**4)  # a table takes 8 (10^4 + 1)
     assert run_cli(argv) == want
-    assert calls == [10**6]
+    # the count table to T = 10^4, and the mu_1 table to T or to 10^(6/2)
+    assert sorted(calls) == {"1": [("count", 10**4)],
+                             "2": [("count", 10**4), ("mobius", 10**4)],
+                             "3": [("count", 10**4), ("mobius", 1000)]}[theorem]
 
 
 def test_sparse_grid_keeps_no_sieve_array(fresh_memos):

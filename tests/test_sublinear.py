@@ -35,12 +35,17 @@ def _sieve_sums(field, kind, k, xmax):
     return np.cumsum(_sieve.coefficient_array(field, kind, k, xmax))
 
 
+def _route(field, kind, k, x):
+    # the formulas of `_sublinear` at one x, whatever the memo holds
+    return _sublinear._SUMS[kind](field, k, [x])[0]
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_route_equals_sieve(spec):
     field = parse_field(spec)
     for kind, k in CASES:
         expected = _sieve_sums(field, kind, k, XMAX)
-        got = [_sublinear._SUMS[kind](field, k, x) for x in GATE_X]
+        got = [_route(field, kind, k, x) for x in GATE_X]
         assert got == expected[GATE_X].tolist(), (kind, k)
 
 
@@ -55,9 +60,9 @@ def test_primitives_at_the_table_cutoff(spec, fresh_memos):
     cum_count = _sieve_sums(field, "count", 0, x)
     ys = np.array([1, 2, size - 1, size, size + 1, x // 2, x], dtype=np.int64)
     assert counts.many(ys).tolist() == cum_count[ys].tolist()
-    mertens = _sublinear._Mertens(field, x, counts)
+    mertens = _sublinear._Mertens(field, [x], counts)
     js = np.arange(1, x + 1, dtype=np.int64)
-    assert np.array_equal(mertens.many(js), _sieve_sums(field, "mobius", 1, x)[x // js])
+    assert np.array_equal(mertens.many(0, js), _sieve_sums(field, "mobius", 1, x)[x // js])
 
 
 def test_hyperbola_batches(monkeypatch):
@@ -73,6 +78,19 @@ def test_hyperbola_batches(monkeypatch):
         assert got.tolist() == counts[ys].tolist(), spec
 
 
+def test_quotients_on_both_sides_of_2_to_52():
+    # float quotients below 2^52, integer ones above; cells past the u of
+    # their row are 0
+    ns = np.arange(1, 3001, dtype=np.int64)
+    for top in (2**52 - 1, 2**52, 2**62 - 1):
+        # top // 3000 * 3000 - 1 is 1/n short of a multiple of each n | 3000
+        ys = [top, top - 12345, top // 3000 * 3000 - 1, 3000 * 2999]
+        us = [3000, 1000, 3000, 7]
+        got = _sublinear._quotients(np.array(ys)[:, None], ns, np.array(us)[:, None])
+        assert got.tolist() == [[y // n if n <= u else 0 for n in range(1, 3001)]
+                                for y, u in zip(ys, us)], top
+
+
 def _random_fields():
     m = st.integers(-10**4, 10**4).filter(lambda m: m not in (0, 1) and is_squarefree(m))
     return st.one_of(st.sampled_from(SPECS).map(parse_field), m.map(make_quadratic_field))
@@ -82,14 +100,14 @@ def _random_fields():
 @given(field=_random_fields(), case=st.sampled_from(CASES), x=st.integers(1, 20_000))
 def test_route_matches_sieve_on_random_fields(field, case, x):
     kind, k = case
-    assert _sublinear._SUMS[kind](field, k, x) == int(_sieve_sums(field, kind, k, x)[x])
+    assert _route(field, kind, k, x) == int(_sieve_sums(field, kind, k, x)[x])
 
 
 @pytest.mark.parametrize("k", [62, 63, 64, 10**400])
 def test_orders_past_every_exponent(k):
     field = parse_field("q:-5")
     for kind in ("kfree", "mobius", "liouville"):
-        assert _sublinear._SUMS[kind](field, k, 5000) == _sieve_sums(field, kind, k, 5000)[-1]
+        assert _route(field, kind, k, 5000) == _sieve_sums(field, kind, k, 5000)[-1]
 
 
 def test_cached_array_answers_first(monkeypatch):
@@ -130,6 +148,37 @@ def test_route_tables_answer_the_sieve(fresh_memos, monkeypatch):
     assert calls == [5000, 5000]  # the two reference sums above, and no other
 
 
+def _straddling(xmax):
+    # seeded x, the table size T = [x^(2/3)] of each, and the neighbours of
+    # the largest T: some points sit just inside or outside the tables of
+    # another
+    seeded = random.Random(20261019).sample(range(501, xmax + 1), 6) + [xmax]
+    sizes = [_sublinear.table_size(x) for x in seeded]
+    return sorted(set(seeded + sizes + [max(sizes) - 1, max(sizes) + 1]))
+
+
+@pytest.mark.parametrize("spec", sorted(SIEVE_FIELDS))
+def test_one_grid_call_equals_separate_sums(spec, fresh_memos):
+    # one exact_sums call, tables built for its largest x, against one sum
+    # per x: in turn over a dense run, each from the tables of the x before;
+    # and alone over the straddling points.  A table field's table stops at
+    # 3000.
+    field = SIEVE_FIELDS[spec]
+    straddling = _straddling(XMAX if field.prime_table is None else 3000)
+    cases = ([("count", 0), ("kfree", 2), ("kfree", 3)]
+             + [(kind, k) for kind in ("mobius", "liouville") for k in (1, 2, 3)])
+    for kind, k in cases:
+        for xs, alone in ((list(range(1, 501)), False), (straddling, True)):
+            _sieve.clear_cache()
+            got = _sublinear.exact_sums(field, kind, k, xs)
+            separate = []
+            for x in xs:
+                if alone:
+                    _sieve.clear_cache()
+                separate.append(_sublinear.exact_sums(field, kind, k, [x])[0])
+            assert got == separate, (kind, k, xs)
+
+
 def test_inversion_formula_over_a_table_field():
     # Q(i) as a prime-ideal table: 2 ramifies, p = 1 mod 4 splits, p = 3 mod 4 is inert
     table = make_table_field({p: [(1, 2, 1)] if p == 2 else [(1, 1, 2)] if p % 4 == 1
@@ -142,9 +191,9 @@ def test_inversion_formula_over_a_table_field():
 
 def test_refuses_before_building_tables():
     with pytest.raises(ValueError, match="too large: its tables reach"):
-        _sublinear.exact_sum(parse_field("q:-1"), "liouville", 2, 10**300)
+        _sublinear.exact_sums(parse_field("q:-1"), "liouville", 2, [10**300])
     with pytest.raises(ValueError, match="exceeds"):
-        _sublinear.exact_sum(parse_field("q"), "kfree", 30, 2**63)
+        _sublinear.exact_sums(parse_field("q"), "kfree", 30, [2**63])
 
 
 @pytest.mark.parametrize("spec", sorted(SIEVE_FIELDS))
@@ -154,16 +203,16 @@ def test_route_equals_sieve_with_kept_tables(spec, fresh_memos):
     # route is the inversion formula, and its table stops at 3000.
     field = SIEVE_FIELDS[spec]
     if field.prime_table is None:
-        xs, cases, route = (1, 2, 97, 1000, 2999, 50_000), CASES, _sublinear._SUMS
+        xs, cases, route = (1, 2, 97, 1000, 2999, 50_000), CASES, _route
     else:
         xs = (1, 2, 97, 1000, 2999, 3000)
         cases = [("kfree", k) for k in (2, 3, 4)]
-        route = {"kfree": _sublinear.kfree_count}
+        route = lambda field, kind, k, x: _sublinear.kfree_counts(field, k, [x])[0]  # noqa: E731
     expected = {case: _sieve_sums(field, *case, max(xs)) for case in cases}
     for order in (xs[::-1], xs):
         _sieve.clear_cache()
         for kind, k in cases:
-            got = [route[kind](field, k, x) for x in order]
+            got = [route(field, kind, k, x) for x in order]
             assert got == expected[kind, k][list(order)].tolist(), (kind, k, order)
     # the route kept its mu_1 table in the memo of the sieve
     assert (field.cache_key(), ("mobius", 1)) in _sieve._CUM_CACHE
@@ -178,7 +227,7 @@ def test_kept_route_tables_are_bounded(fresh_memos, monkeypatch):
     specs = ("q:-1", "q:5", "q:-5")
     for spec in specs:
         field = parse_field(spec)
-        assert _sublinear.exact_sum(field, "liouville", 2, 10**5) == \
+        assert _sublinear.exact_sums(field, "liouville", 2, [10**5])[0] == \
             int(_sieve_sums(field, "liouville", 2, 10**5)[-1])
     assert [key for key, _ in _sieve._CUM_CACHE] == \
         [parse_field(s).cache_key() for s in specs[1:] for _ in range(2)]
@@ -188,7 +237,7 @@ def test_kept_route_tables_are_bounded(fresh_memos, monkeypatch):
     monkeypatch.setattr(_sieve, "_KEPT_BYTES", 8 * size)
     field = parse_field("q:2")
     for x, kind in ((10**6, "liouville"), (10**4, "mobius"), (10**4, "liouville")):
-        assert _sublinear.exact_sum(field, kind, 2, x) == \
+        assert _sublinear.exact_sums(field, kind, 2, [x])[0] == \
             int(_sieve_sums(field, kind, 2, x)[-1])
         assert kept_bytes() <= 8 * size or len(_sieve._CUM_CACHE) == 1
         if x == 10**6:  # its mu_1 table alone is over the budget
