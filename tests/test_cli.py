@@ -533,6 +533,151 @@ def test_verify_output_pinned(spec, suite, xmax):
     assert code == 0 and out == PINNED_VERIFY[spec, suite, xmax]
 
 
+# stdout of `verify` at edge sizes, recorded before the suites ran on exponent
+# rows in numpy: corr_x = 200 past xmax, so the correlation sums stream their
+# B on their own; the unit ideal alone; J_6 past int64 in the multiplicativity
+# check; and a counting suite of one k-free order
+PINNED_VERIFY_EDGES = {
+    ('--field', 'q:-5', '--suite', 'identities', '--xmax', '150'): """\
+ok   |mu_1(A)| = sum of mu_1(D) over D^2 | A  [q:-5]  tested=216
+ok   |mu_2(A)| = sum of mu_1(D) over D^3 | A  [q:-5]  tested=216
+ok   |mu_3(A)| = sum of mu_1(D) over D^4 | A  [q:-5]  tested=216
+ok   |mu_4(A)| = sum of mu_1(D) over D^5 | A  [q:-5]  tested=216
+ok   (q_2 * lambda_1)(A) = delta(A)  [q:-5]  tested=216
+ok   (q_3 * lambda_2)(A) = delta(A)  [q:-5]  tested=216
+ok   (q_4 * lambda_3)(A) = delta(A)  [q:-5]  tested=216
+ok   mu_2(A) = sum mu_1(A/D^2) mu_1(A/D) over D^2 | A  [q:-5]  tested=216
+ok   mu_3(A) = sum mu_2(A/D^3) mu_2(A/D) over D^3 | A  [q:-5]  tested=216
+ok   mu_4(A) = sum mu_3(A/D^4) mu_3(A/D) over D^4 | A  [q:-5]  tested=216
+ok   lambda_1(A) = sum mu_1(A/D^2) over D^2 | A  [q:-5]  tested=216
+ok   lambda_2(A) = sum mu_1(A/D^3) over D^3 | A  [q:-5]  tested=216
+ok   lambda_3(A) = sum mu_1(A/D^4) over D^4 | A  [q:-5]  tested=216
+ok   lambda_4(A) = sum mu_1(A/D^5) over D^5 | A  [q:-5]  tested=216
+ok   mu_1(A^1) = mu_1(A)  [q:-5]  tested=216
+ok   mu_2(A^2) = mu_1(A)  [q:-5]  tested=216
+ok   mu_3(A^3) = mu_1(A)  [q:-5]  tested=216
+ok   mu_4(A^4) = mu_1(A)  [q:-5]  tested=216
+ok   sum mu_1(E)/N(E) over E | A = J_1(A)/N(A)  [q:-5]  tested=216
+ok   correlation sum vs signed coprime 2-free count, x=200  [q:-5]  tested=216
+ok   correlation sum vs signed coprime 3-free count, x=200  [q:-5]  tested=216
+ok   correlation sum vs signed coprime 4-free count, x=200  [q:-5]  tested=216
+ok   f(AB) = f(A) f(B) for coprime A, B  [q:-5]  tested=3000
+passed identities suite: 0 of 23 checks failed
+""",
+    ('--field', 'q:2', '--suite', 'identities', '--xmax', '150'): """\
+ok   |mu_1(A)| = sum of mu_1(D) over D^2 | A  [q:2]  tested=92
+ok   |mu_2(A)| = sum of mu_1(D) over D^3 | A  [q:2]  tested=92
+ok   |mu_3(A)| = sum of mu_1(D) over D^4 | A  [q:2]  tested=92
+ok   |mu_4(A)| = sum of mu_1(D) over D^5 | A  [q:2]  tested=92
+ok   (q_2 * lambda_1)(A) = delta(A)  [q:2]  tested=92
+ok   (q_3 * lambda_2)(A) = delta(A)  [q:2]  tested=92
+ok   (q_4 * lambda_3)(A) = delta(A)  [q:2]  tested=92
+ok   mu_2(A) = sum mu_1(A/D^2) mu_1(A/D) over D^2 | A  [q:2]  tested=92
+ok   mu_3(A) = sum mu_2(A/D^3) mu_2(A/D) over D^3 | A  [q:2]  tested=92
+ok   mu_4(A) = sum mu_3(A/D^4) mu_3(A/D) over D^4 | A  [q:2]  tested=92
+ok   lambda_1(A) = sum mu_1(A/D^2) over D^2 | A  [q:2]  tested=92
+ok   lambda_2(A) = sum mu_1(A/D^3) over D^3 | A  [q:2]  tested=92
+ok   lambda_3(A) = sum mu_1(A/D^4) over D^4 | A  [q:2]  tested=92
+ok   lambda_4(A) = sum mu_1(A/D^5) over D^5 | A  [q:2]  tested=92
+ok   mu_1(A^1) = mu_1(A)  [q:2]  tested=92
+ok   mu_2(A^2) = mu_1(A)  [q:2]  tested=92
+ok   mu_3(A^3) = mu_1(A)  [q:2]  tested=92
+ok   mu_4(A^4) = mu_1(A)  [q:2]  tested=92
+ok   sum mu_1(E)/N(E) over E | A = J_1(A)/N(A)  [q:2]  tested=92
+ok   correlation sum vs signed coprime 2-free count, x=200  [q:2]  tested=92
+ok   correlation sum vs signed coprime 3-free count, x=200  [q:2]  tested=92
+ok   correlation sum vs signed coprime 4-free count, x=200  [q:2]  tested=92
+ok   f(AB) = f(A) f(B) for coprime A, B  [q:2]  tested=1666
+passed identities suite: 0 of 23 checks failed
+""",
+    ('--field', 'q', '--suite', 'identities', '--xmax', '1'): """\
+ok   |mu_1(A)| = sum of mu_1(D) over D^2 | A  [q]  tested=1
+ok   |mu_2(A)| = sum of mu_1(D) over D^3 | A  [q]  tested=1
+ok   |mu_3(A)| = sum of mu_1(D) over D^4 | A  [q]  tested=1
+ok   |mu_4(A)| = sum of mu_1(D) over D^5 | A  [q]  tested=1
+ok   (q_2 * lambda_1)(A) = delta(A)  [q]  tested=1
+ok   (q_3 * lambda_2)(A) = delta(A)  [q]  tested=1
+ok   (q_4 * lambda_3)(A) = delta(A)  [q]  tested=1
+ok   mu_2(A) = sum mu_1(A/D^2) mu_1(A/D) over D^2 | A  [q]  tested=1
+ok   mu_3(A) = sum mu_2(A/D^3) mu_2(A/D) over D^3 | A  [q]  tested=1
+ok   mu_4(A) = sum mu_3(A/D^4) mu_3(A/D) over D^4 | A  [q]  tested=1
+ok   lambda_1(A) = sum mu_1(A/D^2) over D^2 | A  [q]  tested=1
+ok   lambda_2(A) = sum mu_1(A/D^3) over D^3 | A  [q]  tested=1
+ok   lambda_3(A) = sum mu_1(A/D^4) over D^4 | A  [q]  tested=1
+ok   lambda_4(A) = sum mu_1(A/D^5) over D^5 | A  [q]  tested=1
+ok   mu_1(A^1) = mu_1(A)  [q]  tested=1
+ok   mu_2(A^2) = mu_1(A)  [q]  tested=1
+ok   mu_3(A^3) = mu_1(A)  [q]  tested=1
+ok   mu_4(A^4) = mu_1(A)  [q]  tested=1
+ok   sum mu_1(E)/N(E) over E | A = J_1(A)/N(A)  [q]  tested=1
+ok   correlation sum vs signed coprime 2-free count, x=200  [q]  tested=1
+ok   correlation sum vs signed coprime 3-free count, x=200  [q]  tested=1
+ok   correlation sum vs signed coprime 4-free count, x=200  [q]  tested=1
+ok   f(AB) = f(A) f(B) for coprime A, B  [q]  tested=1
+passed identities suite: 0 of 23 checks failed
+""",
+    ('--field', 'q:-1', '--suite', 'identities', '--xmax', '60', '--kmax', '6'): """\
+ok   |mu_1(A)| = sum of mu_1(D) over D^2 | A  [q:-1]  tested=46
+ok   |mu_2(A)| = sum of mu_1(D) over D^3 | A  [q:-1]  tested=46
+ok   |mu_3(A)| = sum of mu_1(D) over D^4 | A  [q:-1]  tested=46
+ok   |mu_4(A)| = sum of mu_1(D) over D^5 | A  [q:-1]  tested=46
+ok   |mu_5(A)| = sum of mu_1(D) over D^6 | A  [q:-1]  tested=46
+ok   |mu_6(A)| = sum of mu_1(D) over D^7 | A  [q:-1]  tested=46
+ok   (q_2 * lambda_1)(A) = delta(A)  [q:-1]  tested=46
+ok   (q_3 * lambda_2)(A) = delta(A)  [q:-1]  tested=46
+ok   (q_4 * lambda_3)(A) = delta(A)  [q:-1]  tested=46
+ok   (q_5 * lambda_4)(A) = delta(A)  [q:-1]  tested=46
+ok   (q_6 * lambda_5)(A) = delta(A)  [q:-1]  tested=46
+ok   mu_2(A) = sum mu_1(A/D^2) mu_1(A/D) over D^2 | A  [q:-1]  tested=46
+ok   mu_3(A) = sum mu_2(A/D^3) mu_2(A/D) over D^3 | A  [q:-1]  tested=46
+ok   mu_4(A) = sum mu_3(A/D^4) mu_3(A/D) over D^4 | A  [q:-1]  tested=46
+ok   mu_5(A) = sum mu_4(A/D^5) mu_4(A/D) over D^5 | A  [q:-1]  tested=46
+ok   mu_6(A) = sum mu_5(A/D^6) mu_5(A/D) over D^6 | A  [q:-1]  tested=46
+ok   lambda_1(A) = sum mu_1(A/D^2) over D^2 | A  [q:-1]  tested=46
+ok   lambda_2(A) = sum mu_1(A/D^3) over D^3 | A  [q:-1]  tested=46
+ok   lambda_3(A) = sum mu_1(A/D^4) over D^4 | A  [q:-1]  tested=46
+ok   lambda_4(A) = sum mu_1(A/D^5) over D^5 | A  [q:-1]  tested=46
+ok   lambda_5(A) = sum mu_1(A/D^6) over D^6 | A  [q:-1]  tested=46
+ok   lambda_6(A) = sum mu_1(A/D^7) over D^7 | A  [q:-1]  tested=46
+ok   mu_1(A^1) = mu_1(A)  [q:-1]  tested=46
+ok   mu_2(A^2) = mu_1(A)  [q:-1]  tested=46
+ok   mu_3(A^3) = mu_1(A)  [q:-1]  tested=46
+ok   mu_4(A^4) = mu_1(A)  [q:-1]  tested=46
+ok   mu_5(A^5) = mu_1(A)  [q:-1]  tested=46
+ok   mu_6(A^6) = mu_1(A)  [q:-1]  tested=46
+ok   sum mu_1(E)/N(E) over E | A = J_1(A)/N(A)  [q:-1]  tested=46
+ok   correlation sum vs signed coprime 2-free count, x=200  [q:-1]  tested=46
+ok   correlation sum vs signed coprime 3-free count, x=200  [q:-1]  tested=46
+ok   correlation sum vs signed coprime 4-free count, x=200  [q:-1]  tested=46
+ok   correlation sum vs signed coprime 5-free count, x=200  [q:-1]  tested=46
+ok   correlation sum vs signed coprime 6-free count, x=200  [q:-1]  tested=46
+ok   f(AB) = f(A) f(B) for coprime A, B  [q:-1]  tested=692
+passed identities suite: 0 of 35 checks failed
+""",
+    ('--field', 'q:2', '--suite', 'counting', '--xmax', '300', '--kmax', '2'): """\
+ok   enumerate_ideals size = ideal_count  [q:2]  tested=5
+ok   #(norm n) = sum of chi_D over divisors of n, n <= 300  [q:2]  tested=300
+ok   coprime count = sum mu_1(E) [X/N(E)]_F over E | A  [q:2]  tested=384
+ok   k-free inversion formula exact for every x <= 300, k=2  [q:2]  tested=300
+passed counting suite: 0 of 4 checks failed
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_VERIFY_EDGES))
+def test_verify_output_pinned_at_edge_sizes(argv):
+    code, out, _ = run_cli(["verify", *argv])
+    assert code == 0 and out == PINNED_VERIFY_EDGES[argv]
+
+
+def test_verify_refuses_orders_whose_powers_pass_the_norm_limit():
+    # mu_64(A^64) needs A^64, past 2^62 for every A of norm >= 2
+    code, out, err = run_cli(["verify", "--field", "q:-1", "--suite", "identities",
+                              "--xmax", "60", "--kmax", "64"])
+    assert_one_line_error(code, out, err)
+    assert err == "error: ideal norm exceeds 4611686018427387904\n"
+
+
 def test_output_independent_of_threads_env():
     # three repeated in-process runs give identical bytes
     argv = ["report", "--field", "q:-1", "--theorem", "1",
@@ -648,6 +793,24 @@ def run_fresh(argv):
     proc = subprocess.run([sys.executable, "-m", "idealfunc", *argv],
                           capture_output=True, text=True, env=_fresh_env(), timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+# peak RSS of that run before the suites ran on exponent rows in numpy:
+# 34,004 KiB (2-vCPU Xeon, Python 3.11, numpy 2.4)
+VERIFY_5000_MAXRSS_KIB = 34_004
+
+
+def test_verify_peak_memory_stays_near_its_object_by_object_figure():
+    # a wrapper interpreter, so RUSAGE_CHILDREN sees the verify run alone
+    wrapper = ("import resource, subprocess, sys; "
+               "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True); "
+               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    proc = subprocess.run(
+        [sys.executable, "-c", wrapper, sys.executable, "-m", "idealfunc", "verify",
+         "--field", "q", "--suite", "identities", "--xmax", "5000"],
+        capture_output=True, text=True, env=_fresh_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= VERIFY_5000_MAXRSS_KIB + 5 * 1024
 
 
 def test_closed_stdout_exits_without_a_traceback():
