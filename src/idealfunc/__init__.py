@@ -57,7 +57,6 @@ from .summatory import (
     mertens_k,
     mobius_report,
     qfree_count,
-    qfree_count_fast,
     sweep,
 )
 

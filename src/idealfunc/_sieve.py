@@ -37,7 +37,7 @@ import numpy as np
 
 from .field import FieldSpec, _check_memory, primes_up_to
 
-__all__ = ["coefficient_array", "cumulative_array", "covers", "kept_array", "clear_cache"]
+__all__ = ["coefficient_array", "cumulative_array", "kept_array", "clear_cache"]
 
 
 def _count(e: int, k: int, norm: int) -> int:
@@ -224,7 +224,7 @@ def kept_array(field: FieldSpec, name: object, reach: int,
     """The kept array `name` of field if it was built for a reach at least
     as far, else build(reach), kept."""
     key = (field.cache_key(), name)
-    if _REACHES.get(key, -1) >= reach:
+    if key in _REACHES and _REACHES[key] >= reach:
         _CUM_CACHE.move_to_end(key)
         return _CUM_CACHE[key]
     if key in _REACHES:  # the shorter array goes before the longer is built
@@ -241,16 +241,13 @@ def kept_array(field: FieldSpec, name: object, reach: int,
     return array
 
 
-def covers(field: FieldSpec, kind: str, k: int, xmax: int) -> bool:
-    """Whether a kept prefix-sum array already reaches xmax."""
-    return _REACHES.get((field.cache_key(), (kind, k)), -1) >= xmax
-
-
 def cumulative_array(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarray:
     """Prefix sums of the coefficient array; cum[x] = sum_{n <= x} c(n).
 
     Kept in the memo above: the array may reach past xmax, and is read-only.
     """
+    if xmax < 0:
+        raise ValueError(f"xmax = {xmax} must be >= 0")
     return kept_array(field, (kind, k), int(xmax),
                       lambda reach: _cumulate(field, kind, k, reach))
 

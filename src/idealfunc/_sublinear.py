@@ -80,14 +80,12 @@ def exact_sums(field: FieldSpec, kind: str, k: int, xs: list[int]) -> list[int]:
     "liouville", as in `_sieve`) over the ideals of norm <= x, at each x of
     the non-empty xs.
 
-    A cached prefix-sum array that covers the largest x answers; otherwise a
-    built-in field takes the formulas of this module and a table field the
+    A built-in field takes the formulas of this module, and a table field the
     sieve, once for every x.
     """
-    top = max(xs)
-    if field.prime_table is None and not _sieve.covers(field, kind, k, top):
+    if field.prime_table is None:
         return _SUMS[kind](field, k, xs)
-    return _sieve.cumulative_array(field, kind, k, top)[xs].tolist()
+    return _sieve.cumulative_array(field, kind, k, max(xs))[xs].tolist()
 
 
 def _reserve(x: int, size: int) -> None:
@@ -195,13 +193,13 @@ class _Mertens:
     T of the largest x, the recursion above for every x at once."""
 
     def __init__(self, field: FieldSpec, xs: list[int], counts: _Counts):
-        self.xs = xs
+        self.xs = np.array(xs, dtype=np.int64)
         table = self.table = _sieve.cumulative_array(field, "mobius", 1, table_size(max(xs)))
         # A and M are both known up to size (A needs no table over Q), and
         # [x/j] > size exactly when j <= last; M([x/j]) for such j goes to
         # big[base + j], and big[0] stays 0
         size = len(table) - 1 if counts.table is None else min(len(table) - 1, counts.size)
-        lasts = self.lasts = np.array(xs, dtype=np.int64) // (size + 1)
+        lasts = self.lasts = self.xs // (size + 1)
         base = self.base = np.concatenate(([0], np.cumsum(lasts + 1)[:-1]))
         big = self.big = np.zeros(int(lasts.sum()) + len(xs), dtype=np.int64)
         # one row per (x, j), in rounds: j reads M only at jn, whose
@@ -210,7 +208,7 @@ class _Mertens:
         # come first, so the rows of a block have close widths u
         point = np.repeat(np.arange(len(xs)), lasts)
         js = np.arange(1, len(point) + 1) - np.repeat(np.cumsum(lasts) - lasts, lasts)
-        vs = np.array(xs, dtype=np.int64)[point] // js
+        vs = self.xs[point] // js
         ratios = lasts[point] // js
         rounds = np.frexp(ratios)[1]
         order = np.lexsort((-vs, rounds))
@@ -245,12 +243,23 @@ class _Mertens:
             big[places[i:e]] = 1 - acc + count(u) * table[u]
             i = e
 
-    def many(self, i: int, js: np.ndarray) -> np.ndarray:
-        """M([x/j]) for the i-th x at each entry of the int64 array js."""
-        out = self.table[np.minimum(self.xs[i] // js, len(self.table) - 1)]
-        head = js <= self.lasts[i]
-        out[head] = self.big[self.base[i] + js[head]]
+    def many(self, points: np.ndarray, js: np.ndarray) -> np.ndarray:
+        """M([x/j]) for the x of each entry of the index array points and the
+        j of each entry of the int64 array js, broadcast together."""
+        out = self.table[np.minimum(self.xs[points] // js, len(self.table) - 1)]
+        head = js <= self.lasts[points]
+        out[head] = self.big[(self.base[points] + js)[head]]
         return out
+
+
+def _weighted_sums(terms, count: int, ns: np.ndarray, ws: np.ndarray) -> list[int]:
+    """sum_j ws[j] F(x, ns[j]) at each of the `count` x of a grid, where
+    terms(points, ns) gives F for a column of indices of x against the row
+    ns: in blocks of at most _HYPERBOLA_TERMS cells, or of one row."""
+    step = max(1, _HYPERBOLA_TERMS // len(ns))
+    points = np.arange(count)[:, None]
+    return np.concatenate([terms(points[i : i + step], ns) @ ws
+                           for i in range(0, count, step)]).tolist()
 
 
 def _count(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
@@ -277,7 +286,8 @@ def kfree_counts(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
     # d^k <= the largest x < 2^63, and A([x/d^k]) = A(0) = 0 past a smaller
     # x; an order above 62 leaves d = [1] alone, and 1^64 = 1
     powers = d ** min(k, 64)
-    return [int(np.dot(mu[d], counts.many(x // powers))) for x in xs]
+    xs = np.array(xs, dtype=np.int64)
+    return _weighted_sums(lambda points, n: counts.many(xs[points] // n), len(xs), powers, mu[d])
 
 
 def _g_series(p: int, degrees: tuple[int, ...], k: int, amax: int) -> list[int]:
@@ -348,12 +358,13 @@ def _mobius(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
     size = table_size(top)
     if k == 1:
         _reserve(top, size)
-        mertens = _Mertens(field, xs, _Counts(field, size))
-        return [int(mertens.many(i, np.ones(1, dtype=np.int64))[0]) for i in range(len(xs))]
+        one = np.ones(1, dtype=np.int64)
+        return _weighted_sums(_Mertens(field, xs, _Counts(field, size)).many, len(xs), one, one)
     _reserve(top, size if field.degree == 2 else integer_kth_root(top, k))
     ns, gs = _kfull(field, k, top)
     counts = _Counts(field, size)
-    return [int(np.dot(gs, counts.many(x // ns))) for x in xs]  # A(0) = 0
+    xs = np.array(xs, dtype=np.int64)  # n > x reads A(0) = 0
+    return _weighted_sums(lambda points, n: counts.many(xs[points] // n), len(xs), ns, gs)
 
 
 def _liouville(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
@@ -366,7 +377,7 @@ def _liouville(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
     m = np.flatnonzero(a) + 1
     # m^(k+1) <= the largest x (M([x/j]) = 0 for j > x), and a huge k leaves m = [1]
     js = m ** min(k + 1, 64)
-    return [int(np.dot(a[m - 1], mertens.many(i, js))) for i in range(len(xs))]
+    return _weighted_sums(mertens.many, len(xs), js, a[m - 1])
 
 
 _SUMS = {"count": _count, "kfree": kfree_counts, "mobius": _mobius, "liouville": _liouville}

@@ -76,8 +76,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--fast", action="store_true",
-                   help="qfree only: the k-free inversion formula, which q and "
-                        "q:<m> take with or without --fast")
+                   help="qfree only; kept for old scripts: the answer is the same "
+                        "with or without it")
 
     p = sub.add_parser("report", help="remainder reports over a geometric grid")
     add_field(p)
@@ -200,8 +200,6 @@ def _cmd_sum(args, out) -> int:
         value = summatory.mertens_k(field, args.order, args.x)
     elif args.fn == "liouville":
         value = summatory.liouville_sum_k(field, args.order, args.x)
-    elif args.fast:
-        value = summatory.qfree_count_fast(field, args.order, args.x)
     else:
         value = summatory.qfree_count(field, args.order, args.x)
     print(value, file=out)

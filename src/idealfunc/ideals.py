@@ -233,7 +233,4 @@ def ideal_count(field: FieldSpec, X: float) -> int:
     """[X]_F: the number of ideals with norm <= X (see `_sublinear.exact_sums`)."""
     if X < 1:
         return 0
-    n = math.floor(X)
-    if field.degree == 1 and field.prime_table is None:
-        return n
-    return _sublinear.exact_sums(field, "count", 0, [n])[0]
+    return _sublinear.exact_sums(field, "count", 0, [math.floor(X)])[0]

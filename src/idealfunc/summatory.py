@@ -1,11 +1,11 @@
 """Summatory functions of the order-k Mobius, Liouville and k-free
-indicator functions, exact fast formulas, and remainder reports.
+indicator functions, and remainder reports.
 
-Raw sums are exact integers.  A prefix-sum array the sieve cache already
-holds answers; otherwise the rationals and quadratic fields take the
-sublinear formulas of `_sublinear`, and table fields the per-norm
-coefficient sieve.  The report types pair raw sums with real main terms and
-the normalizers under which the remainders are expected to stay bounded.
+Raw sums are exact integers, all from `_sublinear.exact_sums`: the
+rationals and quadratic fields take its sublinear formulas, and table
+fields the per-norm coefficient sieve.  The report types pair raw sums with
+real main terms and the normalizers under which the remainders are expected
+to stay bounded.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from . import _sieve, _sublinear
+from . import _sublinear
 from ._sublinear import integer_kth_root
 from .analytic import dedekind_zeta, mobius_density_constant, residue_c_F
 from .field import FieldSpec
@@ -27,8 +25,6 @@ __all__ = [
     "mertens_k",
     "liouville_sum_k",
     "qfree_count",
-    "qfree_count_fast",
-    "qfree_count_fast_array",
     "count_report",
     "mobius_report",
     "liouville_reports",
@@ -119,35 +115,6 @@ def qfree_count(field: FieldSpec, k: int, x: float) -> int:
     if k < 2:
         raise ValueError("k must be >= 2")
     return _sublinear.exact_sums(field, "kfree", k, [_floor_x(x)])[0]
-
-
-def qfree_count_fast(field: FieldSpec, k: int, x: float) -> int:
-    """k-free count by the exact inversion formula
-    sum_{N(D) <= x^(1/k)} mu_1(D) [x / N(D)^k]_F; equals qfree_count.
-
-    Over Q and quadratic fields this is also the route qfree_count takes.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    return _sublinear.kfree_counts(field, k, [_floor_x(x)])[0]
-
-
-def qfree_count_fast_array(field: FieldSpec, k: int, xmax: int) -> np.ndarray:
-    """Vectorized qfree_count_fast for every integer x in [0, xmax]."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    xmax = int(xmax)
-    root = integer_kth_root(xmax, k)
-    mu1 = _sieve.coefficient_array(field, "mobius", 1, root)
-    counts = _sieve.cumulative_array(field, "count", 0, xmax)
-    xs = np.arange(xmax + 1, dtype=np.int64)
-    total = np.zeros(xmax + 1, dtype=np.int64)
-    for d in range(1, root + 1):
-        c = int(mu1[d])
-        if c:
-            lo = d**k
-            total[lo:] += c * counts[xs[lo:] // lo]
-    return total
 
 
 _CONST_CACHE: dict[tuple, float] = {}

@@ -40,7 +40,7 @@ from .arith import (
     mu_k,
     q_k,
 )
-from .field import FieldSpec, PrimeIdealLabel, primes_with_norm_up_to
+from .field import NORM_LIMIT, FieldSpec, PrimeIdealLabel, primes_with_norm_up_to
 from .ideals import (
     IdealFactorization,
     enumerate_ideals,
@@ -49,7 +49,6 @@ from .ideals import (
     multiply,
     power,
 )
-from .summatory import qfree_count_fast_array
 
 __all__ = ["CheckResult", "identity_suite", "counting_suite", "SUITES"]
 
@@ -195,7 +194,9 @@ def _per_ideal(r: CheckResult, bad: np.ndarray, ideals: list[IdealFactorization]
 KMAX_LIMIT = 64
 
 
-def _check_kmax(kmax: int) -> None:
+def _check_sizes(xmax: int, kmax: int) -> None:
+    if xmax < 1:
+        raise ValueError("xmax must be >= 1")
     if not 1 <= kmax <= KMAX_LIMIT:
         raise ValueError(f"kmax must lie in [1, {KMAX_LIMIT}]")
 
@@ -207,8 +208,11 @@ def identity_suite(field: FieldSpec, xmax: int = 5000, kmax: int = 4,
     corr_x is the summation cutoff used when checking the correlation sum
     against its coprime k-free count (quantified over all A <= xmax).
     """
-    _check_kmax(kmax)
+    _check_sizes(xmax, kmax)
     ideals = list(enumerate_ideals(field, xmax))
+    top = ideals[-1].norm  # mu_k(A^k) builds A^k for every listed A
+    if top**kmax > NORM_LIMIT:
+        raise ValueError(f"kmax {kmax} needs A^{kmax} for ideals of norm up to {top}, past 2^62")
     lay = _Layout(ideals, primes_with_norm_up_to(field, max(xmax, corr_x, 1)))
     mu1 = _values(mu_1, ideals)
     results = _divisor_sum_checks(field, lay, mu1, kmax)
@@ -393,8 +397,6 @@ def _multiplicativity_check(field: FieldSpec, ideals: list[IdealFactorization],
 def _ideal_counts(field: FieldSpec, ys: np.ndarray) -> np.ndarray:
     """[y]_F at each y of the int64 array ys, as `ideal_count` gives it, with
     one `_sublinear.exact_sums` call for them all."""
-    if field.degree == 1 and field.prime_table is None:
-        return ys
     out = np.zeros_like(ys)
     some = ys >= 1
     if some.any():
@@ -406,7 +408,7 @@ def _ideal_counts(field: FieldSpec, ys: np.ndarray) -> np.ndarray:
 def counting_suite(field: FieldSpec, xmax: int = 10_000, kmax: int = 4) -> list[CheckResult]:
     """Counting and inversion checks: enumeration vs sieve, coefficient
     identity, coprime counting, and the exact k-free inversion formula."""
-    _check_kmax(kmax)
+    _check_sizes(xmax, kmax)
     results: list[CheckResult] = []
 
     r = CheckResult(f"enumerate_ideals size = ideal_count  [{field.label}]")
@@ -464,11 +466,11 @@ def counting_suite(field: FieldSpec, xmax: int = 10_000, kmax: int = 4) -> list[
     for k in range(2, min(kmax, 3) + 1):
         r = CheckResult(
             f"k-free inversion formula exact for every x <= {xmax}, k={k}  [{field.label}]")
-        direct = np.cumsum(_sieve.coefficient_array(field, "kfree", k, xmax))
-        fast = qfree_count_fast_array(field, k, xmax)
-        bad = np.nonzero(direct != fast)[0]
+        direct = np.cumsum(_sieve.coefficient_array(field, "kfree", k, xmax))[1:]
+        formula = _sublinear.kfree_counts(field, k, list(range(1, xmax + 1)))
+        bad = np.nonzero(direct != formula)[0]
         if bad.size:
-            r.fail(f"x={bad[0]}")
+            r.fail(f"x={bad[0] + 1}")
         r.tested = xmax
         results.append(r)
 

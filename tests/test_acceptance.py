@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from idealfunc import _sieve
+from idealfunc import _sieve, _sublinear
 from idealfunc.analytic import (
     dedekind_zeta,
     dedekind_zeta_series,
@@ -21,7 +21,7 @@ from idealfunc.analytic import (
     mobius_density_partial_sum,
 )
 from idealfunc.field import make_quadratic_field, make_rational_field, primes_up_to
-from idealfunc.summatory import mobius_report, qfree_count_fast, qfree_count_fast_array
+from idealfunc.summatory import mobius_report, qfree_count
 from idealfunc.verify import counting_suite, identity_suite
 
 RATIONAL = make_rational_field()
@@ -70,16 +70,19 @@ def test_criterion_identities():
 
 def test_criterion_kfree_inversion_exact():
     """The Mobius inversion formula for the k-free count is exact at every
-    integer x <= 10^5, all five fields, k in {2, 3}."""
+    integer x <= 10^5, all five fields, k in {2, 3}: the route of every k-free
+    sum, with the count table primed to 10^5 as the counting suite primes it."""
     bad = []
     total = 0
+    xs = list(range(1, 10**5 + 1))
     for field in ALL_FIELDS:
+        _sieve.cumulative_array(field, "count", 0, 10**5)
         for k in (2, 3):
-            direct = _sieve.cumulative_array(field, "kfree", k, 10**5)
-            formula = qfree_count_fast_array(field, k, 10**5)
+            direct = _sieve.cumulative_array(field, "kfree", k, 10**5)[1:]
+            formula = np.array(_sublinear.kfree_counts(field, k, xs))
             total += 10**5
             if not np.array_equal(direct, formula):
-                x = int(np.nonzero(direct != formula)[0][0])
+                x = int(np.nonzero(direct != formula)[0][0]) + 1
                 bad.append(f"{field.label} k={k} first mismatch at x={x}")
     _report("k-free inversion formula exactness", not bad,
             f"{total} (field, k, x) points" + (f"; {bad}" if bad else ""))
@@ -92,9 +95,9 @@ def test_criterion_classical_anchors():
     notes = []
     ok = True
 
-    if qfree_count_fast(RATIONAL, 2, 100) != 61:
+    if qfree_count(RATIONAL, 2, 100) != 61:
         ok, _ = False, notes.append("Q_2(100) != 61")
-    density = qfree_count_fast(RATIONAL, 2, 10**6) / 10**6
+    density = qfree_count(RATIONAL, 2, 10**6) / 10**6
     if abs(density - 6 / math.pi**2) > 1e-3 * (6 / math.pi**2):
         ok, _ = False, notes.append(f"squarefree density {density}")
 

@@ -10,7 +10,7 @@ import pytest
 
 from pathlib import Path
 
-from idealfunc import _sieve
+from idealfunc import _sieve, _sublinear
 from idealfunc.cli import main
 from idealfunc.field import parse_field, primes_up_to
 from idealfunc.summatory import CSV_HEADER
@@ -238,24 +238,28 @@ def _report_argv(spec, theorem, k, grid):
     return ["report", "--field", spec, "--theorem", theorem, "--order", k, "--grid", grid]
 
 
-def _sieve_primed_report(spec, theorem, k, grid):
-    # a report whose every point reads one prefix-sum array to the largest x
+def _sieve_primed_report(spec, theorem, k, grid, monkeypatch):
+    # a report whose every point reads one prefix-sum array to the largest x,
+    # the route swapped for that sieve
     _sieve.clear_cache()
-    top = math.floor(float(grid.split(":")[1]))
-    _sieve.cumulative_array(parse_field(spec), REPORT_KINDS[theorem],
-                            0 if theorem == "0" else int(k), top)
-    return run_cli(_report_argv(spec, theorem, k, grid))
+    sieve = {kind: lambda field, k, xs, kind=kind:
+             _sieve.cumulative_array(field, kind, k, max(xs))[xs].tolist()
+             for kind in REPORT_KINDS.values()}
+    with monkeypatch.context() as patch:
+        patch.setattr(_sublinear, "_SUMS", sieve)
+        return run_cli(_report_argv(spec, theorem, k, grid))
 
 
 @pytest.mark.parametrize("spec", REPORT_FIELDS)
-def test_report_matches_the_sieve_primed_report(spec, fresh_memos):
+def test_report_matches_the_sieve_primed_report(spec, fresh_memos, monkeypatch):
     # every grid takes the route, however dense: the bytes are those of one
     # sieve to its largest x
     for grid in ("1000:1000000:8", "1:500:40", "1000:1000000:200"):
         for theorem, k in [("0", "2")] + [(t, k) for t in "123" for k in "23"]:
             _sieve.clear_cache()
             got = run_cli(_report_argv(spec, theorem, k, grid))
-            assert got[0] == 0 and got == _sieve_primed_report(spec, theorem, k, grid), \
+            assert got[0] == 0 and \
+                got == _sieve_primed_report(spec, theorem, k, grid, monkeypatch), \
                 (grid, theorem, k)
 
 
@@ -671,11 +675,44 @@ def test_verify_output_pinned_at_edge_sizes(argv):
 
 
 def test_verify_refuses_orders_whose_powers_pass_the_norm_limit():
-    # mu_64(A^64) needs A^64, past 2^62 for every A of norm >= 2
-    code, out, err = run_cli(["verify", "--field", "q:-1", "--suite", "identities",
-                              "--xmax", "60", "--kmax", "64"])
+    # mu_k(A^k) needs A^k, past 2^62 once N(A)^k is: the largest norm of
+    # Z[i] up to 60 is 58 = 7^2 + 3^2, and 58^10 < 2^62 < 58^11
+    argv = ["verify", "--field", "q:-1", "--suite", "identities", "--xmax", "60"]
+    code, out, err = run_cli([*argv, "--kmax", "64"])
     assert_one_line_error(code, out, err)
-    assert err == "error: ideal norm exceeds 4611686018427387904\n"
+    assert err == "error: kmax 64 needs A^64 for ideals of norm up to 58, past 2^62\n"
+    code, out, err = run_cli([*argv, "--kmax", "11"])
+    assert_one_line_error(code, out, err)
+    assert err == "error: kmax 11 needs A^11 for ideals of norm up to 58, past 2^62\n"
+    code, out, err = run_cli([*argv, "--kmax", "10"])
+    assert code == 0 and err == ""
+    assert out.endswith("passed identities suite: 0 of 59 checks failed\n")
+
+
+@pytest.mark.parametrize("suite", ["identities", "counting"])
+@pytest.mark.parametrize("xmax", ["0", "-3"])
+def test_verify_refuses_xmax_below_1(suite, xmax):
+    # a suite over no ideal would pass having tested nothing
+    code, out, err = run_cli(["verify", "--field", "q:-1", "--suite", suite, "--xmax", xmax])
+    assert_one_line_error(code, out, err)
+    assert err == "error: xmax must be >= 1\n"
+
+
+def test_sum_fast_and_sum_take_one_path_on_a_table_field(tmp_path, fresh_memos, monkeypatch):
+    # --fast is accepted and changes nothing: the same bytes from the same sieves
+    path = tmp_path / "qi.table"
+    path.write_text(_table_text(primes_up_to(20_000).tolist(), True))
+    sieve = _sieve.coefficient_array
+    for k, x in (("2", "1"), ("2", "19999"), ("3", "7000")):
+        argv = ["sum", "--field", f"table:{path}", "--fn", "qfree", "--order", k, "--x", x]
+        runs = []
+        for fast in ((), ("--fast",)):
+            _sieve.clear_cache()
+            calls = []
+            monkeypatch.setattr(_sieve, "coefficient_array", lambda *args:
+                                calls.append(args[1:]) or sieve(*args))
+            runs.append((run_cli([*argv, *fast]), calls))
+        assert runs[0] == runs[1] and runs[0][0][0] == 0, (k, x)
 
 
 def test_output_independent_of_threads_env():

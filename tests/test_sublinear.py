@@ -17,7 +17,7 @@ from idealfunc.field import (
     primes_up_to,
 )
 from idealfunc.ideals import ideal_count
-from idealfunc.summatory import liouville_sum_k, mertens_k, qfree_count_fast
+from idealfunc.summatory import liouville_sum_k, mertens_k, qfree_count
 from test_sieve import FIELDS as SIEVE_FIELDS
 
 SPECS = ("q", "q:-1", "q:-5", "q:2", "q:5", "q:-3")
@@ -110,22 +110,11 @@ def test_orders_past_every_exponent(k):
         assert _route(field, kind, k, 5000) == _sieve_sums(field, kind, k, 5000)[-1]
 
 
-def test_cached_array_answers_first(monkeypatch):
-    field = parse_field("q:-5")
-    _sieve.clear_cache()
-    try:
-        cum = _sieve.cumulative_array(field, "mobius", 2, 5000)
-        monkeypatch.setitem(_sublinear._SUMS, "mobius", None)  # the route is not taken
-        assert mertens_k(field, 2, 4000) == cum[4000]
-    finally:
-        _sieve.clear_cache()
-
-
 def test_route_keeps_no_array_past_its_table_size(fresh_memos):
     # the route keeps its tables in the one memo of the sieve, but none of
     # them reaches past T = [x^(2/3)]: no x-sized array is built or kept
     field, x = parse_field("q:2"), 10**6
-    assert qfree_count_fast(field, 2, x) == int(_sieve_sums(field, "kfree", 2, x)[-1])
+    assert qfree_count(field, 2, x) == int(_sieve_sums(field, "kfree", 2, x)[-1])
     assert mertens_k(field, 1, x) == int(_sieve_sums(field, "mobius", 1, x)[-1])
     assert liouville_sum_k(field, 2, x) == int(_sieve_sums(field, "liouville", 2, x)[-1])
     size = _sublinear.table_size(x)
@@ -134,11 +123,10 @@ def test_route_keeps_no_array_past_its_table_size(fresh_memos):
 
 
 def test_route_tables_answer_the_sieve(fresh_memos, monkeypatch):
-    # the route's count and mu_1 tables are the sieve's prefix sums: a smaller
-    # x that they cover is answered from them, with no route and no new sieve
+    # the route's count and mu_1 tables are the sieve's prefix sums: the route
+    # answers a smaller x from the tables of a larger one, with no new sieve
     field = parse_field("q:-1")
     assert mertens_k(field, 1, 10**6) == int(_sieve_sums(field, "mobius", 1, 10**6)[-1])
-    monkeypatch.setattr(_sublinear, "_SUMS", {})
     calls = []
     sieve = _sieve.coefficient_array
     monkeypatch.setattr(_sieve, "coefficient_array", lambda field, kind, k, xmax:
@@ -179,13 +167,37 @@ def test_one_grid_call_equals_separate_sums(spec, fresh_memos):
             assert got == separate, (kind, k, xs)
 
 
-def test_inversion_formula_over_a_table_field():
-    # Q(i) as a prime-ideal table: 2 ramifies, p = 1 mod 4 splits, p = 3 mod 4 is inert
+@pytest.mark.parametrize("spec", sorted(s for s, f in SIEVE_FIELDS.items() if f.prime_table is None))
+def test_blocked_grid_equals_one_x_calls(spec, fresh_memos, monkeypatch):
+    # blocks of a few cells cut each grid sum into many, and a row wider than
+    # a block is a block of its own: the grid still equals one call per x
+    field = SIEVE_FIELDS[spec]
+    xs = sorted(set(random.Random(20261020).sample(range(3, 10**5 + 1), 12)) | {1, 2})
+    cases = ([("count", 0), ("kfree", 2), ("kfree", 3)]
+             + [(kind, k) for kind in ("mobius", "liouville") for k in (1, 2, 3)])
+    separate = {case: [_sublinear.exact_sums(field, *case, [x])[0] for x in xs]
+                for case in cases}
+    monkeypatch.setattr(_sublinear, "_HYPERBOLA_TERMS", 5)
+    for case in cases:
+        assert _sublinear.exact_sums(field, *case, xs) == separate[case], case
+    # M([x/j]) at a whole block of (x, j) at once
+    counts = _sublinear._Counts(field, _sublinear.table_size(xs[-1]))
+    mertens = _sublinear._Mertens(field, xs, counts)
+    js = np.arange(1, 400, dtype=np.int64)
+    points = np.arange(len(xs))[:, None]
+    expected = _sieve_sums(field, "mobius", 1, xs[-1])[np.array(xs)[:, None] // js]
+    assert np.array_equal(mertens.many(points, js), expected)
+
+
+def test_inversion_formula_over_a_table_field(fresh_memos):
+    # Q(i) as a prime-ideal table: 2 ramifies, p = 1 mod 4 splits, p = 3 mod 4
+    # is inert.  The counting suite of `verify` runs this branch at every x.
     table = make_table_field({p: [(1, 2, 1)] if p == 2 else [(1, 1, 2)] if p % 4 == 1
                               else [(2, 1, 1)] for p in primes_up_to(5000).tolist()})
     for k in (2, 3):
         expected = _sieve_sums(table, "kfree", k, 5000)
-        assert [qfree_count_fast(table, k, x) for x in (1, 99, 4999)] == \
+        assert _sublinear.kfree_counts(table, k, list(range(1, 5001))) == expected[1:].tolist()
+        assert _sublinear.kfree_counts(table, k, [1, 99, 4999]) == \
             expected[[1, 99, 4999]].tolist()
 
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from idealfunc._sieve import cumulative_array
+from idealfunc._sublinear import kfree_counts
 from idealfunc.field import primes_up_to
 from idealfunc.ideals import ideal_count
 from idealfunc.summatory import (
@@ -16,8 +18,6 @@ from idealfunc.summatory import (
     mertens_k,
     mobius_report,
     qfree_count,
-    qfree_count_fast,
-    qfree_count_fast_array,
     sweep,
 )
 
@@ -80,23 +80,26 @@ def test_published_mertens_and_squarefree_counts(rational, n):
 def test_qfree_classical_anchor(rational):
     # 61 squarefree integers up to 100
     assert qfree_count(rational, 2, 100) == 61
-    assert qfree_count_fast(rational, 2, 100) == 61
     # density of squarefree integers is 6/pi^2
-    got = qfree_count_fast(rational, 2, 10**6) / 10**6
+    got = qfree_count(rational, 2, 10**6) / 10**6
     assert got == pytest.approx(6 / math.pi**2, rel=1e-3)
 
 
 def test_qfree_fast_equals_direct(any_field):
+    # the inversion formula that answers qfree_count, against the k-free sieve
+    xs = [1, 10, 100, 1000, 5000]
     for k in (2, 3):
-        for x in (1, 10, 100, 1000, 5000):
-            assert qfree_count_fast(any_field, k, x) == qfree_count(any_field, k, x)
+        direct = cumulative_array(any_field, "kfree", k, 5000)[xs].tolist()
+        assert [qfree_count(any_field, k, x) for x in xs] == direct
+        assert kfree_counts(any_field, k, xs) == direct
 
 
 def test_qfree_fast_array(any_field):
+    # the inversion formula at every x of a grid, as the counting suite runs it
     for k in (2, 3):
-        arr = qfree_count_fast_array(any_field, k, 2000)
+        arr = kfree_counts(any_field, k, list(range(1, 2001)))
         for x in (1, 7, 100, 1999, 2000):
-            assert int(arr[x]) == qfree_count(any_field, k, x)
+            assert arr[x - 1] == qfree_count(any_field, k, x)
 
 
 def test_qfree_monotone_in_k(any_field):
