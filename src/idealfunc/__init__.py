@@ -51,11 +51,8 @@ from .ideals import (
 )
 from .summatory import (
     SummatoryReport,
-    kfree_report,
-    liouville_reports,
     liouville_sum_k,
     mertens_k,
-    mobius_report,
     qfree_count,
     sweep,
 )

@@ -121,8 +121,12 @@ def _parse_grid(spec: str) -> list[float]:
         a, b, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise UsageError(f"bad grid {spec!r}") from None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise UsageError(f"bad grid {spec!r}: a and b must be finite")
     if a < 1 or b < a or points < 1:
         raise UsageError("grid needs 1 <= a <= b and points >= 1")
+    if a == b and points > 1:
+        raise UsageError(f"bad grid {spec!r}: {points} points need a < b")
     if points == 1:
         return [a]
     ratio = (b / a) ** (1.0 / (points - 1))
@@ -214,10 +218,8 @@ def _cmd_report(args, out) -> int:
     kind = {"0": "count", "1": "mobius", "2": "liouville", "3": "qfree"}[args.theorem]
     reports = summatory.sweep(kind, field, args.order, grid)
     if args.format == "json":
-        rows = [{"field": r.field, "fn": r.fn, "k": r.k, "x": r.x, "raw": r.raw,
-                 "main": r.main, "remainder": r.remainder,
-                 "normalizer": r.normalizer, "normalized": r.normalized}
-                for r in reports]
+        columns = summatory.CSV_HEADER.split(",")
+        rows = [{name: getattr(r, name) for name in columns} for r in reports]
         print(json.dumps(rows), file=out)
     else:
         print(summatory.CSV_HEADER, file=out)

@@ -219,17 +219,20 @@ def _odd_prime_divisors(n: int) -> list[int]:
 
 
 def is_squarefree(n: int) -> bool:
-    n = abs(n)
+    """Whether no prime square divides n, by trial division up to |n|^(1/3):
+    what is left then has at most two prime factors, each above that bound,
+    so it is squarefree unless it is a perfect square."""
+    n = bound = abs(n)
     if n == 0:
         return False
     d = 2
-    while d * d <= n:
+    while d * d * d <= bound and d * d <= n:
         if n % (d * d) == 0:
             return False
         while n % d == 0:
             n //= d
-        d += 1
-    return True
+        d += 1 if d == 2 else 2
+    return n == 1 or math.isqrt(n) ** 2 != n
 
 
 def is_fundamental_discriminant(D: int) -> bool:
@@ -248,9 +251,13 @@ def make_rational_field() -> FieldSpec:
 
 
 def make_quadratic_field(m: int) -> FieldSpec:
+    disc = m if m % 4 == 1 else 4 * m
+    # the character's period |disc| past 2^62 fits no int64 array: nothing over
+    # such a field can be computed
+    if abs(disc) > NORM_LIMIT:
+        raise ValueError(f"m={m} is too large: its discriminant passes 2^62")
     if m in (0, 1) or not is_squarefree(m):
         raise ValueError(f"m={m} must be squarefree and not 0 or 1")
-    disc = m if m % 4 == 1 else 4 * m
     return FieldSpec(degree=2, disc=disc, m=m, label=f"q:{m}")
 
 
@@ -283,7 +290,10 @@ def load_prime_table(path: str | Path) -> FieldSpec:
     The file is read on every call, and a text parsed before under the same
     path gives the field parsed then, so an edited table parses again.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read prime table {path}: {exc.strerror or exc}") from None
     key = (str(path), text)
     field = _TABLE_FIELDS.get(key)
     if field is None:

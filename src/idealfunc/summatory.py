@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import _sublinear
 from ._sublinear import integer_kth_root
@@ -25,10 +25,6 @@ __all__ = [
     "mertens_k",
     "liouville_sum_k",
     "qfree_count",
-    "count_report",
-    "mobius_report",
-    "liouville_reports",
-    "kfree_report",
     "sweep",
     "integer_kth_root",
 ]
@@ -38,7 +34,8 @@ CSV_HEADER = "field,fn,k,x,raw,main,remainder,normalizer,normalized"
 
 @dataclass(frozen=True)
 class SummatoryReport:
-    """One summatory data point: exact raw sum vs. real main term at one x."""
+    """One summatory data point: exact raw sum vs. real main term at one x,
+    with the normalizer's tag and its value `scale` at x."""
 
     field: str
     fn: str
@@ -47,6 +44,7 @@ class SummatoryReport:
     raw: int
     main: float
     normalizer: str
+    scale: float
 
     @property
     def remainder(self) -> float:
@@ -54,7 +52,7 @@ class SummatoryReport:
 
     @property
     def normalized(self) -> float:
-        return self.remainder / _normalizer_value(self.normalizer, self.x)
+        return self.remainder / self.scale
 
     def csv_row(self) -> str:
         return (f"{self.field},{self.fn},{self.k},{self.x:.10g},{self.raw},"
@@ -67,27 +65,29 @@ def _clamped_log(x: float) -> float:
     return max(math.log(x), 1.0) if x > 0 else 1.0
 
 
-def _normalizer_value(tag: str, x: float) -> float:
-    if tag == "x^(1/2)":
-        return math.sqrt(x)
-    if tag == "x^(1/3)*log(x)":
-        return x ** (1.0 / 3.0) * _clamped_log(x)
-    if tag == "x^(1/2)*log(x)":
-        return math.sqrt(x) * _clamped_log(x)
-    if tag == "x^0.6":
-        return x**0.6
-    if tag == "x*exp(-sqrt(log(x)))":
-        return x * math.exp(-math.sqrt(max(math.log(x), 0.0)))
-    if tag.startswith("x^(1/") and tag.endswith(")*log(x)"):
-        k = int(tag[5 : tag.index(")")])
-        return x ** (1.0 / k) * _clamped_log(x)
-    if tag.startswith("x^(1/") and tag.endswith(")"):
-        k = int(tag[5:-1])
-        return x ** (1.0 / k)
-    if tag.startswith("x^((d-1)/(d+1));d="):
-        d = int(tag.rsplit("=", 1)[1])
-        return x ** ((d - 1.0) / (d + 1.0))
-    raise ValueError(f"unknown normalizer tag {tag!r}")
+def _normalizer(kind: str, d: int, k: int) -> tuple[str, Callable[[float], float]]:
+    """The tag and the function of x that normalize the remainder of a count
+    (any k), Mobius or k-free report over a field of degree d.
+
+    The count remainder R(x) takes x^((d-1)/(d+1)); M_k takes x^(1/k) log x;
+    the k-free count takes x^(1/k) over Q and for (d, k) = (2, 2), times log x
+    for (2, 3) and (3, 2), and R(x)'s normalizer otherwise.
+    """
+    tag, root = ("x^(1/2)", math.sqrt) if k == 2 else (f"x^(1/{k})", lambda x: x ** (1.0 / k))
+    if kind == "qfree" and (d == 1 or (d, k) == (2, 2)):
+        return tag, root
+    if kind == "mobius" or (kind == "qfree" and (d, k) in ((2, 3), (3, 2))):
+        return f"{tag}*log(x)", lambda x: root(x) * _clamped_log(x)
+    return f"x^((d-1)/(d+1));d={d}", lambda x: x ** ((d - 1.0) / (d + 1.0))
+
+
+# the Liouville sums' main term is 0; x^0.6 probes square-root cancellation
+# (epsilon 0.1), and x exp(-sqrt(log x)) is the unconditional shape, whose
+# constant in the exponent is a reporting convention, not a proved value
+_LIOUVILLE_NORMALIZERS = (
+    ("x^0.6", lambda x: x**0.6),
+    ("x*exp(-sqrt(log(x)))", lambda x: x * math.exp(-math.sqrt(max(math.log(x), 0.0)))),
+)
 
 
 def _floor_x(x: float) -> int:
@@ -128,50 +128,9 @@ def _constant(name: str, fn, field: FieldSpec, *args) -> float:
     return _CONST_CACHE[key]
 
 
-def count_report(field: FieldSpec, x: float) -> SummatoryReport:
-    """Ideal-count report: main term c_F x, so the remainder is R(x),
-    normalized by x^((d-1)/(d+1))."""
-    return sweep("count", field, 0, [x])[0]
-
-
-def mobius_report(field: FieldSpec, k: int, x: float) -> SummatoryReport:
-    """Order-k Mobius summatory report: main term (c_F / zeta_F(k)) K x,
-    remainder normalized by x^(1/k) log x."""
-    return sweep("mobius", field, k, [x])[0]
-
-
-def liouville_reports(field: FieldSpec, k: int,
-                      x: float) -> tuple[SummatoryReport, SummatoryReport]:
-    """Order-k Liouville cancellation probes (main term 0).
-
-    Two normalizations are reported: x^0.6 (square-root-cancellation probe
-    with epsilon 0.1) and x exp(-sqrt(log x)) (the unconditional shape; the
-    constant in the exponent is a reporting convention, not a proved value).
-    """
-    return tuple(sweep("liouville", field, k, [x]))
-
-
-def _kfree_normalizer(d: int, k: int) -> str:
-    if d == 1:
-        return f"x^(1/{k})"
-    if (d, k) == (2, 2):
-        return "x^(1/2)"
-    if (d, k) == (2, 3):
-        return "x^(1/3)*log(x)"
-    if (d, k) == (3, 2):
-        return "x^(1/2)*log(x)"
-    return f"x^((d-1)/(d+1));d={d}"
-
-
-def kfree_report(field: FieldSpec, k: int, x: float) -> SummatoryReport:
-    """k-free count report: main term c_F x / zeta_F(k), remainder normalized
-    by the (degree, k) case table."""
-    return sweep("qfree", field, k, [x])[0]
-
-
-# the coefficient kind and the least order of each report kind
-_REPORT_KINDS = {"count": ("count", 0), "mobius": ("mobius", 2),
-                 "liouville": ("liouville", 1), "qfree": ("kfree", 2)}
+# the coefficient kind, the least order and the fn letter of each report kind
+_REPORT_KINDS = {"count": ("count", 0, "R"), "mobius": ("mobius", 2, "M"),
+                 "liouville": ("liouville", 1, "L"), "qfree": ("kfree", 2, "Q")}
 
 
 def sweep(kind: str, field: FieldSpec, k: int,
@@ -183,7 +142,9 @@ def sweep(kind: str, field: FieldSpec, k: int,
     built for the largest x serve every point, and over a table field by one
     sieve to the largest x, which every point reads.  The grid must be
     strictly increasing; for the Liouville kind both normalizations are
-    emitted per point.  The count kind ignores k.
+    emitted per point.  The main terms are c_F x for the ideal count (whose
+    remainder is R(x); this kind ignores k), (c_F / zeta_F(k)) K_F(k) x for
+    M_k, 0 for L_k, and c_F x / zeta_F(k) for the k-free count.
     """
     if kind not in _REPORT_KINDS:
         raise ValueError(f"unknown report kind {kind!r}")
@@ -196,22 +157,21 @@ def sweep(kind: str, field: FieldSpec, k: int,
     # field) before sieving anything
     if kind != "liouville":
         c_F = _constant("c_F", residue_c_F, field)
-    coeff_kind, least = _REPORT_KINDS[kind]
+    coeff_kind, least, fn = _REPORT_KINDS[kind]
     k = 0 if kind == "count" else k
     if k < least:
         raise ValueError(f"k must be >= {least}")
     raws = _sublinear.exact_sums(field, coeff_kind, k, [_floor_x(x) for x in grid])
     if kind == "liouville":
-        return [SummatoryReport(field.label, "L", k, x, raw, 0.0, tag)
-                for x, raw in zip(grid, raws) for tag in ("x^0.6", "x*exp(-sqrt(log(x)))")]
-    if kind == "count":
-        fn, main, normalizer = "R", lambda x: c_F * x, f"x^((d-1)/(d+1));d={field.degree}"
+        main, normalizers = lambda x: 0.0, _LIOUVILLE_NORMALIZERS
     else:
+        main, normalizers = lambda x: c_F * x, (_normalizer(kind, field.degree, k),)
+    if kind in ("mobius", "qfree"):
         zeta = _constant("zeta", dedekind_zeta, field, float(k))
         if kind == "mobius":
             K = _constant("K", mobius_density_constant, field, k)
-            fn, main, normalizer = "M", lambda x: c_F / zeta * K * x, f"x^(1/{k})*log(x)"
+            main = lambda x: c_F / zeta * K * x
         else:
-            fn, main, normalizer = "Q", lambda x: c_F * x / zeta, _kfree_normalizer(field.degree, k)
-    return [SummatoryReport(field.label, fn, k, x, raw, main(x), normalizer)
-            for x, raw in zip(grid, raws)]
+            main = lambda x: c_F * x / zeta
+    return [SummatoryReport(field.label, fn, k, x, raw, main(x), tag, scale(x))
+            for x, raw in zip(grid, raws) for tag, scale in normalizers]

@@ -21,7 +21,7 @@ from idealfunc.analytic import (
     mobius_density_partial_sum,
 )
 from idealfunc.field import make_quadratic_field, make_rational_field, primes_up_to
-from idealfunc.summatory import mobius_report, qfree_count
+from idealfunc.summatory import qfree_count, sweep
 from idealfunc.verify import counting_suite, identity_suite
 
 RATIONAL = make_rational_field()
@@ -179,7 +179,7 @@ def test_criterion_mobius_sum_shape_and_constant():
     for field in (RATIONAL, GAUSSIAN):
         for k in (2, 3):
             cum = _sieve.cumulative_array(field, "mobius", k, XBIG)
-            rep = mobius_report(field, k, float(XBIG))
+            (rep,) = sweep("mobius", field, k, [float(XBIG)])
             slope = rep.main / XBIG
             x = np.arange(XBIG + 1, dtype=np.float64)
             norm = np.maximum(x, math.e) ** (1.0 / k) * np.log(np.maximum(x, math.e))

@@ -370,6 +370,53 @@ def test_report_bad_grid():
         code, _, err = run_cli(["report", "--field", "q", "--theorem", "1",
                                 "--order", "2", "--grid", grid])
         assert code == 1, grid
+    # non-finite ends, and several points between equal ends, are grid errors
+    for grid in ("nan:1e3:3", "1:inf:3", "1e3:1e3:3"):
+        code, out, err = run_cli(["report", "--field", "q", "--theorem", "1",
+                                  "--order", "2", "--grid", grid])
+        assert_one_line_error(code, out, err)
+        assert err.startswith(f"error: bad grid {grid!r}"), err
+
+
+def test_unreadable_table_path_exits_with_one_line(tmp_path):
+    for path in (tmp_path / "missing.table", tmp_path):
+        code, out, err = run_cli(["field", "--field", f"table:{path}"])
+        assert_one_line_error(code, out, err)
+        assert f"cannot read prime table {path}" in err
+
+
+def test_quadratic_field_past_the_discriminant_bound_is_refused_at_once():
+    start = time.perf_counter()
+    code, out, err = run_cli(["field", "--field", "q:" + "7" * 40])
+    assert time.perf_counter() - start < 1.0
+    assert_one_line_error(code, out, err)
+    assert "discriminant passes 2^62" in err
+
+
+def _readme_examples():
+    """The `idealfunc ...` lines of README's CLI and plotting blocks, with
+    the N of each `# -> N` comment (None where there is none)."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = []
+    for section in ("## CLI", "## Sweeps for plotting"):
+        block = readme.split(section, 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        for line in block.splitlines():
+            command, _, comment = line.partition("#")
+            expected = comment.split("->", 1)[1].strip() if "->" in comment else None
+            prog, *argv = command.split()
+            assert prog == "idealfunc", line
+            examples.append((argv, expected))
+    return examples
+
+
+def test_readme_examples_run():
+    examples = _readme_examples()
+    assert len(examples) >= 13
+    for argv, expected in examples:
+        code, out, err = run_cli(argv)
+        assert code == 0, (argv, err)
+        if expected is not None:
+            assert out.strip() == expected, argv
 
 
 def test_zeta_json_keys():

@@ -2,6 +2,8 @@ import copy
 import math
 import os
 import pickle
+import random
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from idealfunc import field as field_module
 from idealfunc.field import (
     PrimeIdealLabel,
     is_fundamental_discriminant,
+    is_squarefree,
     kronecker_symbol,
     make_quadratic_field,
     make_rational_field,
@@ -44,6 +47,45 @@ def test_quadratic_discriminants(m, disc):
 def test_quadratic_rejects_bad_m(m):
     with pytest.raises(ValueError):
         make_quadratic_field(m)
+
+
+def _squarefree_by_trial_division(n):
+    # the reference: trial division up to the square root
+    n = abs(n)
+    if n == 0:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % (d * d) == 0:
+            return False
+        while n % d == 0:
+            n //= d
+        d += 1
+    return True
+
+
+def test_is_squarefree_matches_trial_division_to_the_square_root():
+    rng = random.Random(20130527)
+    small = primes_up_to(50).tolist()
+    large = primes_up_to(5000)[-300:].tolist()  # above the cube root of what they build
+    ms = list(range(-500, 500)) + [rng.randrange(-10**8, 10**8) for _ in range(1000)]
+    for _ in range(200):
+        p, q, r = rng.choice(small), rng.choice(large), rng.choice(large)
+        ms += [p * p * q, q * q, p * q * q, q * r, p * q * r, -q * q]
+    for m in ms:
+        assert is_squarefree(m) == _squarefree_by_trial_division(m), m
+
+
+def test_large_quadratic_fields_answer_or_are_refused_quickly():
+    start = time.perf_counter()
+    assert make_quadratic_field(10**16 + 61).disc == 10**16 + 61
+    assert time.perf_counter() - start < 1.0
+    # a discriminant past 2^62 is refused before any trial division
+    for m in (2**60 + 3, -(2**60) - 1, int("9" * 40)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="discriminant passes 2"):
+            make_quadratic_field(m)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_kronecker_basics():

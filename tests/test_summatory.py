@@ -10,13 +10,10 @@ from idealfunc.ideals import ideal_count
 from idealfunc.summatory import (
     CSV_HEADER,
     SummatoryReport,
-    count_report,
+    _normalizer,
     integer_kth_root,
-    kfree_report,
-    liouville_reports,
     liouville_sum_k,
     mertens_k,
-    mobius_report,
     qfree_count,
     sweep,
 )
@@ -144,28 +141,28 @@ def test_integer_kth_root():
 
 def test_remainder_examples(rational, gaussian):
     # on Q the count is exactly floor(x), so R(x) = floor(x) - x
-    assert count_report(rational, 10.0).remainder == 0.0
-    assert count_report(rational, 10.5).remainder == pytest.approx(-0.5)
+    assert sweep("count", rational, 0, [10.0])[0].remainder == 0.0
+    assert sweep("count", rational, 0, [10.5])[0].remainder == pytest.approx(-0.5)
     # Q(i): 9 ideals of norm <= 10, c_F = pi/4
-    got = count_report(gaussian, 10.0).remainder
+    got = sweep("count", gaussian, 0, [10.0])[0].remainder
     assert got == pytest.approx(9 - 2.5 * math.pi, abs=1e-4)
 
 
 def test_report_consistency(rational, gaussian):
     for field in (rational, gaussian):
         for k in (2, 3):
-            rep = mobius_report(field, k, 1000.0)
+            (rep,) = sweep("mobius", field, k, [1000.0])
             assert rep.fn == "M" and rep.k == k and rep.field == field.label
             assert rep.remainder == rep.raw - rep.main
             assert rep.normalized == pytest.approx(
                 rep.remainder / (1000.0 ** (1 / k) * math.log(1000.0)))
             assert rep.raw == mertens_k(field, k, 1000)
 
-            qrep = kfree_report(field, k, 1000.0)
+            (qrep,) = sweep("qfree", field, k, [1000.0])
             assert qrep.raw == qfree_count(field, k, 1000)
             assert qrep.fn == "Q"
 
-            la, lb = liouville_reports(field, k, 1000.0)
+            la, lb = sweep("liouville", field, k, [1000.0])
             assert la.raw == lb.raw == liouville_sum_k(field, k, 1000)
             assert la.main == 0.0
             assert la.normalizer == "x^0.6"
@@ -176,13 +173,13 @@ def test_report_consistency(rational, gaussian):
 def test_kfree_main_term_accuracy(rational, gaussian):
     # Q_k(x) ~ c_F x / zeta_F(k): relative remainder shrinks at x = 10^6
     for field in (rational, gaussian):
-        rep = kfree_report(field, 2, 10**6)
+        (rep,) = sweep("qfree", field, 2, [10**6])
         assert abs(rep.remainder) / rep.raw < 1e-3
 
 
 def test_csv_row_format():
     rep = SummatoryReport(field="q", fn="M", k=2, x=100.0, raw=5,
-                          main=4.5, normalizer="x^(1/2)*log(x)")
+                          main=4.5, normalizer="x^(1/2)*log(x)", scale=46.0517)
     row = rep.csv_row()
     assert row.startswith("q,M,2,")
     assert len(row.split(",")) == len(CSV_HEADER.split(","))
@@ -190,10 +187,10 @@ def test_csv_row_format():
 
 def test_normalizer_tags(rational, gaussian):
     # degree/k case table for the k-free remainder normalizer
-    assert kfree_report(rational, 2, 100.0).normalizer == "x^(1/2)"
-    assert kfree_report(rational, 3, 100.0).normalizer == "x^(1/3)"
-    assert kfree_report(gaussian, 2, 100.0).normalizer == "x^(1/2)"
-    assert kfree_report(gaussian, 3, 100.0).normalizer == "x^(1/3)*log(x)"
+    assert sweep("qfree", rational, 2, [100.0])[0].normalizer == "x^(1/2)"
+    assert sweep("qfree", rational, 3, [100.0])[0].normalizer == "x^(1/3)"
+    assert sweep("qfree", gaussian, 2, [100.0])[0].normalizer == "x^(1/2)"
+    assert sweep("qfree", gaussian, 3, [100.0])[0].normalizer == "x^(1/3)*log(x)"
 
 
 def test_sweep(rational):
@@ -218,4 +215,139 @@ def test_invalid_arguments(rational):
     with pytest.raises(ValueError):
         mertens_k(rational, 1, 0.5)
     with pytest.raises(ValueError):
-        mobius_report(rational, 1, 10.0)
+        sweep("mobius", rational, 1, [10.0])
+
+
+# The bits of `normalized` at PINNED_XS for every normalizer tag that reports
+# over Q and Q(i) emit, theorems 0-3 at orders 2-5, keyed by
+# (kind, field, k, tag).  Rows with a main term carry the bits of c_F,
+# zeta_F(k) and K_F(k) too, so more exact constants change them.
+PINNED_XS = (1.0, 2.0, math.e, 1000.5, 1e9)
+NORMALIZED_BITS = {
+    ("count", "q", 0, "x^((d-1)/(d+1));d=1"):
+        ("0x0.0p+0", "0x0.0p+0", "-0x1.6fc2a2c515da4p-1",
+         "-0x1.0000000000000p-1", "0x0.0p+0"),
+    ("mobius", "q", 2, "x^(1/2)*log(x)"):
+        ("0x1.24bc6406d335cp-1", "0x1.9dfdb7894b488p-1", "0x1.0394febea028fp-1",
+         "-0x1.99b657f4168abp-6", "-0x1.e710c15a77664p-11"),
+    ("mobius", "q", 3, "x^(1/3)*log(x)"):
+        ("0x1.056e8b1bf4298p-2", "0x1.9eff43f09e0b1p-2", "-0x1.1d2eafa1e2ccap-6",
+         "-0x1.016854a9d04c7p-10", "-0x1.2b2766a2cfb66p-12"),
+    ("mobius", "q", 4, "x^(1/4)*log(x)"):
+        ("0x1.da908dbdce308p-4", "0x1.8f0f4a0e5e04ep-3", "-0x1.41a9213e9c6e3p-2",
+         "0x1.60e905754cd95p-7", "-0x1.0f0a4831b2de3p-9"),
+    ("mobius", "q", 5, "x^(1/5)*log(x)"):
+        ("0x1.bb07588487a00p-5", "0x1.81adcb0bc6e51p-4", "-0x1.def22e2b39cf6p-2",
+         "-0x1.d3601b3be68a0p-7", "0x1.a27a760e1fa05p-9"),
+    ("liouville", "q", 2, "x^0.6"):
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "-0x1.03974dd0ebb5bp-5", "0x1.0461b7a1fbb5fp-8"),
+    ("liouville", "q", 2, "x*exp(-sqrt(log(x)))"):
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "-0x1.c5a45fd9604d0p-6", "0x1.8d072ad13c3d5p-14"),
+    ("liouville", "q", 3, "x^0.6"):
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "-0x1.03974dd0ebb5bp-6", "0x1.4f42d2052698fp-8"),
+    ("liouville", "q", 3, "x*exp(-sqrt(log(x)))"):
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "-0x1.c5a45fd9604d0p-7", "0x1.ff3410e8fb38ep-14"),
+    ("liouville", "q", 4, "x^0.6"):
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "-0x1.8562f4b961909p-5", "-0x1.7d2e16d440016p-8"),
+    ("liouville", "q", 4, "x*exp(-sqrt(log(x)))"):
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "-0x1.543b47e30839cp-5", "-0x1.229c343f1ddb5p-13"),
+    ("liouville", "q", 5, "x^0.6"):
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x1.03974dd0ebb5bp-5", "0x1.3d42387f9845dp-12"),
+    ("liouville", "q", 5, "x*exp(-sqrt(log(x)))"):
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x1.c5a45fd9604d0p-6", "0x1.e3c0e8c1607bfp-18"),
+    ("qfree", "q", 2, "x^(1/2)"):
+        ("0x1.917b6e11f5f98p-2", "0x1.1be4082a18211p-1", "0x1.afa1faee86c0dp-3",
+         "-0x1.dfc21dd1eb19cp-8", "-0x1.e26c6f5fdb91bp-7"),
+    ("qfree", "q", 3, "x^(1/3)"):
+        ("0x1.5840f28b99040p-3", "0x1.113bfdefc11a8p-2", "-0x1.7f884c6822f2dp-3",
+         "0x1.151e8fbca9ae0p-4", "-0x1.324599999999bp-11"),
+    ("qfree", "q", 4, "x^(1/4)"):
+        ("0x1.378c5d7eeebe8p-4", "0x1.05fad77376331p-3", "-0x1.97efe409f71afp-2",
+         "0x1.b4b44e6f0f131p-4", "0x1.1ba03e6b91f28p-6"),
+    ("qfree", "q", 5, "x^(1/5)"):
+        ("0x1.23bd2905c1ba0p-5", "0x1.fbf26aa8f72ccp-5", "-0x1.048450e4b5f7bp-1",
+         "0x1.0c700e69a10cep-5", "0x1.2867cdf937a5bp-7"),
+    ("count", "q:-1", 0, "x^((d-1)/(d+1));d=2"):
+        ("0x1.b7827a7a4d4b0p-3", "0x1.5cd6ccfb4f13ap-2", "-0x1.8bff8a0ffc034p-4",
+         "0x1.f0345d9f4db97p-4", "0x1.382420e28f5c4p+1"),
+    ("mobius", "q:-1", 2, "x^(1/2)*log(x)"):
+        ("0x1.37e79425256cep-1", "0x1.b919875972771p-1", "0x1.232f948c8c269p-1",
+         "-0x1.2def77be77c71p-8", "0x1.3b74ed7fea34dp-9"),
+    ("mobius", "q:-1", 3, "x^(1/3)*log(x)"):
+        ("0x1.88bcf2571a634p-2", "0x1.37b766f8b34eep-1", "0x1.dbd9ffcab9fd2p-3",
+         "0x1.07cebae554031p-5", "0x1.723fdf330e354p-4"),
+    ("mobius", "q:-1", 4, "x^(1/4)*log(x)"):
+        ("0x1.2bb14521d4f66p-2", "0x1.f805482b7807ap-2", "0x1.ecffdc4b16cb7p-5",
+         "0x1.5d73ea1ba24b0p-4", "0x1.2ccdada110af4p-1"),
+    ("mobius", "q:-1", 5, "x^(1/5)*log(x)"):
+        ("0x1.025f13911505cp-2", "0x1.c1d9c8eebe923p-2", "-0x1.b2d5e4c50d149p-6",
+         "0x1.2131edf453a5cp-4", "0x1.c5cb59b589146p+0"),
+    ("liouville", "q:-1", 2, "x^0.6"):
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "-0x1.c648c82d9c7e0p-4", "-0x1.11bc98d3ab8e1p-4"),
+    ("liouville", "q:-1", 2, "x*exp(-sqrt(log(x)))"):
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "-0x1.8cefd3de34436p-4", "-0x1.a1643f9001d06p-10"),
+    ("liouville", "q:-1", 3, "x^0.6"):
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "-0x1.8562f4b961909p-4", "-0x1.1f06c760b2ffdp-5"),
+    ("liouville", "q:-1", 3, "x*exp(-sqrt(log(x)))"):
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "-0x1.543b47e30839cp-4", "-0x1.b5a7de5d79d7bp-11"),
+    ("liouville", "q:-1", 4, "x^0.6"):
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "-0x1.03974dd0ebb5bp-4", "-0x1.d9e60c215437bp-5"),
+    ("liouville", "q:-1", 4, "x*exp(-sqrt(log(x)))"):
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "-0x1.c5a45fd9604d0p-5", "-0x1.694c67f129c8cp-10"),
+    ("liouville", "q:-1", 5, "x^0.6"):
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "-0x1.03974dd0ebb5bp-4", "-0x1.8533ebf1292c0p-5"),
+    ("liouville", "q:-1", 5, "x*exp(-sqrt(log(x)))"):
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "-0x1.c5a45fd9604d0p-5", "-0x1.28ba09b73ef1fp-10"),
+    ("qfree", "q:-1", 2, "x^(1/2)"):
+        ("0x1.ea38ae871cd88p-2", "0x1.5aa38dff96f18p-1", "0x1.6a1f680594165p-2",
+         "0x1.7d074a3e8b23bp-5", "0x1.809ee365008a3p-5"),
+    ("qfree", "q:-1", 3, "x^(1/3)*log(x)"):
+        ("0x1.4d7ff4f28fdd4p-2", "0x1.08b2f11c62401p-1", "0x1.ea2e87e1f4199p-4",
+         "0x1.3f3c5efde181ap-6", "0x1.940316a1af2a2p-4"),
+    ("qfree", "q:-1", 4, "x^((d-1)/(d+1));d=2"):
+        ("0x1.109ec388d8356p-2", "0x1.b0c1ee8ffdb8ap-2", "0x1.fbe92e0b3c153p-9",
+         "0x1.253302d8f14ffp-2", "0x1.22ed11ee56043p+1"),
+    ("qfree", "q:-1", 5, "x^((d-1)/(d+1));d=2"):
+        ("0x1.eacf2e9f13f68p-3", "0x1.858e3c0a5a3c6p-2", "-0x1.885305c48c86ap-5",
+         "0x1.d164b794a42f2p-3", "0x1.3290211c28f5ep+1"),
+}
+DEGREE_3_BITS = {
+    ("qfree", 2, "x^(1/2)*log(x)"):
+        ("0x1.0000000000000p+0", "0x1.6a09e667f3bcdp+0", "0x1.a61298e1e069cp+0",
+         "0x1.b5068ff8df283p+7", "0x1.3ffbe697b549cp+19"),
+    ("qfree", 3, "x^((d-1)/(d+1));d=3"):
+        ("0x1.0000000000000p+0", "0x1.6a09e667f3bcdp+0", "0x1.a61298e1e069cp+0",
+         "0x1.fa17454877f67p+4", "0x1.ee1b1b3d78c7ap+14"),
+    ("count", 0, "x^((d-1)/(d+1));d=3"):
+        ("0x1.0000000000000p+0", "0x1.6a09e667f3bcdp+0", "0x1.a61298e1e069cp+0",
+         "0x1.fa17454877f67p+4", "0x1.ee1b1b3d78c7ap+14"),
+}
+
+
+def test_normalized_bits_pinned(rational, gaussian):
+    fields = {"q": rational, "q:-1": gaussian}
+    for (kind, label, k, tag), bits in NORMALIZED_BITS.items():
+        reports = [r for r in sweep(kind, fields[label], k, PINNED_XS) if r.normalizer == tag]
+        assert tuple(r.normalized.hex() for r in reports) == bits, (kind, label, k, tag)
+    # no built-in field has degree 3, and a table field has no c_F to report
+    # against, so degree 3 is pinned on the normalizer alone
+    for (kind, k, tag), bits in DEGREE_3_BITS.items():
+        got, scale = _normalizer(kind, 3, k)
+        assert got == tag
+        assert tuple(scale(x).hex() for x in PINNED_XS) == bits, (kind, k)
