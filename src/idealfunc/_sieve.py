@@ -11,9 +11,9 @@ gets one vectorised pass per power p^a <= x.  A prime p > sqrt(x) divides
 each n <= x at most once, with a cofactor m < p, and no n has two such
 primes, so their writes are disjoint: one vectorised write per cofactor m
 (about sqrt(x) of them) applies every large prime at once, instead of one
-Python pass per prime (664,579 of them at x = 10^7).  Their local values
-come from one splitting lookup per class of `FieldSpec.splitting_keys`
-(p mod |disc| for built-in fields), not one per prime.
+Python pass per prime (664,579 of them at x = 10^7).  `FieldSpec.splitting`
+sorts every prime into its splitting class at once, and a norm-free rule
+builds one local table per class, not one per prime.
 
 For the norm-free rules over a field of degree <= 2 the sieve works in a
 16-bit array: there |c(n)| <= tau(n), the number of divisors of n, and so
@@ -75,34 +75,19 @@ _RULES = {
 }
 
 
-# tables of the norm-free rules by (kind, k, degrees, amax): at most
-# _LOCAL_TABLES_KEPT tuples of at most 63 small ints
-_LOCAL_TABLES: dict[tuple, tuple] = {}
-_LOCAL_TABLES_KEPT = 1024
-
-
 def _local_table(kind: str, k: int, p: int, degrees: tuple[int, ...], amax: int) -> tuple:
     """Entry a: sum of f(A) over the ideals A above p of norm p^a, a <= amax.
 
-    A norm-free rule's table depends on p only through its degrees, and is
-    built once per process; mobius_density reads the norm, so its tables are
-    built on every call.
+    Only mobius_density reads p; the norm-free rules depend on p only
+    through its degrees.
     """
-    key = (kind, k, degrees, amax)
-    table = _LOCAL_TABLES.get(key)
-    if table is None:
-        rule = _RULES[kind]
-        series: list = [1] + [0] * amax
-        for f in degrees:
-            powers = [rule(e, k, p**f) for e in range(amax // f + 1)]
-            series = [sum(series[a - f * e] * powers[e] for e in range(a // f + 1))
-                      for a in range(amax + 1)]
-        table = tuple(series)
-        if kind != "mobius_density":
-            if len(_LOCAL_TABLES) >= _LOCAL_TABLES_KEPT:
-                del _LOCAL_TABLES[next(iter(_LOCAL_TABLES))]  # the oldest
-            _LOCAL_TABLES[key] = table
-    return table
+    rule = _RULES[kind]
+    series: list = [1] + [0] * amax
+    for f in degrees:
+        powers = [rule(e, k, p**f) for e in range(amax // f + 1)]
+        series = [sum(series[a - f * e] * powers[e] for e in range(a // f + 1))
+                  for a in range(amax + 1)]
+    return tuple(series)
 
 
 def coefficient_array(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarray:
@@ -132,22 +117,16 @@ def _sieve_work(field: FieldSpec, kind: str, k: int, xmax: int, dtype) -> np.nda
     root = math.isqrt(xmax)
     primes = primes_up_to(xmax)
     cut = int(np.searchsorted(primes, root, side="right"))
-    residue_degrees = field.residue_degrees
-    # a norm-free rule gives one table per splitting, shared by its primes
-    shared: dict[tuple[int, ...], tuple] = {}
+    classes, of = field.splitting(primes)
+    if norm_free:  # one table per splitting class, for every p^a <= xmax
+        tables = [_local_table(kind, k, 0, degrees, xmax.bit_length()) for degrees in classes]
 
     # Small primes, p <= sqrt(xmax): one pass per prime power p^a, writing
     # every n that p^a divides exactly, through strided views of val.
-    for p in primes[:cut].tolist():
-        degrees = residue_degrees(p)
-        table = shared.get(degrees)
-        if table is None:
-            # p^a <= xmax bounds a; primes ascend, so the first prime of a
-            # splitting needs the longest table
-            amax = xmax.bit_length() // (p.bit_length() - 1)
-            table = _local_table(kind, k, p, degrees, amax)
-            if norm_free:
-                shared[degrees] = table
+    for p, c in zip(primes[:cut].tolist(), of[:cut].tolist()):
+        # mobius_density reads the norm: one table per prime, to p^a <= xmax
+        table = tables[c] if norm_free else _local_table(
+            kind, k, p, classes[c], xmax.bit_length() // (p.bit_length() - 1))
         pa = p
         a = 1
         while pa <= xmax:
@@ -173,22 +152,11 @@ def _sieve_work(field: FieldSpec, kind: str, k: int, xmax: int, dtype) -> np.nda
     # large prime at once, and each n still meets its large prime after all
     # its small ones, so float products keep their order.
     large = primes[cut:]
-    # Equal splitting keys mean equal residue degrees, so a norm-free rule
-    # looks each splitting up once per key class, not once per prime;
-    # mobius_density reads the norm, so there each prime is its own key.
-    keys = field.splitting_keys(large) if norm_free else large
-    _, reps, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    first = {degrees: table[1] for degrees, table in shared.items()}
-    class_values = []
-    for p in large[reps].tolist():
-        degrees = residue_degrees(p)
-        v = first.get(degrees)
-        if v is None:
-            v = _local_table(kind, k, p, degrees, 1)[1]
-            if norm_free:
-                first[degrees] = v
-        class_values.append(v)
-    values = np.array(class_values, dtype=dtype)[inverse]
+    if norm_free:
+        values = np.array([table[1] for table in tables], dtype=dtype)[of[cut:]]
+    else:
+        values = np.array([_local_table(kind, k, p, classes[c], 1)[1]
+                           for p, c in zip(large.tolist(), of[cut:].tolist())], dtype=dtype)
     zero = values == 0
     scaled = ~zero & (values != 1)
     # a zero value is written, not multiplied in, as in the small-prime passes:
@@ -262,12 +230,11 @@ def _cumulate(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarray:
 
 def clear_cache() -> None:
     """Empty every per-process memo of the package: the kept per-field
-    arrays, the norm-free local tables, the parsed table fields and the
-    report constants.  The grow-only rational-prime array and the
-    per-discriminant character tables stay."""
+    arrays, the parsed table fields and the report constants.  The
+    grow-only rational-prime array and the per-discriminant characters
+    stay."""
     # these modules import this one
     from . import field, summatory
 
-    for memo in (_CUM_CACHE, _REACHES, _LOCAL_TABLES, field._TABLE_FIELDS,
-                 summatory._CONST_CACHE):
+    for memo in (_CUM_CACHE, _REACHES, field._TABLE_FIELDS, summatory._CONST_CACHE):
         memo.clear()

@@ -290,10 +290,11 @@ def kfree_counts(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
     return _weighted_sums(lambda points, n: counts.many(xs[points] // n), len(xs), powers, mu[d])
 
 
-def _g_series(p: int, degrees: tuple[int, ...], k: int, amax: int) -> list[int]:
-    """G(p^a) for a <= amax: the local series of mu_1 * mu_k above p."""
-    mu1 = _sieve._local_table("mobius", 1, p, degrees, amax)
-    muk = _sieve._local_table("mobius", k, p, degrees, amax)
+def _g_series(degrees: tuple[int, ...], k: int, amax: int) -> list[int]:
+    """G(p^a) for a <= amax: the local series of mu_1 * mu_k above a prime p
+    of these residue degrees (mobius rules do not read p)."""
+    mu1 = _sieve._local_table("mobius", 1, 0, degrees, amax)
+    muk = _sieve._local_table("mobius", k, 0, degrees, amax)
     return [sum(mu1[i] * muk[a - i] for i in range(a + 1)) for a in range(amax + 1)]
 
 
@@ -311,13 +312,9 @@ def _kfull_rows(field: FieldSpec, k: int, x: int) -> np.ndarray:
     if not len(primes):
         return np.array([node_n, node_g], dtype=np.int64)
     amax = max(x.bit_length(), 2 * k)
-    # one series per splitting, as mobius rules do not read the norm: row i
-    # of g_of holds G at the powers of primes[i]
-    series: dict[tuple[int, ...], tuple[int, int]] = {}  # -> (row, first prime)
-    rows = np.array([series.setdefault(field.residue_degrees(p), (len(series), p))[0]
-                     for p in primes.tolist()], dtype=np.intp)
-    g_of = np.array([_g_series(p, degrees, k, amax) for degrees, (_, p) in series.items()],
-                    dtype=np.int64)[rows]
+    # one series per splitting class: row i of g_of holds G at the powers of primes[i]
+    classes, of = field.splitting(primes)
+    g_of = np.array([_g_series(degrees, k, amax) for degrees in classes], dtype=np.int64)[of]
     leaf_n, leaf_g = [], []
 
     def descend(n: int, gn: int, start: int) -> None:

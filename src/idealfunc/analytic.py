@@ -82,16 +82,13 @@ def _prime_ideal_norms(field: FieldSpec, cutoff: int) -> np.ndarray:
 def _sorted_norms(field: FieldSpec, cutoff: int) -> np.ndarray:
     cutoff = int(cutoff)
     primes = primes_up_to(cutoff)
-    # equal splitting keys mean equal residue degrees: one lookup per class
-    _, reps, inverse = np.unique(field.splitting_keys(primes), return_index=True,
-                                 return_inverse=True)
-    class_degrees = [field.residue_degrees(p) for p in primes[reps].tolist()]
+    classes, of = field.splitting(primes)
     parts = [np.empty(0, dtype=np.int64)]
-    for f in sorted({f for degrees in class_degrees for f in degrees}):
+    for f in sorted({f for degrees in classes for f in degrees}):
         # ideals of degree f above each prime, for the primes with p^f <= cutoff
-        count = np.array([degrees.count(f) for degrees in class_degrees], dtype=np.int64)
+        count = np.array([degrees.count(f) for degrees in classes], dtype=np.int64)
         top = int(np.searchsorted(primes, integer_kth_root(cutoff, f), side="right"))
-        parts.append(np.repeat(primes[:top] ** f, count[inverse[:top]]))
+        parts.append(np.repeat(primes[:top] ** f, count[of[:top]]))
     return np.sort(np.concatenate(parts))
 
 

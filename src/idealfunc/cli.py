@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import analytic, summatory, verify
 from .analytic import AnalyticValue
-from .field import FieldSpec, parse_field
+from .field import FieldSpec, _check_memory, parse_field
 from .ideals import enumerate_ideals, format_ideal, ideals_of_norm
 
 __all__ = ["main"]
@@ -113,6 +113,11 @@ def _analytic_json(v: AnalyticValue) -> str:
     return json.dumps({"value": v.value, "tail_bound": v.tail_bound, "method": v.method})
 
 
+# what `report` holds per grid point: measured about 1,900 bytes for the two
+# Liouville rows of a point in --format json (1,100 for the other theorems)
+_GRID_POINT_BYTES = 2000
+
+
 def _parse_grid(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -125,13 +130,14 @@ def _parse_grid(spec: str) -> list[float]:
         raise UsageError(f"bad grid {spec!r}: a and b must be finite")
     if a < 1 or b < a or points < 1:
         raise UsageError("grid needs 1 <= a <= b and points >= 1")
-    if a == b and points > 1:
-        raise UsageError(f"bad grid {spec!r}: {points} points need a < b")
+    _check_memory(points, _GRID_POINT_BYTES, what=f"bad grid {spec!r}: {points} points")
     if points == 1:
         return [a]
     ratio = (b / a) ** (1.0 / (points - 1))
     grid = [a * ratio**i for i in range(points)]
     grid[-1] = b
+    if any(y <= x for x, y in zip(grid, grid[1:])):
+        raise UsageError(f"bad grid {spec!r}: its points are not strictly increasing floats")
     return grid
 
 

@@ -96,7 +96,7 @@ class FieldSpec:
                 raise ValueError("degree-1 field must have disc 1 and no m")
         elif self.degree == 2:
             if self.m is None or self.m in (0, 1) or not is_squarefree(self.m):
-                raise ValueError(f"m={self.m} is not a valid quadratic field generator")
+                raise ValueError(f"m={self.m} must be squarefree and not 0 or 1")
             if self.disc % 4 not in (0, 1):
                 raise ValueError(f"discriminant {self.disc} is not 0 or 1 mod 4")
         else:
@@ -111,8 +111,7 @@ class FieldSpec:
         """Splitting character chi_disc(n) for quadratic fields."""
         if self.degree != 2 or self.prime_table is not None:
             raise ValueError("chi is defined for built-in quadratic fields only")
-        table = _chi_table(self.disc)
-        return table[n % len(table)]
+        return int(_chi_array(self.disc)[n % abs(self.disc)])
 
     def residue_degrees(self, p: int) -> tuple[int, ...]:
         """Residue degrees of the prime ideals above the rational prime p."""
@@ -124,19 +123,23 @@ class FieldSpec:
                     f"prime {p} missing from the supplied prime-ideal table") from None
         if self.degree == 1:
             return (1,)
-        table = _chi_table(self.disc)
-        return _QUADRATIC_DEGREES[table[p % len(table)]]
+        return _QUADRATIC_CLASSES[_chi_array(self.disc)[p % abs(self.disc)] + 1]
 
-    def splitting_keys(self, primes: np.ndarray) -> np.ndarray:
-        """One integer key per prime; primes with equal keys have equal
-        residue_degrees."""
-        if self.table_degrees is None:
-            # chi_disc(p) depends only on p mod |disc| (all keys 0 over Q)
-            return primes % abs(self.disc)
-        # a class index per distinct degrees tuple, in order of first appearance
-        classes: dict[tuple[int, ...], int] = {}
-        return np.array([classes.setdefault(self.residue_degrees(p), len(classes))
-                         for p in primes.tolist()], dtype=np.int64)
+    def splitting(self, primes: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """The splitting types of the rational primes in the int64 array
+        `primes`: the list of their residue-degree tuples, and the index in it
+        of each prime's tuple, as an intp array.  Every local factor in this
+        package depends on p only through its residue degrees."""
+        if self.table_degrees is not None:
+            # classes in order of first appearance
+            classes: dict[tuple[int, ...], int] = {}
+            of = [classes.setdefault(self.residue_degrees(p), len(classes))
+                  for p in primes.tolist()]
+            return list(classes), np.array(of, dtype=np.intp)
+        if self.degree == 1:
+            return [(1,)], np.zeros(len(primes), dtype=np.intp)
+        chi = _chi_array(self.disc)[primes % abs(self.disc)]
+        return list(_QUADRATIC_CLASSES), chi.astype(np.intp) + 1
 
 
 class _CacheKey:
@@ -161,8 +164,8 @@ class _CacheKey:
         return _CacheKey, (self.value,)
 
 
-# residue degrees above p by chi_disc(p): split, inert, ramified
-_QUADRATIC_DEGREES = {1: (1, 1), -1: (2,), 0: (1,)}
+# residue degrees above p by chi_disc(p) + 1: inert, ramified, split
+_QUADRATIC_CLASSES = ((2,), (1,), (1, 1))
 
 
 # the characters of the prime discriminants -4, 8 and -8, over one period
@@ -185,21 +188,21 @@ def _chi_array(disc: int) -> np.ndarray:
     rest = disc
     for p in _odd_prime_divisors(mod):
         legendre = np.full(p, -1, dtype=np.int8)
-        legendre[np.arange(p // 2 + 1, dtype=np.int64) ** 2 % p] = 1
+        for start in range(0, p // 2 + 1, 2**14):  # the squares, in small blocks
+            squares = np.arange(start, min(start + 2**14, p // 2 + 1), dtype=np.int64)
+            squares *= squares
+            squares %= p
+            legendre[squares] = 1
         legendre[0] = 0
-        chi *= np.tile(legendre, mod // p)
+        rows = chi.reshape(-1, p, copy=False)  # legendre, tiled in place
+        rows *= legendre
         rest //= p if p % 4 == 1 else -p
     if rest != 1:
         two = np.array(_TWO_PART_CHI[rest], dtype=np.int8)
-        chi *= np.tile(two, mod // len(two))
+        rows = chi.reshape(-1, len(two), copy=False)
+        rows *= two
     chi.flags.writeable = False
     return chi
-
-
-@lru_cache(maxsize=None)
-def _chi_table(disc: int) -> tuple[int, ...]:
-    # a tuple, for the fast scalar lookups of residue_degrees
-    return tuple(_chi_array(disc).tolist())
 
 
 def _odd_prime_divisors(n: int) -> list[int]:
@@ -256,8 +259,6 @@ def make_quadratic_field(m: int) -> FieldSpec:
     # such a field can be computed
     if abs(disc) > NORM_LIMIT:
         raise ValueError(f"m={m} is too large: its discriminant passes 2^62")
-    if m in (0, 1) or not is_squarefree(m):
-        raise ValueError(f"m={m} must be squarefree and not 0 or 1")
     return FieldSpec(degree=2, disc=disc, m=m, label=f"q:{m}")
 
 
@@ -422,10 +423,9 @@ def primes_with_norm_up_to(field: FieldSpec, X: float) -> list[PrimeIdealLabel]:
     """All prime ideals with norm <= X, sorted by (norm, p, conjugate index)."""
     if X < 1:
         raise ValueError("X must be >= 1")
-    labels: list[PrimeIdealLabel] = []
-    for p in primes_up_to(int(X)).tolist():
-        for lab in prime_ideals_above(field, p):
-            if lab.norm <= X:
-                labels.append(lab)
+    primes = primes_up_to(int(X))
+    classes, of = field.splitting(primes)
+    labels = [PrimeIdealLabel(p, f, i) for p, c in zip(primes.tolist(), of.tolist())
+              for i, f in enumerate(classes[c]) if p**f <= X]
     labels.sort()
     return labels

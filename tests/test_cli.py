@@ -360,7 +360,7 @@ def test_one_session_of_every_subcommand_keeps_bounded_memos(tmp_path, fresh_mem
     # every module-level dict the session grew is a memo, and the reset empties it
     grown = [key for key, d in _module_dicts().items() if len(d) > before.get(key, 0)]
     assert {("idealfunc._sieve", "_CUM_CACHE"), ("idealfunc._sieve", "_REACHES")} <= set(grown)
-    assert len(grown) >= 5
+    assert len(grown) >= 4
     _sieve.clear_cache()
     assert [key for key in grown if _module_dicts()[key]] == []
 
@@ -370,12 +370,24 @@ def test_report_bad_grid():
         code, _, err = run_cli(["report", "--field", "q", "--theorem", "1",
                                 "--order", "2", "--grid", grid])
         assert code == 1, grid
-    # non-finite ends, and several points between equal ends, are grid errors
-    for grid in ("nan:1e3:3", "1:inf:3", "1e3:1e3:3"):
+    # non-finite ends, and several points between equal ends or ends whose
+    # geometric points round to equal floats, are grid errors
+    for grid in ("nan:1e3:3", "1:inf:3", "1e3:1e3:3", "1e3:1.0000000000000002e3:3"):
         code, out, err = run_cli(["report", "--field", "q", "--theorem", "1",
                                   "--order", "2", "--grid", grid])
         assert_one_line_error(code, out, err)
         assert err.startswith(f"error: bad grid {grid!r}"), err
+
+
+def test_report_grid_past_memory_is_refused_before_it_is_built():
+    grid = "1:1e12:1000000000000"
+    start = time.perf_counter()
+    code, out, err = run_cli(["report", "--field", "q", "--theorem", "1",
+                              "--order", "2", "--grid", grid])
+    assert time.perf_counter() - start < 1.0
+    assert_one_line_error(code, out, err)
+    assert err.startswith(f"error: bad grid {grid!r}: 1000000000000 points"), err
+    assert "physical memory" in err
 
 
 def test_unreadable_table_path_exits_with_one_line(tmp_path):

@@ -4,6 +4,7 @@ import os
 import pickle
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from test_sieve import FIELDS
 
 from idealfunc import field as field_module
 from idealfunc.field import (
+    FieldSpec,
     PrimeIdealLabel,
     is_fundamental_discriminant,
     is_squarefree,
@@ -88,6 +90,35 @@ def test_large_quadratic_fields_answer_or_are_refused_quickly():
         assert time.perf_counter() - start < 0.1
 
 
+def test_quadratic_field_is_checked_for_squarefreeness_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_squarefree(n)
+
+    monkeypatch.setattr(field_module, "is_squarefree", counted)
+    assert make_quadratic_field(10**16 + 61).m == 10**16 + 61
+    assert calls == [10**16 + 61]
+    # a FieldSpec built directly is still checked, with the message q:<m> gives
+    with pytest.raises(ValueError, match="^m=4 must be squarefree and not 0 or 1$"):
+        FieldSpec(degree=2, disc=16, m=4)
+
+
+def test_residue_degrees_of_a_large_discriminant_hold_its_character_in_bytes():
+    # chi_D over one period is an int8 array: about 1 byte per unit of |D|,
+    # with small temporaries while it is built
+    field_module._chi_array.cache_clear()
+    field = make_quadratic_field(-999983)
+    tracemalloc.start()
+    try:
+        assert field.residue_degrees(3) == (1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * abs(field.disc)
+
+
 def test_kronecker_basics():
     assert kronecker_symbol(-4, 5) == 1
     assert kronecker_symbol(-4, 2) == 0
@@ -125,7 +156,7 @@ def test_kronecker_zero_iff_common_factor(n):
 def test_chi_period_matches_kronecker(m):
     # odd, even, positive and negative discriminants, one to five prime factors
     disc = make_quadratic_field(m).disc
-    table = field_module._chi_table(disc)
+    table = field_module._chi_array(disc)
     assert len(table) == abs(disc) and table[0] == 0
     step = max(1, abs(disc) // 5000)  # every residue of the small discriminants
     for r in range(1, abs(disc), step):

@@ -120,17 +120,24 @@ def test_mobius_density_zero_signs():
     assert coeff[2] < 0 and coeff[22] == 0 and not np.signbit(coeff[22])
 
 
-def test_equal_splitting_keys_have_equal_residue_degrees():
+def test_splitting_classes_are_the_residue_degrees():
     fields = {**FIELDS, "table:q(i)": _gaussian_table(10**5),
               "q:-1000003": parse_field("q:-1000003")}
     primes = primes_up_to(10**5)
     for spec, field in fields.items():
-        keys = field.splitting_keys(primes)
-        assert keys.shape == primes.shape, spec
-        degrees_of = {}
-        for key, p in zip(keys.tolist(), primes.tolist()):
-            degrees = field.residue_degrees(p)
-            assert degrees_of.setdefault(key, degrees) == degrees, (spec, p)
+        classes, of = field.splitting(primes)
+        assert of.dtype == np.intp and of.shape == primes.shape, spec
+        assert len(set(classes)) == len(classes), spec
+        for i, p in enumerate(primes.tolist()):
+            assert classes[of[i]] == field.residue_degrees(p), (spec, p)
+    classes, of = FIELDS["q"].splitting(primes)
+    assert classes == [(1,)] and not of.any()
+    assert FIELDS["q:-1"].splitting(primes)[0] == [(2,), (1,), (1, 1)]
+    # a table field's classes in order of first appearance (2 ramifies in Z[i])
+    assert fields["table:q(i)"].splitting(primes)[0] == [(1,), (2,), (1, 1)]
+    # the refusal of residue_degrees, for the first prime missing from a table
+    with pytest.raises(ValueError, match="^prime 101 missing from the supplied prime-ideal table$"):
+        _gaussian_table(100).splitting(primes_up_to(1000))
 
 
 def test_count_coefficients_are_divisor_sums_of_chi():

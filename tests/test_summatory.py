@@ -5,7 +5,7 @@ import pytest
 
 from idealfunc._sieve import cumulative_array
 from idealfunc._sublinear import kfree_counts
-from idealfunc.field import primes_up_to
+from idealfunc.field import make_quadratic_field, primes_up_to
 from idealfunc.ideals import ideal_count
 from idealfunc.summatory import (
     CSV_HEADER,
@@ -72,6 +72,30 @@ SQUAREFREE_10N = (1, 7, 61, 608, 6083, 60794, 607926, 6079291, 60792694, 6079271
 def test_published_mertens_and_squarefree_counts(rational, n):
     assert mertens_k(rational, 1, 10**n) == MERTENS_10N[n]
     assert qfree_count(rational, 2, 10**n) == SQUAREFREE_10N[n]
+
+
+# sums over Q(sqrt(-1000003)), whose character has a prime period near 10^6,
+# at x = 1000, 99999 and 10^8 (k = 1, 2, 3; qfree k = 2, 3)
+LARGE_DISC_SUMS = {
+    "count": (337, 32972, 32985635),
+    ("mobius", 1): (-44, -487, -10021),
+    ("mobius", 2): (277, 27125, 27169039),
+    ("mobius", 3): (326, 31868, 31910387),
+    ("liouville", 1): (-51, -932, -40325),
+    ("liouville", 2): (-46, -589, -15227),
+    ("liouville", 3): (-43, -512, -11047),
+    ("qfree", 2): (304, 29661, 29699313),
+    ("qfree", 3): (331, 32349, 32378383),
+}
+
+
+def test_large_discriminant_sums_pinned():
+    field = make_quadratic_field(-1000003)
+    sums = {"mobius": mertens_k, "liouville": liouville_sum_k, "qfree": qfree_count}
+    for key, want in LARGE_DISC_SUMS.items():
+        for x, value in zip((1000, 99999, 10**8), want):
+            got = ideal_count(field, x) if key == "count" else sums[key[0]](field, key[1], x)
+            assert got == value, (key, x)
 
 
 def test_qfree_classical_anchor(rational):
