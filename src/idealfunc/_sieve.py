@@ -79,15 +79,22 @@ def _local_table(kind: str, k: int, p: int, degrees: tuple[int, ...], amax: int)
     """Entry a: sum of f(A) over the ideals A above p of norm p^a, a <= amax.
 
     Only mobius_density reads p; the norm-free rules depend on p only
-    through its degrees.
+    through its degrees.  The series is the product of one series per ideal
+    A, with f(A^e) at a = f e: in int64 for the norm-free rules, and in
+    float64 for mobius_density, whose series per ideal has two nonzero
+    terms, 1 and f(A): each float entry is one product, or an exact term
+    plus one product, the bits of the entry-by-entry sum.  Entries are
+    Python scalars, and no zero is negative.
     """
     rule = _RULES[kind]
-    series: list = [1] + [0] * amax
+    dtype = np.float64 if kind == "mobius_density" else np.int64
+    series = np.zeros(amax + 1, dtype=dtype)
+    series[0] = 1
     for f in degrees:
-        powers = [rule(e, k, p**f) for e in range(amax // f + 1)]
-        series = [sum(series[a - f * e] * powers[e] for e in range(a // f + 1))
-                  for a in range(amax + 1)]
-    return tuple(series)
+        powers = np.zeros(amax + 1, dtype=dtype)
+        powers[::f] = [rule(e, k, p**f) for e in range(amax // f + 1)]
+        series = np.convolve(series, powers)[: amax + 1]
+    return tuple((series + 0).tolist())  # + 0 turns -0.0 into 0.0
 
 
 def coefficient_array(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarray:
@@ -177,8 +184,9 @@ def _sieve_work(field: FieldSpec, kind: str, k: int, xmax: int, dtype) -> np.nda
 # ---------------------------------------------------------------------------
 # The one memo of per-field arrays, keyed by (field.cache_key(), name): the
 # prefix sums of the sieve (name (kind, k)), the k-full rows of `_sublinear`
-# (("kfull", k)) and the prime-ideal norms of `analytic` ("norms").  Each is
-# kept read-only, beside the reach it was built for.  The least recently used
+# (("kfull", k)), the prime-ideal norms of `analytic` ("norms") and the report
+# constants of `summatory` (0-d arrays, (name, *args)).  Each is kept
+# read-only, beside the reach it was built for.  The least recently used
 # arrays are dropped while the kept bytes exceed _KEPT_BYTES, but the newest
 # is always kept.
 
@@ -230,11 +238,10 @@ def _cumulate(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarray:
 
 def clear_cache() -> None:
     """Empty every per-process memo of the package: the kept per-field
-    arrays, the parsed table fields and the report constants.  The
+    arrays (with the report constants) and the parsed table fields.  The
     grow-only rational-prime array and the per-discriminant characters
     stay."""
-    # these modules import this one
-    from . import field, summatory
+    from . import field
 
-    for memo in (_CUM_CACHE, _REACHES, field._TABLE_FIELDS, summatory._CONST_CACHE):
+    for memo in (_CUM_CACHE, _REACHES, field._TABLE_FIELDS):
         memo.clear()

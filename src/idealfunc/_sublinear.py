@@ -31,7 +31,12 @@ them:
 * M_k for k >= 2 is sum_n G(n) A([x/n]), where mu_k = 1_F * g with
   g = mu_1 * mu_k: a prime ideal of norm p^f contributes the local factor
   (1 - u)(1 + u + ... + u^(k-1) - u^k) = 1 - 2u^k + u^(k+1), u = p^(-fs), so
-  the per-norm coefficients G of g live on k-full n;
+  the per-norm coefficients G of g live on k-full n.  The rows (n, G(n))
+  are built from the primes p <= x^(1/k) in array operations, without
+  recursion: each small prime (p^(2k) <= x) extends the rows found so far by
+  its powers p^a, a >= k; a large one divides n at most once, with
+  k <= a < 2k, and two of them pass x, so per a one gather joins every
+  large p^a to every row it fits; one argsort orders the rows;
 * M_1 is M(x);
 * L_k is sum_m a_F(m) M([x/m^(k+1)]), since the local factor of lambda_k,
   (1 - u) / (1 - u^(k+1)), is that of mu_1 times that of 1_F at (k+1)-th
@@ -41,6 +46,7 @@ them:
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -101,10 +107,12 @@ def _reserve(x: int, size: int) -> None:
         raise ValueError(f"x = {x:.3g} exceeds {NORM_LIMIT}, the largest these formulas take")
 
 
-def _character(disc: int) -> tuple[np.ndarray, np.ndarray]:
-    """chi_disc over one period and its prefix sums S, as int64."""
-    chi = _chi_array(disc).astype(np.int64)
-    return chi, np.cumsum(chi)
+def _character(disc: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """chi_disc over one period, as the int8 `_chi_array`, and its int64
+    prefix sums S(n) for n <= min(top, |disc| - 1): the hyperbola formula at
+    y <= top reads S only at n mod |disc| for n <= y."""
+    chi = _chi_array(disc)
+    return chi, np.cumsum(chi[: top + 1], dtype=np.int64)
 
 
 # the cells of one block of hyperbola sums or of the recursion for M, held
@@ -135,8 +143,8 @@ def _quotients(ys: np.ndarray, ns: np.ndarray, us: np.ndarray) -> np.ndarray:
 
 def _hyperbola(chi: np.ndarray, S: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """A(y) over a quadratic field at each entry y >= 1 of the int64 array ys,
-    from `_character` of its discriminant, in O(sqrt(y)) each: the terms of
-    several y, widest first, are the rows of one block."""
+    from `_character` of its discriminant to max(ys), in O(sqrt(y)) each: the
+    terms of several y, widest first, are the rows of one block."""
     us = _isqrt_many(ys)
     out = np.empty_like(ys)
     order = np.argsort(-ys)
@@ -159,17 +167,21 @@ def _hyperbola_rows(chi: np.ndarray, S: np.ndarray, q: np.ndarray, us: np.ndarra
 
 
 class _Counts:
-    """A(y) = [y]_F: prefix sums of the count coefficients up to `size`,
-    the hyperbola formula above."""
+    """A(y) = [y]_F for y <= top: prefix sums of the count coefficients up
+    to `size`, the hyperbola formula above."""
 
-    def __init__(self, field: FieldSpec, size: int):
+    def __init__(self, field: FieldSpec, size: int, top: int):
         self.size = size
         self.table = None  # over Q, A(y) = y needs none
         if field.degree > 1:
             self.table = _sieve.cumulative_array(field, "count", 0, size)
             self.size = len(self.table) - 1
-        if field.degree == 2 and field.prime_table is None:
-            self.character = _character(field.disc)
+        self.disc, self.top = field.disc, top
+
+    @cached_property
+    def character(self) -> tuple[np.ndarray, np.ndarray]:
+        """`_character` of a quadratic field, built when a y first passes the table."""
+        return _character(self.disc, self.top)
 
     def many(self, ys: np.ndarray) -> np.ndarray:
         """A at each entry of the int64 array ys."""
@@ -266,7 +278,7 @@ def _count(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
     if field.degree == 1:
         return list(xs)
     _reserve(max(xs), math.isqrt(max(xs)))  # the arrays of one hyperbola sum
-    return _hyperbola(*_character(field.disc), np.array(xs, dtype=np.int64)).tolist()
+    return _hyperbola(*_character(field.disc, max(xs)), np.array(xs, dtype=np.int64)).tolist()
 
 
 def kfree_counts(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
@@ -281,7 +293,7 @@ def kfree_counts(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
         size = table_size(top) if field.prime_table is None else top
     _reserve(top, size)
     mu = np.diff(_sieve.cumulative_array(field, "mobius", 1, root)[: root + 1], prepend=0)
-    counts = _Counts(field, size)
+    counts = _Counts(field, size, top)
     d = np.flatnonzero(mu)
     # d^k <= the largest x < 2^63, and A([x/d^k]) = A(0) = 0 past a smaller
     # x; an order above 62 leaves d = [1] alone, and 1^64 = 1
@@ -290,12 +302,12 @@ def kfree_counts(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
     return _weighted_sums(lambda points, n: counts.many(xs[points] // n), len(xs), powers, mu[d])
 
 
-def _g_series(degrees: tuple[int, ...], k: int, amax: int) -> list[int]:
-    """G(p^a) for a <= amax: the local series of mu_1 * mu_k above a prime p
-    of these residue degrees (mobius rules do not read p)."""
+def _g_series(degrees: tuple[int, ...], k: int, amax: int) -> np.ndarray:
+    """G(p^a) for a <= amax, as int64: the local series of mu_1 * mu_k above
+    a prime p of these residue degrees (mobius rules do not read p)."""
     mu1 = _sieve._local_table("mobius", 1, 0, degrees, amax)
     muk = _sieve._local_table("mobius", k, 0, degrees, amax)
-    return [sum(mu1[i] * muk[a - i] for i in range(a + 1)) for a in range(amax + 1)]
+    return np.convolve(mu1, muk)[: amax + 1]
 
 
 def _kfull(field: FieldSpec, k: int, x: int) -> np.ndarray:
@@ -308,45 +320,44 @@ def _kfull(field: FieldSpec, k: int, x: int) -> np.ndarray:
 
 def _kfull_rows(field: FieldSpec, k: int, x: int) -> np.ndarray:
     primes = primes_up_to(integer_kth_root(x, k))
-    node_n, node_g = [1], [1]
-    if not len(primes):
-        return np.array([node_n, node_g], dtype=np.int64)
+    ns = gs = np.ones(1, dtype=np.int64)
+    if not len(primes):  # n = 1 alone, and no series: k may pass every exponent
+        return np.stack((ns, gs))
     amax = max(x.bit_length(), 2 * k)
-    # one series per splitting class: row i of g_of holds G at the powers of primes[i]
+    # one series per splitting class: row c holds G at the powers of a prime of class c
     classes, of = field.splitting(primes)
-    g_of = np.array([_g_series(degrees, k, amax) for degrees in classes], dtype=np.int64)[of]
-    leaf_n, leaf_g = [], []
-
-    def descend(n: int, gn: int, start: int) -> None:
-        # n is k-full, with every prime factor below primes[start]
-        rest = x // n
-        stop = int(np.searchsorted(primes, integer_kth_root(rest, k), side="right"))
-        # a prime p with p^(2k) > rest ends n: no larger prime fits after it,
-        # and its exponent stays below 2k
-        mid = max(start, int(np.searchsorted(primes, integer_kth_root(rest, 2 * k),
-                                             side="right")))
-        for i in range(start, min(mid, stop)):
-            p = int(primes[i])
-            pa, a = p**k, k
-            while pa <= rest:
-                c = int(g_of[i, a])
-                if c:
-                    node_n.append(n * pa)
-                    node_g.append(gn * c)
-                    descend(n * pa, gn * c, i + 1)
-                pa *= p
-                a += 1
-        for a in range(k, 2 * k):
-            cut = mid + int(np.searchsorted(primes[mid:stop], integer_kth_root(rest, a),
-                                            side="right"))
-            vals = g_of[mid:cut, a]
-            keep = vals != 0
-            leaf_n.append(n * primes[mid:cut][keep] ** a)
-            leaf_g.append(gn * vals[keep])
-
-    descend(1, 1, 0)
-    ns = np.concatenate([np.array(node_n, dtype=np.int64), *leaf_n])
-    gs = np.concatenate([np.array(node_g, dtype=np.int64), *leaf_g])
+    g_of = np.array([_g_series(degrees, k, amax) for degrees in classes], dtype=np.int64)
+    # the small primes, p^(2k) <= x, one at a time, largest first, while the
+    # rows are few: each power p^a, a >= k, with G(p^a) != 0 extends every n
+    # found before p that it fits, and the n that fit p^(a+1) fit p^a
+    small = int(np.searchsorted(primes, integer_kth_root(x, 2 * k), side="right"))
+    for p, c in zip(primes[:small][::-1].tolist(), of[:small][::-1].tolist()):
+        new_n, new_g = [ns], [gs]
+        fit_n, fit_g = ns, gs
+        pa, a = p**k, k
+        while pa <= x:
+            fits = fit_n <= x // pa
+            fit_n, fit_g = fit_n[fits], fit_g[fits]
+            if g_of[c, a]:
+                new_n.append(fit_n * pa)
+                new_g.append(fit_g * g_of[c, a])
+            pa *= p
+            a += 1
+        ns, gs = np.concatenate(new_n), np.concatenate(new_g)
+    # a large prime has p^(2k) > x, so it divides n at most once, with an
+    # exponent k <= a < 2k, and two of them pass x: per a, the m-th n takes
+    # the first counts[m] of the powers p^a <= x // n, in one gather
+    rows_n, rows_g = [ns], [gs]
+    for a in range(k, 2 * k):
+        top = int(np.searchsorted(primes, integer_kth_root(x, a), side="right"))
+        vals = g_of[of[small:top], a]
+        keep = vals != 0
+        pa, vals = primes[small:top][keep] ** a, vals[keep]  # p^a <= x: no overflow
+        counts = np.searchsorted(pa, x // ns, side="right")
+        at = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows_n.append(np.repeat(ns, counts) * pa[at])
+        rows_g.append(np.repeat(gs, counts) * vals[at])
+    ns, gs = np.concatenate(rows_n), np.concatenate(rows_g)
     return np.stack((ns, gs))[:, np.argsort(ns)]
 
 
@@ -356,10 +367,11 @@ def _mobius(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
     if k == 1:
         _reserve(top, size)
         one = np.ones(1, dtype=np.int64)
-        return _weighted_sums(_Mertens(field, xs, _Counts(field, size)).many, len(xs), one, one)
+        mertens = _Mertens(field, xs, _Counts(field, size, top))
+        return _weighted_sums(mertens.many, len(xs), one, one)
     _reserve(top, size if field.degree == 2 else integer_kth_root(top, k))
     ns, gs = _kfull(field, k, top)
-    counts = _Counts(field, size)
+    counts = _Counts(field, size, top)
     xs = np.array(xs, dtype=np.int64)  # n > x reads A(0) = 0
     return _weighted_sums(lambda points, n: counts.many(xs[points] // n), len(xs), ns, gs)
 
@@ -368,7 +380,7 @@ def _liouville(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
     top = max(xs)
     size = table_size(top)
     _reserve(top, size)
-    counts = _Counts(field, size)
+    counts = _Counts(field, size, top)
     mertens = _Mertens(field, xs, counts)
     a = counts.coefficients(integer_kth_root(top, k + 1))
     m = np.flatnonzero(a) + 1

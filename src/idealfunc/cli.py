@@ -130,7 +130,8 @@ def _parse_grid(spec: str) -> list[float]:
         raise UsageError(f"bad grid {spec!r}: a and b must be finite")
     if a < 1 or b < a or points < 1:
         raise UsageError("grid needs 1 <= a <= b and points >= 1")
-    _check_memory(points, _GRID_POINT_BYTES, what=f"bad grid {spec!r}: {points} points")
+    _check_memory(points, _GRID_POINT_BYTES, what=f"bad grid {spec!r}: {points} points",
+                  unit="grid point")
     if points == 1:
         return [a]
     ratio = (b / a) ** (1.0 / (points - 1))

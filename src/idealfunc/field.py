@@ -83,8 +83,7 @@ class FieldSpec:
     def __post_init__(self) -> None:
         degrees = None
         if self.prime_table is not None:
-            degrees = {p: tuple(f for f, _e, mult in sorted(rows) for _ in range(mult))
-                       for p, rows in self.prime_table}
+            degrees = _table_degrees(self.prime_table, self.degree)
         # an instance attribute, not a class default, keeps residue_degrees fast
         object.__setattr__(self, "table_degrees", degrees)
         object.__setattr__(self, "_key",
@@ -183,7 +182,8 @@ def _chi_array(disc: int) -> np.ndarray:
     of their characters, each tiled over the period.
     """
     mod = abs(disc)
-    _check_memory(mod, what=f"discriminant {disc} is too large to tabulate its character")
+    _check_memory(mod, what=f"discriminant {disc} is too large to tabulate its character",
+                  unit="residue")
     chi = np.ones(mod, dtype=np.int8)
     rest = disc
     for p in _odd_prime_divisors(mod):
@@ -263,24 +263,38 @@ def make_quadratic_field(m: int) -> FieldSpec:
 
 
 def make_table_field(rows: dict[int, list[TableRow]], label: str = "table") -> FieldSpec:
-    """Build a field from explicit splitting data {p: [(f, e, multiplicity)]}."""
-    table = tuple(sorted((p, tuple(rs)) for p, rs in rows.items()))
-    degree = None
-    for p, rs in table:
-        d = sum(f * e * mult for (f, e, mult) in rs)
-        if any(f < 1 or e < 1 or mult < 1 for (f, e, mult) in rs):
-            raise ValueError(f"bad table row for p={p}")
-        if degree is None:
-            degree = d
-        elif d != degree:
-            raise ValueError(f"inconsistent degree at p={p}: {d} != {degree}")
-    if degree is None:
+    """Build a field from explicit splitting data {p: [(f, e, multiplicity)]}.
+    Its degree is the sum of f e multiplicity over the least prime."""
+    table = tuple((p, tuple(rows[p])) for p in sorted(rows))
+    if not table:
         raise ValueError("empty prime-ideal table")
+    degree = sum(f * e * mult for f, e, mult in table[0][1])
     return FieldSpec(degree=degree, disc=0, label=label, prime_table=table)
 
 
+def _table_degrees(table: tuple, degree: int) -> dict[int, tuple[int, ...]]:
+    """{p: residue degrees} of a prime table, one entry per prime ideal, in
+    one pass over its primes in order: the first prime with a row entry
+    below 1, or whose f e multiplicity do not sum to the degree, is refused."""
+    degrees = {}
+    checked: dict[tuple, tuple] = {}  # most primes share their rows with others
+    for p, rows in table:
+        known = checked.get(rows)
+        if known is None:
+            d = sum(f * e * mult for f, e, mult in rows)
+            bad = any(f < 1 or e < 1 or mult < 1 for f, e, mult in rows)
+            ideals = () if bad else tuple(f for f, _e, mult in sorted(rows) for _ in range(mult))
+            known = checked[rows] = (d, bad, ideals)
+        d, bad, degrees[p] = known
+        if bad:
+            raise ValueError(f"bad table row for p={p}")
+        if d != degree:
+            raise ValueError(f"inconsistent degree at p={p}: {d} != {degree}")
+    return degrees
+
+
 # the last few table fields parsed, by (path, file text): with the text, its
-# prime_table and table_degrees, about 320 bytes per prime of the table
+# prime_table and table_degrees, about 190 bytes per prime of the table
 _TABLE_FIELDS: "OrderedDict[tuple[str, str], FieldSpec]" = OrderedDict()
 _TABLE_FIELDS_KEPT = 4
 
@@ -309,15 +323,17 @@ def load_prime_table(path: str | Path) -> FieldSpec:
 
 def _parse_prime_table(path: str | Path, text: str) -> FieldSpec:
     rows: dict[int, list[TableRow]] = {}
+    spelled: dict[tuple[str, ...], TableRow] = {}  # a table repeats a few rows
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 4:
+        parts = line.partition("#")[0].split()
+        if len(parts) == 4:
+            p, tail = int(parts[0]), tuple(parts[1:])
+            row = spelled.get(tail)
+            if row is None:
+                row = spelled[tail] = tuple(map(int, tail))
+            rows.setdefault(p, []).append(row)
+        elif parts:  # not blank, nor a comment
             raise ValueError(f"{path}:{lineno}: expected `p f e multiplicity`")
-        p, f, e, mult = map(int, parts)
-        rows.setdefault(p, []).append((f, e, mult))
     return make_table_field(rows, label=f"table:{path}")
 
 
@@ -369,9 +385,10 @@ def kronecker_symbol(D: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # rational primes
 
-def _check_memory(xmax: int, bytes_per_norm: int = 17, what: str = "") -> None:
-    """Refuse work that holds about `bytes_per_norm` bytes for each norm up to
-    xmax when that exceeds physical memory; `what` opens the message.
+def _check_memory(count: int, bytes_each: int = 17, what: str = "", unit: str = "norm") -> None:
+    """Refuse work that holds about `bytes_each` bytes for each of count + 1
+    units (norms up to count, unless the caller names another `unit`) when
+    that exceeds physical memory; `what` opens the message.
 
     The default is a sieve's: the int64 coefficients, a bool prime flag, and
     one more x-sized int64 array such as most callers hold (a second cached
@@ -381,9 +398,9 @@ def _check_memory(xmax: int, bytes_per_norm: int = 17, what: str = "") -> None:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):  # no sysconf: nothing to check
         return
-    if bytes_per_norm * (xmax + 1) > physical:
-        what = what or f"x = {min(xmax, 10**308):.3g} is too large to sieve"
-        raise ValueError(f"{what}: about {bytes_per_norm} bytes per norm exceed "
+    if bytes_each * (count + 1) > physical:
+        what = what or f"x = {min(count, 10**308):.3g} is too large to sieve"
+        raise ValueError(f"{what}: about {bytes_each} bytes per {unit} exceed "
                          f"the {physical / 2**30:.1f} GiB of physical memory")
 
 

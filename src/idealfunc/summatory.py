@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from . import _sublinear
+import numpy as np
+
+from . import _sieve, _sublinear
 from ._sublinear import integer_kth_root
 from .analytic import dedekind_zeta, mobius_density_constant, residue_c_F
 from .field import FieldSpec
@@ -117,15 +119,11 @@ def qfree_count(field: FieldSpec, k: int, x: float) -> int:
     return _sublinear.exact_sums(field, "kfree", k, [_floor_x(x)])[0]
 
 
-_CONST_CACHE: dict[tuple, float] = {}
-
-
 def _constant(name: str, fn, field: FieldSpec, *args) -> float:
-    """fn(field, *args).value, found once per process under `name`."""
-    key = (name, field.cache_key(), *args)
-    if key not in _CONST_CACHE:
-        _CONST_CACHE[key] = fn(field, *args).value
-    return _CONST_CACHE[key]
+    """fn(field, *args).value, kept as a 0-d array under (name, *args) in
+    the one memo of per-field arrays."""
+    return _sieve.kept_array(field, (name, *args), 0,
+                             lambda reach: np.array(fn(field, *args).value)).item()
 
 
 # the coefficient kind, the least order and the fn letter of each report kind

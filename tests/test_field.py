@@ -90,6 +90,19 @@ def test_large_quadratic_fields_answer_or_are_refused_quickly():
         assert time.perf_counter() - start < 0.1
 
 
+def test_character_past_memory_names_its_unit(monkeypatch):
+    # 17 bytes for each residue of the period, against 16 MiB of memory
+    sysconf = os.sysconf
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or sysconf(name))
+    field_module._chi_array.cache_clear()
+    with pytest.raises(ValueError) as info:
+        make_quadratic_field(-1000003 * 1009).chi(2)
+    assert str(info.value) == ("discriminant -1009003027 is too large to tabulate its "
+                               "character: about 17 bytes per residue exceed the 0.0 GiB "
+                               "of physical memory")
+
+
 def test_quadratic_field_is_checked_for_squarefreeness_once(monkeypatch):
     calls = []
 
@@ -281,6 +294,58 @@ def test_parse_field(tmp_path):
 def test_table_field_consistency_check():
     with pytest.raises(ValueError):
         make_table_field({2: [(1, 2, 1)], 3: [(3, 1, 1)]})  # degrees 2 vs 3
+
+
+def _refusal(fn, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_table_refusals_keep_their_messages_and_order():
+    parse = field_module._parse_prime_table
+    # a line without four fields, even after a bad row or a degree clash
+    assert _refusal(parse, "t.tbl", "# head\n2 1 2 1\n\n3 2 1\n") == \
+        "t.tbl:4: expected `p f e multiplicity`"
+    assert _refusal(parse, "t.tbl", "3 0 1 1\n2 1 2 1 5\n") == \
+        "t.tbl:2: expected `p f e multiplicity`"
+    assert _refusal(parse, "t.tbl", "2 1 2 1\n3 1 1 1 # one of two\n") == \
+        "inconsistent degree at p=3: 1 != 2"
+    # primes in ascending order: the first failing prime names the refusal,
+    # and at one prime a bad row comes before its degree
+    assert _refusal(make_table_field, {5: [(3, 1, 1)], 3: [(0, 1, 1)], 2: [(1, 2, 1)]}) == \
+        "bad table row for p=3"
+    assert _refusal(make_table_field, {2: [(1, 2, 1)], 3: [(1, 1, 1), (1, 0, 1)]}) == \
+        "bad table row for p=3"
+    assert _refusal(make_table_field, {2: [(1, 2, 1)], 3: [(1, 1, 1), (1, 1, 0)]}) == \
+        "bad table row for p=3"
+    assert _refusal(make_table_field, {7: [(0, 1, 1)], 3: [(3, 1, 1)], 2: [(1, 2, 1)]}) == \
+        "inconsistent degree at p=3: 3 != 2"
+    assert _refusal(make_table_field, {}) == "empty prime-ideal table"
+    assert _refusal(parse, "t.tbl", "# nothing but comments\n\n   \n# p f e mult\n") == \
+        "empty prime-ideal table"
+    field = parse("t.tbl", "2 1 2 1\n3 2 1 1\n5 1 1 2\n")
+    message = "prime 7 missing from the supplied prime-ideal table"
+    assert _refusal(field.residue_degrees, 7) == message
+    assert _refusal(field.splitting, np.array([2, 3, 7, 11, 13], dtype=np.int64)) == message
+
+
+def test_table_spelling_does_not_change_the_field():
+    plain = "2 1 2 1\n3 2 1 1\n5 1 1 1\n5 1 1 1\n7 2 1 1\n13 1 1 2\n"
+    spelled = ("# Q(i): p f e multiplicity\n\n5 1 1 1   # one conjugate\n"
+               "  13\t1 1 2\n7 2 1 1\n\n2 1 2 1#ramified\n5 1 1 1\n3 2 1 1 # inert\n")
+    merged = "2 1 2 1\n3 2 1 1\n5 1 1 2\n7 2 1 1\n13 1 1 1\n13 1 1 1\n"
+    parse = field_module._parse_prime_table
+    a, b, c = (parse("t.tbl", text) for text in (plain, spelled, merged))
+    assert a == b and a.cache_key() == b.cache_key() and a.table_degrees == b.table_degrees
+    # a split p written as one row of multiplicity 2 or as two rows
+    assert c.table_degrees == a.table_degrees == {2: (1,), 3: (2,), 5: (1, 1), 7: (2,),
+                                                  13: (1, 1)}
+    primes = np.array([2, 3, 5, 7, 13], dtype=np.int64)
+    assert [list(s) for s in c.splitting(primes)] == [list(s) for s in a.splitting(primes)]
+    mixed = parse("t.tbl", "2 2 1 1\n2 1 1 1\n3 1 1 3\n5 1 2 1\n5 1 1 1\n")
+    assert mixed.degree == 3
+    assert mixed.table_degrees == {2: (1, 2), 3: (1, 1, 1), 5: (1, 1)}
 
 
 def test_cache_key_is_exact_and_taken_once():

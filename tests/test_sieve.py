@@ -1,5 +1,6 @@
 """The coefficient sieve against pointwise evaluation over enumerated ideals."""
 
+import random
 from collections import defaultdict
 
 import numpy as np
@@ -109,6 +110,34 @@ def test_batched_sieve_bytes_match_per_prime_sieve():
                     want = _per_prime_sieve(field, kind, k, x)
                     assert got.dtype == want.dtype
                     assert got.tobytes() == want.tobytes(), (spec, kind, k, x)
+
+
+def _series_by_sums(kind, k, p, degrees, amax):
+    # the local series from its definition, one Python sum per entry
+    rule = _sieve._RULES[kind]
+    series = [1] + [0] * amax
+    for f in degrees:
+        powers = [rule(e, k, p**f) for e in range(amax // f + 1)]
+        series = [sum(series[a - f * e] * powers[e] for e in range(a // f + 1))
+                  for a in range(amax + 1)]
+    return series
+
+
+def test_local_tables_equal_their_defining_sums():
+    # every rule over splitting types of up to six ideals: the same values,
+    # types and float bits, with no negative zero
+    rng = random.Random(20261019)
+    for kind in _sieve._RULES:
+        for _ in range(300):
+            degrees = tuple(rng.choice((1, 1, 1, 2, 3)) for _ in range(rng.randint(1, 6)))
+            k = rng.randint(1 if kind == "mobius_density" else 0, 6)
+            p = rng.choice((2, 3, 7, 101, 65537, rng.randrange(2, 10**9)))
+            amax = rng.choice((0, 1, 2, 5, 13, 24, 40, 63))
+            got = _local_table(kind, k, p, degrees, amax)
+            want = _series_by_sums(kind, k, p, degrees, amax)
+            assert [(type(v), v.hex() if isinstance(v, float) else v) for v in got] == \
+                [(type(v), v.hex() if isinstance(v, float) else v) for v in want], \
+                (kind, k, p, degrees, amax)
 
 
 def test_mobius_density_zero_signs():

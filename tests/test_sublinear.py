@@ -56,7 +56,7 @@ def test_primitives_at_the_table_cutoff(spec, fresh_memos):
     field = parse_field(spec)
     x = 10**5
     size = _sublinear.table_size(x)
-    counts = _sublinear._Counts(field, size)
+    counts = _sublinear._Counts(field, size, x)
     cum_count = _sieve_sums(field, "count", 0, x)
     ys = np.array([1, 2, size - 1, size, size + 1, x // 2, x], dtype=np.int64)
     assert counts.many(ys).tolist() == cum_count[ys].tolist()
@@ -74,8 +74,49 @@ def test_hyperbola_batches(monkeypatch):
         field = parse_field(spec)
         counts = _sieve_sums(field, "count", 0, 3000)
         ys = np.array([1, 2, 3, 48, 49, 50, 999, 3000, 2, 2500], dtype=np.int64)
-        got = _sublinear._hyperbola(*_sublinear._character(field.disc), ys)
+        got = _sublinear._hyperbola(*_sublinear._character(field.disc, 3000), ys)
         assert got.tolist() == counts[ys].tolist(), spec
+
+
+def _dirichlet_product(a, b):
+    # h(n) = sum over d m = n of a(d) b(m), for n < len(a) == len(b): d <= r
+    # against every m, then m <= r against every d > r, r = isqrt(x)
+    x = len(a) - 1
+    r = math.isqrt(x)
+    h = np.zeros(x + 1, dtype=np.int64)
+    for d in range(1, r + 1):
+        h[d::d] += a[d] * b[1 : x // d + 1]
+    for m in range(1, r + 1):
+        h[m * (r + 1) :: m] += a[r + 1 : x // m + 1] * b[m]
+    return h
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_kfull_rows_are_the_product_of_the_sieves_mobius_coefficients(spec):
+    # G = mu_1 * mu_k, from the sieve's per-norm coefficients: its nonzero
+    # entries are the k-full rows, at every reach
+    field = parse_field(spec)
+    x = 10**5
+    mu1 = _sieve.coefficient_array(field, "mobius", 1, x)
+    for k in (2, 3, 4):
+        g = _dirichlet_product(mu1, _sieve.coefficient_array(field, "mobius", k, x))
+        for reach in (1, 2, 2**k - 1, 2**k, 999, 3**k * 5**k, x):
+            n = np.flatnonzero(g[: reach + 1])
+            assert np.array_equal(_sublinear._kfull_rows(field, k, reach),
+                                  np.stack((n, g[n]))), (k, reach)
+
+
+def test_character_prefix_sums_reach_only_the_largest_y():
+    # S is read at n mod |disc| for n <= y: a period longer than the largest
+    # y keeps S to it, and a shorter one keeps one whole period
+    for spec, top in (("q:-1000003", 3000), ("q:-3", 3000), ("q:5", 4)):
+        field = parse_field(spec)
+        chi, S = _sublinear._character(field.disc, top)
+        assert chi.dtype == np.int8 and len(chi) == abs(field.disc)
+        assert S.dtype == np.int64 and len(S) == min(top + 1, abs(field.disc))
+        counts = _sieve_sums(field, "count", 0, top)
+        ys = np.array(sorted({1, 2, 3, 4, top // 7, top // 2, top}), dtype=np.int64)
+        assert _sublinear._hyperbola(chi, S, ys).tolist() == counts[ys].tolist(), spec
 
 
 def test_quotients_on_both_sides_of_2_to_52():
@@ -181,7 +222,7 @@ def test_blocked_grid_equals_one_x_calls(spec, fresh_memos, monkeypatch):
     for case in cases:
         assert _sublinear.exact_sums(field, *case, xs) == separate[case], case
     # M([x/j]) at a whole block of (x, j) at once
-    counts = _sublinear._Counts(field, _sublinear.table_size(xs[-1]))
+    counts = _sublinear._Counts(field, _sublinear.table_size(xs[-1]), xs[-1])
     mertens = _sublinear._Mertens(field, xs, counts)
     js = np.arange(1, 400, dtype=np.int64)
     points = np.arange(len(xs))[:, None]
