@@ -13,7 +13,9 @@ primes, so their writes are disjoint: one vectorised write per cofactor m
 (about sqrt(x) of them) applies every large prime at once, instead of one
 Python pass per prime (664,579 of them at x = 10^7).  `FieldSpec.splitting`
 sorts every prime into its splitting class at once, and a norm-free rule
-builds one local table per class, not one per prime.
+builds one local table per class, not one per prime.  A large prime reads
+only the rule at e = 1, once per degree-1 ideal above p: array operations
+over the classes (and, for mobius_density, one rule call per prime).
 
 For the norm-free rules over a field of degree <= 2 the sieve works in a
 16-bit array: there |c(n)| <= tau(n), the number of divisors of n, and so
@@ -159,11 +161,14 @@ def _sieve_work(field: FieldSpec, kind: str, k: int, xmax: int, dtype) -> np.nda
     # large prime at once, and each n still meets its large prime after all
     # its small ones, so float products keep their order.
     large = primes[cut:]
-    if norm_free:
-        values = np.array([table[1] for table in tables], dtype=dtype)[of[cut:]]
-    else:
-        values = np.array([_local_table(kind, k, p, classes[c], 1)[1]
-                           for p, c in zip(large.tolist(), of[cut:].tolist())], dtype=dtype)
+    # every rule is 1 at e = 0 or 0 at e = 1, so table[1] adds the rule at e = 1
+    # once per degree-1 ideal above p, in the order `_local_table` adds it
+    rule = _RULES[kind]
+    at_one = np.array([rule(1, k, p) for p in ([0] if norm_free else large.tolist())], dtype=dtype)
+    ones = np.array([degrees.count(1) for degrees in classes], dtype=np.intp)[of[cut:]]
+    values = np.zeros(len(large), dtype=dtype)
+    for count in range(1, int(ones.max(initial=0)) + 1):
+        values += np.where(ones >= count, at_one, 0)
     zero = values == 0
     scaled = ~zero & (values != 1)
     # a zero value is written, not multiplied in, as in the small-prime passes:
@@ -229,10 +234,10 @@ def cumulative_array(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarr
 
 
 def _cumulate(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarray:
-    _check_memory(xmax)
     if kind == "count" and field.disc == 1:  # the rationals: one ideal of each norm
+        _check_memory(xmax)
         return np.arange(xmax + 1, dtype=np.int64)
-    coeff = coefficient_array(field, kind, k, xmax)
+    coeff = coefficient_array(field, kind, k, xmax)  # checks xmax
     return np.cumsum(coeff, out=coeff)  # in place: one x-sized array, not two
 
 

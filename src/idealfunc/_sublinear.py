@@ -111,6 +111,8 @@ def _character(disc: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     """chi_disc over one period, as the int8 `_chi_array`, and its int64
     prefix sums S(n) for n <= min(top, |disc| - 1): the hyperbola formula at
     y <= top reads S only at n mod |disc| for n <= y."""
+    _check_memory(min(top, abs(disc) - 1), 8, unit="residue",
+                  what=f"discriminant {disc} is too large to sum its character")
     chi = _chi_array(disc)
     return chi, np.cumsum(chi[: top + 1], dtype=np.int64)
 

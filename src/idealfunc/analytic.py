@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _sieve
-from ._sublinear import integer_kth_root
-from .field import (
-    FieldSpec,
-    _chi_array,
-    is_fundamental_discriminant,
-    primes_up_to,
-)
+from .field import FieldSpec, _check_memory, _chi_array, _prime_ideals, is_fundamental_discriminant
 
 __all__ = [
     "AnalyticValue",
@@ -69,27 +63,15 @@ def _prime_ideal_norm_tail(degree: int, cutoff: int, s: float) -> float:
 def _prime_ideal_norms(field: FieldSpec, cutoff: int) -> np.ndarray:
     """Norms of the prime ideals with norm <= cutoff, ascending, one per ideal.
 
-    The same norms in the same order as `primes_with_norm_up_to`, as a
+    The norms of `primes_with_norm_up_to`, from the same list, as a
     read-only int64 array; equal norms give equal Euler factors, so the
     products and sums below keep their floating-point order.  Each field
     keeps the array of the largest cutoff asked in the memo of `_sieve`, as
     "norms", and a smaller cutoff takes a prefix of it.
     """
-    norms = _sieve.kept_array(field, "norms", cutoff, lambda reach: _sorted_norms(field, reach))
+    norms = _sieve.kept_array(field, "norms", cutoff,
+                              lambda reach: _prime_ideals(field, int(reach))[0])
     return norms[: int(np.searchsorted(norms, cutoff, side="right"))]
-
-
-def _sorted_norms(field: FieldSpec, cutoff: int) -> np.ndarray:
-    cutoff = int(cutoff)
-    primes = primes_up_to(cutoff)
-    classes, of = field.splitting(primes)
-    parts = [np.empty(0, dtype=np.int64)]
-    for f in sorted({f for degrees in classes for f in degrees}):
-        # ideals of degree f above each prime, for the primes with p^f <= cutoff
-        count = np.array([degrees.count(f) for degrees in classes], dtype=np.int64)
-        top = int(np.searchsorted(primes, integer_kth_root(cutoff, f), side="right"))
-        parts.append(np.repeat(primes[:top] ** f, count[of[:top]]))
-    return np.sort(np.concatenate(parts))
 
 
 def _euler_value(norms: list[float], s: float) -> float:
@@ -217,6 +199,8 @@ def dirichlet_L(D: int, s: float) -> AnalyticValue:
     if s < 1:
         raise ValueError("s must be >= 1")
     mod = abs(D)
+    # about 40 bytes per residue at the peak when |D| passes SERIES_CUTOFF
+    _check_memory(mod, 40, f"discriminant {D} is too large for its L-series sum", "residue")
     table = _chi_array(D).astype(np.float64)
     n0 = ((SERIES_CUTOFF + mod - 1) // mod) * mod  # whole periods only
     n = np.arange(1, n0 + 1, dtype=np.float64)
@@ -275,20 +259,17 @@ def lambda_generating_partial(field: FieldSpec, k: int, s: float, X: float) -> f
 
     Converges to zeta_F(ks) / zeta_F(s) for s > 1.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if s <= 1:
-        raise ValueError("s must exceed 1")
-    if X < 2:
-        return 1.0
-    n0 = math.floor(X)
-    coeff = _sieve.coefficient_array(field, "liouville", k - 1, n0)
-    n = np.arange(1, n0 + 1, dtype=np.float64)
-    return float(np.dot(coeff[1:].astype(np.float64), n ** (-s)))
+    return _generating_partial(field, "liouville", k, k - 1, s, X)
 
 
 def kfree_generating_partial(field: FieldSpec, k: int, s: float, X: float) -> float:
     """Partial Dirichlet series  sum_{N(A) <= X} q_k(A) / N(A)^s  (-> zeta_F(s)/zeta_F(ks))."""
+    return _generating_partial(field, "kfree", k, k, s, X)
+
+
+def _generating_partial(field: FieldSpec, kind: str, k: int, order: int, s: float,
+                        X: float) -> float:
+    """sum_{N(A) <= X} f(A) / N(A)^s, f the coefficients `kind` of `order`."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if s <= 1:
@@ -296,6 +277,6 @@ def kfree_generating_partial(field: FieldSpec, k: int, s: float, X: float) -> fl
     if X < 2:
         return 1.0
     n0 = math.floor(X)
-    coeff = _sieve.coefficient_array(field, "kfree", k, n0)
+    coeff = _sieve.coefficient_array(field, kind, order, n0)
     n = np.arange(1, n0 + 1, dtype=np.float64)
     return float(np.dot(coeff[1:].astype(np.float64), n ** (-s)))

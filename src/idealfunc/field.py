@@ -75,20 +75,17 @@ class FieldSpec:
     m: int | None = None
     label: str = ""
     prime_table: tuple[tuple[int, tuple[TableRow, ...]], ...] | None = None
-    # {p: residue degrees} of a prime_table, one entry per prime ideal
-    table_degrees: dict[int, tuple[int, ...]] | None = dc_field(
-        init=False, compare=False, repr=False)
+    # the `_table_splitting` of a prime_table
+    _table: tuple | None = dc_field(init=False, compare=False, repr=False)
     _key: "_CacheKey" = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        degrees = None
-        if self.prime_table is not None:
-            degrees = _table_degrees(self.prime_table, self.degree)
-        # an instance attribute, not a class default, keeps residue_degrees fast
-        object.__setattr__(self, "table_degrees", degrees)
+        table = (None if self.prime_table is None
+                 else _table_splitting(self.prime_table, self.degree))
+        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_key",
                            _CacheKey((self.degree, self.disc, self.m, self.prime_table)))
-        if degrees is not None:
+        if table is not None:
             return
         if self.degree == 1:
             if self.m is not None or self.disc != 1:
@@ -113,28 +110,25 @@ class FieldSpec:
         return int(_chi_array(self.disc)[n % abs(self.disc)])
 
     def residue_degrees(self, p: int) -> tuple[int, ...]:
-        """Residue degrees of the prime ideals above the rational prime p."""
-        if self.table_degrees is not None:
-            try:
-                return self.table_degrees[p]
-            except KeyError:
-                raise ValueError(
-                    f"prime {p} missing from the supplied prime-ideal table") from None
-        if self.degree == 1:
-            return (1,)
-        return _QUADRATIC_CLASSES[_chi_array(self.disc)[p % abs(self.disc)] + 1]
+        """Residue degrees of the prime ideals above the prime p, by `splitting`."""
+        classes, of = self.splitting(np.array([p], dtype=np.int64))
+        return classes[of[0]]
 
     def splitting(self, primes: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
         """The splitting types of the rational primes in the int64 array
-        `primes`: the list of their residue-degree tuples, and the index in it
-        of each prime's tuple, as an intp array.  Every local factor in this
-        package depends on p only through its residue degrees."""
-        if self.table_degrees is not None:
-            # classes in order of first appearance
-            classes: dict[tuple[int, ...], int] = {}
-            of = [classes.setdefault(self.residue_degrees(p), len(classes))
-                  for p in primes.tolist()]
-            return list(classes), np.array(of, dtype=np.intp)
+        `primes`: a list of residue-degree tuples, and the index in it of each
+        prime's tuple, as an intp array.  Every local factor in this package
+        depends on p only through its residue degrees.  The list may name a
+        type that no prime asked has, so it is read through the indices."""
+        if self._table is not None:
+            listed, of, classes = self._table
+            at = np.searchsorted(listed, primes)
+            found = at < len(listed)
+            found[found] = listed[at[found]] == primes[found]
+            if not found.all():
+                raise ValueError(f"prime {primes[found.argmin()]} missing from the "
+                                 f"supplied prime-ideal table")
+            return list(classes), of[at]
         if self.degree == 1:
             return [(1,)], np.zeros(len(primes), dtype=np.intp)
         chi = _chi_array(self.disc)[primes % abs(self.disc)]
@@ -182,7 +176,7 @@ def _chi_array(disc: int) -> np.ndarray:
     of their characters, each tiled over the period.
     """
     mod = abs(disc)
-    _check_memory(mod, what=f"discriminant {disc} is too large to tabulate its character",
+    _check_memory(mod, 3, what=f"discriminant {disc} is too large to tabulate its character",
                   unit="residue")
     chi = np.ones(mod, dtype=np.int8)
     rest = disc
@@ -272,29 +266,32 @@ def make_table_field(rows: dict[int, list[TableRow]], label: str = "table") -> F
     return FieldSpec(degree=degree, disc=0, label=label, prime_table=table)
 
 
-def _table_degrees(table: tuple, degree: int) -> dict[int, tuple[int, ...]]:
-    """{p: residue degrees} of a prime table, one entry per prime ideal, in
-    one pass over its primes in order: the first prime with a row entry
+def _table_splitting(table: tuple, degree: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """A table's primes (int64, ascending, but for any past every norm), each
+    one's class index (intp) and the classes in order of first appearance,
+    in one pass over its primes in order: the first prime with a row entry
     below 1, or whose f e multiplicity do not sum to the degree, is refused."""
-    degrees = {}
-    checked: dict[tuple, tuple] = {}  # most primes share their rows with others
+    classes: dict[tuple[int, ...], int] = {}
+    checked: dict[tuple, int] = {}  # most primes share their rows with others
+    listed, of = [], []
     for p, rows in table:
-        known = checked.get(rows)
-        if known is None:
+        c = checked.get(rows)
+        if c is None:
+            if any(f < 1 or e < 1 or mult < 1 for f, e, mult in rows):
+                raise ValueError(f"bad table row for p={p}")
             d = sum(f * e * mult for f, e, mult in rows)
-            bad = any(f < 1 or e < 1 or mult < 1 for f, e, mult in rows)
-            ideals = () if bad else tuple(f for f, _e, mult in sorted(rows) for _ in range(mult))
-            known = checked[rows] = (d, bad, ideals)
-        d, bad, degrees[p] = known
-        if bad:
-            raise ValueError(f"bad table row for p={p}")
-        if d != degree:
-            raise ValueError(f"inconsistent degree at p={p}: {d} != {degree}")
-    return degrees
+            if d != degree:
+                raise ValueError(f"inconsistent degree at p={p}: {d} != {degree}")
+            ideals = tuple(f for f, _e, mult in sorted(rows) for _ in range(mult))
+            c = checked[rows] = classes.setdefault(ideals, len(classes))
+        if abs(p) <= NORM_LIMIT:
+            listed.append(p)
+            of.append(c)
+    return np.array(listed, dtype=np.int64), np.array(of, dtype=np.intp), tuple(classes)
 
 
 # the last few table fields parsed, by (path, file text): with the text, its
-# prime_table and table_degrees, about 190 bytes per prime of the table
+# prime_table and splitting, about 175 bytes per prime of the table
 _TABLE_FIELDS: "OrderedDict[tuple[str, str], FieldSpec]" = OrderedDict()
 _TABLE_FIELDS_KEPT = 4
 
@@ -440,9 +437,27 @@ def primes_with_norm_up_to(field: FieldSpec, X: float) -> list[PrimeIdealLabel]:
     """All prime ideals with norm <= X, sorted by (norm, p, conjugate index)."""
     if X < 1:
         raise ValueError("X must be >= 1")
-    primes = primes_up_to(int(X))
+    columns = (column.tolist() for column in _prime_ideals(field, int(X)))
+    return list(map(PrimeIdealLabel._make, zip(*columns)))
+
+
+def _prime_ideals(field: FieldSpec, X: int) -> tuple[np.ndarray, ...]:
+    """The prime ideals of norm <= X as four int64 arrays, the fields of
+    their labels: norm, p, conjugate index and f, in (norm, p, index) order.
+    Each array owns its bytes."""
+    from ._sublinear import integer_kth_root
+
+    primes = primes_up_to(X)
     classes, of = field.splitting(primes)
-    labels = [PrimeIdealLabel(p, f, i) for p, c in zip(primes.tolist(), of.tolist())
-              for i, f in enumerate(classes[c]) if p**f <= X]
-    labels.sort()
-    return labels
+    parts = []
+    for index, f in sorted({pair for degrees in classes for pair in enumerate(degrees)}):
+        # the primes with p^f <= X whose class has an ideal of degree f at index
+        top = int(np.searchsorted(primes, integer_kth_root(X, f), side="right"))
+        has = np.array([degrees[index:index + 1] == (f,) for degrees in classes])
+        ps = primes[:top][has[of[:top]]]
+        parts.append((ps**f, ps, np.full(len(ps), index), np.full(len(ps), f)))
+    # equal norms are one p^f, and the parts come by index: a stable sort by
+    # norm leaves the conjugates of a norm in index order
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    order = np.argsort(columns[0], kind="stable")
+    return tuple(column[order] for column in columns)

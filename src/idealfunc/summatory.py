@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _sieve, _sublinear
-from ._sublinear import integer_kth_root
 from .analytic import dedekind_zeta, mobius_density_constant, residue_c_F
 from .field import FieldSpec
 
@@ -28,7 +27,6 @@ __all__ = [
     "liouville_sum_k",
     "qfree_count",
     "sweep",
-    "integer_kth_root",
 ]
 
 CSV_HEADER = "field,fn,k,x,raw,main,remainder,normalizer,normalized"

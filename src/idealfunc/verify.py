@@ -55,6 +55,9 @@ __all__ = ["CheckResult", "identity_suite", "counting_suite", "SUITES"]
 # failure messages a CheckResult keeps before a single "..."
 _KEPT_FAILURES = 10
 
+# the cutoff x of N(B) in the correlation sums, checked for every A <= xmax
+_CORR_X = 200
+
 # the cells of one block of (D, C) pairs, or of the correlation check's
 # (column, A, B) array: 128 KiB as int64
 _BLOCK_CELLS = 2**14
@@ -201,22 +204,17 @@ def _check_sizes(xmax: int, kmax: int) -> None:
         raise ValueError(f"kmax must lie in [1, {KMAX_LIMIT}]")
 
 
-def identity_suite(field: FieldSpec, xmax: int = 5000, kmax: int = 4,
-                   corr_x: int = 200) -> list[CheckResult]:
-    """Exact-identity checks over every ideal of norm <= xmax.
-
-    corr_x is the summation cutoff used when checking the correlation sum
-    against its coprime k-free count (quantified over all A <= xmax).
-    """
+def identity_suite(field: FieldSpec, xmax: int = 5000, kmax: int = 4) -> list[CheckResult]:
+    """Exact-identity checks over every ideal of norm <= xmax."""
     _check_sizes(xmax, kmax)
     ideals = list(enumerate_ideals(field, xmax))
     top = ideals[-1].norm  # mu_k(A^k) builds A^k for every listed A
     if top**kmax > NORM_LIMIT:
         raise ValueError(f"kmax {kmax} needs A^{kmax} for ideals of norm up to {top}, past 2^62")
-    lay = _Layout(ideals, primes_with_norm_up_to(field, max(xmax, corr_x, 1)))
+    lay = _Layout(ideals, primes_with_norm_up_to(field, max(xmax, _CORR_X)))
     mu1 = _values(mu_1, ideals)
     results = _divisor_sum_checks(field, lay, mu1, kmax)
-    results += _correlation_checks(field, lay, mu1, kmax, corr_x)
+    results += _correlation_checks(field, lay, mu1, kmax)
     del lay, mu1  # freed before the multiplicativity check builds its own
     results.append(_multiplicativity_check(field, ideals, kmax))
     return results
@@ -275,8 +273,8 @@ def _divisor_sum_checks(field: FieldSpec, lay: _Layout, mu1: np.ndarray,
     return results
 
 
-def _correlation_checks(field: FieldSpec, lay: _Layout, mu1: np.ndarray, kmax: int,
-                        corr_x: int) -> list[CheckResult]:
+def _correlation_checks(field: FieldSpec, lay: _Layout, mu1: np.ndarray,
+                        kmax: int) -> list[CheckResult]:
     """sum_{N(B)<=x} mu_{k-1}(B) mu_{k-1}(A^{k-1} B) = mu_1(A) #{B k-free, (A,B)=1}
     for every listed A and k = 2..kmax.
 
@@ -289,12 +287,12 @@ def _correlation_checks(field: FieldSpec, lay: _Layout, mu1: np.ndarray, kmax: i
     ideals = lay.ideals
     if kmax < 2:
         return []
-    if len(ideals) and corr_x <= lay.norms[-1]:  # B runs over a prefix of the list
-        streamed = ideals[:np.searchsorted(lay.norms, corr_x, side="right")]
+    if len(ideals) and _CORR_X <= lay.norms[-1]:  # B runs over a prefix of the list
+        streamed = ideals[:np.searchsorted(lay.norms, _CORR_X, side="right")]
     else:
-        streamed = list(enumerate_ideals(field, corr_x))
+        streamed = list(enumerate_ideals(field, _CORR_X))
     bs = _Layout(streamed, lay.labels)
-    width = sum(lab.norm <= corr_x for lab in lay.labels)  # the columns of B
+    width = sum(lab.norm <= _CORR_X for lab in lay.labels)  # the columns of B
     b_exps = bs.dense(np.arange(len(streamed)), width)
     b_support = (b_exps > 0).T.astype(np.float32)
     kfree = np.stack([_values(q_k, streamed, k) != 0 for k in range(2, kmax + 1)], axis=1)
@@ -329,7 +327,7 @@ def _correlation_checks(field: FieldSpec, lay: _Layout, mu1: np.ndarray, kmax: i
             lhs[rows] = own[rows] * (local @ mb)
         rhs = mu1 * coprime_count[:, k - 2]
         r = CheckResult(
-            f"correlation sum vs signed coprime {k}-free count, x={corr_x}  [{field.label}]")
+            f"correlation sum vs signed coprime {k}-free count, x={_CORR_X}  [{field.label}]")
         r.fail_where(lhs != rhs, lambda i: f"A={format_ideal(ideals[i])} lhs={lhs[i]} rhs={rhs[i]}")
         r.tested = n
         results.append(r)

@@ -59,7 +59,7 @@ def test_criterion_identities():
     failures = []
     tested = 0
     for field in ALL_FIELDS:
-        for res in identity_suite(field, xmax=5000, kmax=4, corr_x=200):
+        for res in identity_suite(field, xmax=5000, kmax=4):
             tested += res.tested
             if not res.ok:
                 failures.append(f"{field.label}/{res.name}: {res.note}")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from idealfunc import _sieve
 from idealfunc.analytic import (
     AnalyticValue,
     dedekind_zeta,
@@ -131,6 +132,15 @@ def test_memoised_norms_match_prime_ideal_labels(fresh_memos):
             got = _prime_ideal_norms(field, cutoff)
             assert got.dtype == np.int64 and not got.flags.writeable, spec
             assert got.tolist() == want, (spec, cutoff)
+
+
+def test_kept_norms_own_their_bytes(fresh_memos):
+    # the memo charges a kept array its nbytes: a view would hold the whole
+    # list of prime ideals it was cut from, unseen
+    for spec, field in FIELDS.items():
+        _prime_ideal_norms(field, 2000)
+        kept = _sieve._CUM_CACHE[field.cache_key(), "norms"]
+        assert kept.base is None and kept.nbytes == 8 * len(kept), spec
 
 
 # float.hex of dedekind_zeta and mobius_density_constant, recorded before their

@@ -393,6 +393,21 @@ def test_report_grid_past_memory_is_refused_before_it_is_built(monkeypatch):
                    "per grid point exceed the 8.0 GiB of physical memory\n")
 
 
+def test_l_series_past_memory_is_refused_while_sums_answer(monkeypatch, fresh_memos):
+    # the character of q:-1000003 fits in 16 MiB at 3 bytes per residue, but
+    # the L-series sum behind c_F peaks near 40 bytes per residue
+    fake_physical_memory(monkeypatch, 16 * 2**20)
+    for theorem in ("0", "1"):
+        code, out, err = run_cli(["report", "--field", "q:-1000003", "--theorem", theorem,
+                                  "--order", "2", "--grid", "1000:10000:2"])
+        assert_one_line_error(code, out, err)
+        assert err == ("error: discriminant -1000003 is too large for its L-series sum: "
+                       "about 40 bytes per residue exceed the 0.0 GiB of physical memory\n")
+    code, out, err = run_cli(["sum", "--field", "q:-1000003", "--fn", "mobius", "--order", "2",
+                              "--x", "1e5"])
+    assert (code, out, err) == (0, "27125\n", "")
+
+
 def test_unreadable_table_path_exits_with_one_line(tmp_path):
     for path in (tmp_path / "missing.table", tmp_path):
         code, out, err = run_cli(["field", "--field", f"table:{path}"])
@@ -808,6 +823,16 @@ def test_sum_refuses_x_beyond_physical_memory(x):
     assert code == 1 and out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error:") and "physical memory" in err
+
+
+def test_counting_suite_over_q_refuses_its_count_table_past_memory(monkeypatch, fresh_memos):
+    # over Q the ideal counts are an arange, not a sieve: they have their own check
+    fake_physical_memory(monkeypatch, 8 * 2**30)
+    code, out, err = run_cli(["verify", "--field", "q", "--suite", "counting",
+                              "--xmax", str(10**12)])
+    assert_one_line_error(code, out, err)
+    assert err == ("error: x = 1e+12 is too large to sieve: about 17 bytes per norm exceed "
+                   "the 8.0 GiB of physical memory\n")
 
 
 def test_enumerate_refuses_xmax_beyond_physical_memory():

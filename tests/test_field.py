@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_sieve import FIELDS
+from test_sieve import FIELDS, _gaussian_table
 
 from idealfunc import field as field_module
 from idealfunc.field import (
@@ -91,7 +91,7 @@ def test_large_quadratic_fields_answer_or_are_refused_quickly():
 
 
 def test_character_past_memory_names_its_unit(monkeypatch):
-    # 17 bytes for each residue of the period, against 16 MiB of memory
+    # 3 bytes for each residue of the period, against 16 MiB of memory
     sysconf = os.sysconf
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4096}
     monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or sysconf(name))
@@ -99,7 +99,7 @@ def test_character_past_memory_names_its_unit(monkeypatch):
     with pytest.raises(ValueError) as info:
         make_quadratic_field(-1000003 * 1009).chi(2)
     assert str(info.value) == ("discriminant -1009003027 is too large to tabulate its "
-                               "character: about 17 bytes per residue exceed the 0.0 GiB "
+                               "character: about 3 bytes per residue exceed the 0.0 GiB "
                                "of physical memory")
 
 
@@ -337,15 +337,50 @@ def test_table_spelling_does_not_change_the_field():
     merged = "2 1 2 1\n3 2 1 1\n5 1 1 2\n7 2 1 1\n13 1 1 1\n13 1 1 1\n"
     parse = field_module._parse_prime_table
     a, b, c = (parse("t.tbl", text) for text in (plain, spelled, merged))
-    assert a == b and a.cache_key() == b.cache_key() and a.table_degrees == b.table_degrees
-    # a split p written as one row of multiplicity 2 or as two rows
-    assert c.table_degrees == a.table_degrees == {2: (1,), 3: (2,), 5: (1, 1), 7: (2,),
-                                                  13: (1, 1)}
+    assert a == b and a.cache_key() == b.cache_key()
     primes = np.array([2, 3, 5, 7, 13], dtype=np.int64)
+    # a split p written as one row of multiplicity 2 or as two rows
+    for field in (a, b, c):
+        classes, of = field.splitting(primes)
+        assert [classes[i] for i in of] == [(1,), (2,), (1, 1), (2,), (1, 1)]
     assert [list(s) for s in c.splitting(primes)] == [list(s) for s in a.splitting(primes)]
     mixed = parse("t.tbl", "2 2 1 1\n2 1 1 1\n3 1 1 3\n5 1 2 1\n5 1 1 1\n")
     assert mixed.degree == 3
-    assert mixed.table_degrees == {2: (1, 2), 3: (1, 1, 1), 5: (1, 1)}
+    classes, of = mixed.splitting(primes[:3])
+    assert [classes[i] for i in of] == [(1, 2), (1, 1, 1), (1, 1)]
+
+
+def test_table_refuses_a_missing_prime_past_its_last():
+    field = _gaussian_table(100)  # the primes up to 97
+    message = "^prime 101 missing from the supplied prime-ideal table$"
+    with pytest.raises(ValueError, match=message):
+        field.splitting(np.array([2, 97, 101, 103], dtype=np.int64))
+    with pytest.raises(ValueError, match=message):
+        field.residue_degrees(101)
+    assert field.residue_degrees(97) == (1, 1)
+
+
+def test_a_table_prime_past_every_norm_is_left_out():
+    # no int64 holds 2^64 + 13, and no norm reaches it: the table still answers
+    field = make_table_field({2: [(1, 2, 1)], 3: [(2, 1, 1)], 5: [(1, 1, 2)],
+                              2**64 + 13: [(1, 1, 2)]})
+    assert [lab.norm for lab in primes_with_norm_up_to(field, 6)] == [2, 5, 5]
+    with pytest.raises(ValueError, match="^prime 7 missing"):
+        field.residue_degrees(7)
+
+
+def test_table_refuses_a_missing_prime_between_listed_primes():
+    field = make_table_field({p: [(1, 1, 2)] for p in (2, 3, 5, 11, 13)})  # 7 left out
+    message = "^prime {} missing from the supplied prime-ideal table$"
+    with pytest.raises(ValueError, match=message.format(7)):
+        field.splitting(np.array([2, 3, 5, 7, 11, 13], dtype=np.int64))
+    # the first prime asked that the table lacks, in the order asked
+    with pytest.raises(ValueError, match=message.format(17)):
+        field.splitting(np.array([13, 17, 7], dtype=np.int64))
+    with pytest.raises(ValueError, match=message.format(7)):
+        field.residue_degrees(7)
+    classes, of = field.splitting(np.array([13, 2], dtype=np.int64))
+    assert [classes[i] for i in of] == [(1, 1), (1, 1)]
 
 
 def test_cache_key_is_exact_and_taken_once():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from idealfunc import _sieve
 from idealfunc._sieve import _local_table, coefficient_array, cumulative_array
 from idealfunc.arith import lambda_k, mu_k, q_k
-from idealfunc.field import make_table_field, parse_field, primes_up_to
+from idealfunc.field import kronecker_symbol, make_table_field, parse_field, primes_up_to
 from idealfunc.ideals import enumerate_ideals
 
 XMAX = 3000
@@ -112,6 +112,16 @@ def test_batched_sieve_bytes_match_per_prime_sieve():
                     assert got.tobytes() == want.tobytes(), (spec, kind, k, x)
 
 
+def test_large_primes_over_six_ideals_keep_their_bits():
+    # above sqrt(x) a prime's value is the rule at e = 1 summed once per
+    # degree-1 ideal, as the local table's convolution sums it: six equal
+    # floats summed in turn need not give six times one of them
+    field = make_table_field({p: [(1, 1, 6)] for p in primes_up_to(XMAX).tolist()})
+    for k in (1, 2, 3):
+        got = coefficient_array(field, "mobius_density", k, XMAX)
+        assert got.tobytes() == _per_prime_sieve(field, "mobius_density", k, XMAX).tobytes(), k
+
+
 def _series_by_sums(kind, k, p, degrees, amax):
     # the local series from its definition, one Python sum per entry
     rule = _sieve._RULES[kind]
@@ -150,21 +160,31 @@ def test_mobius_density_zero_signs():
 
 
 def test_splitting_classes_are_the_residue_degrees():
+    # against what does not ask `splitting`: the Kronecker symbol of a
+    # quadratic field, and the rows of a table
     fields = {**FIELDS, "table:q(i)": _gaussian_table(10**5),
               "q:-1000003": parse_field("q:-1000003")}
     primes = primes_up_to(10**5)
+    by_chi = {-1: (2,), 0: (1,), 1: (1, 1)}
     for spec, field in fields.items():
         classes, of = field.splitting(primes)
         assert of.dtype == np.intp and of.shape == primes.shape, spec
         assert len(set(classes)) == len(classes), spec
-        for i, p in enumerate(primes.tolist()):
-            assert classes[of[i]] == field.residue_degrees(p), (spec, p)
+        if field.prime_table is not None:
+            rows = dict(field.prime_table)
+            want = [tuple(f for f, _e, mult in sorted(rows[p]) for _ in range(mult))
+                    for p in primes.tolist()]
+        elif field.degree == 1:
+            want = [(1,)] * len(primes)
+        else:
+            want = [by_chi[kronecker_symbol(field.disc, p)] for p in primes.tolist()]
+        assert [classes[c] for c in of.tolist()] == want, spec
     classes, of = FIELDS["q"].splitting(primes)
     assert classes == [(1,)] and not of.any()
     assert FIELDS["q:-1"].splitting(primes)[0] == [(2,), (1,), (1, 1)]
     # a table field's classes in order of first appearance (2 ramifies in Z[i])
     assert fields["table:q(i)"].splitting(primes)[0] == [(1,), (2,), (1, 1)]
-    # the refusal of residue_degrees, for the first prime missing from a table
+    # the refusal of the first prime missing from a table
     with pytest.raises(ValueError, match="^prime 101 missing from the supplied prime-ideal table$"):
         _gaussian_table(100).splitting(primes_up_to(1000))
 
