@@ -12,21 +12,18 @@ each n <= x at most once, with a cofactor m < p, and no n has two such
 primes, so their writes are disjoint: one vectorised write per cofactor m
 (about sqrt(x) of them) applies every large prime at once, instead of one
 Python pass per prime (664,579 of them at x = 10^7).  `FieldSpec.splitting`
-sorts every prime into its splitting class at once, and a norm-free rule
-builds one local table per class, not one per prime.  A large prime reads
-only the rule at e = 1, once per degree-1 ideal above p: array operations
-over the classes (and, for mobius_density, one rule call per prime).
+sorts every prime into its splitting class at once, and the sieve builds one
+local table per class; a large prime reads its class's entry at a = 1.
 
-For the norm-free rules over a field of degree <= 2 the sieve works in a
-16-bit array: there |c(n)| <= tau(n), the number of divisors of n, and so
-is every partial product of local values met on the way, and
-tau(n) <= 26,880 < 2^15 for n <= 10^15.  The array is widened to int64 only
-when the sieve is done; fields of degree >= 3 (where tau_3(n) can pass
-2^15) sieve in int64, and mobius_density in float64.
+Over a field of degree <= 2 the sieve works in a 16-bit array: there
+|c(n)| <= tau(n), the number of divisors of n, and so is every partial
+product of local values met on the way, and tau(n) <= 26,880 < 2^15 for
+n <= 10^15.  The array is widened to int64 only when the sieve is done;
+fields of degree >= 3 (where tau_3(n) can pass 2^15) sieve in int64.
 
-Each rule below gives f at the e-th power of a prime ideal of norm `norm`;
-the pointwise functions in `arith` evaluate the same rules over a
-factorization.
+Each rule below gives the integer f at the e-th power of a prime ideal, for
+the order k; no rule reads the prime or its norm.  The pointwise functions
+in `arith` evaluate the same rules over a factorization.
 """
 
 from __future__ import annotations
@@ -42,61 +39,41 @@ from .field import FieldSpec, _check_memory, primes_up_to
 __all__ = ["coefficient_array", "cumulative_array", "kept_array", "clear_cache"]
 
 
-def _count(e: int, k: int, norm: int) -> int:
+def _count(e: int, k: int) -> int:
     return 1
 
 
-def _mobius(e: int, k: int, norm: int) -> int:
+def _mobius(e: int, k: int) -> int:
     return 1 if e < k else (-1 if e == k else 0)
 
 
-def _liouville(e: int, k: int, norm: int) -> int:
+def _liouville(e: int, k: int) -> int:
     r = e % (k + 1)
     return 1 if r == 0 else (-1 if r == 1 else 0)
 
 
-def _kfree(e: int, k: int, norm: int) -> int:
+def _kfree(e: int, k: int) -> int:
     return 1 if e < k else 0
 
 
-def _mobius_density(e: int, k: int, norm: int) -> float:
-    # local term of mu_1(A) J_1(A) / (J_k(A) N(A)), squarefree support
-    if e == 0:
-        return 1.0
-    if e == 1:
-        return -(norm - 1) / (norm * (norm**k - 1))
-    return 0.0
+_RULES = {"count": _count, "mobius": _mobius, "liouville": _liouville, "kfree": _kfree}
 
 
-_RULES = {
-    "count": _count,
-    "mobius": _mobius,
-    "liouville": _liouville,
-    "kfree": _kfree,
-    "mobius_density": _mobius_density,
-}
+def _local_table(kind: str, k: int, degrees: tuple[int, ...], amax: int) -> tuple:
+    """Entry a: sum of f(A) over the ideals A above a prime p of these
+    residue degrees with norm p^a, a <= amax, as Python ints.
 
-
-def _local_table(kind: str, k: int, p: int, degrees: tuple[int, ...], amax: int) -> tuple:
-    """Entry a: sum of f(A) over the ideals A above p of norm p^a, a <= amax.
-
-    Only mobius_density reads p; the norm-free rules depend on p only
-    through its degrees.  The series is the product of one series per ideal
-    A, with f(A^e) at a = f e: in int64 for the norm-free rules, and in
-    float64 for mobius_density, whose series per ideal has two nonzero
-    terms, 1 and f(A): each float entry is one product, or an exact term
-    plus one product, the bits of the entry-by-entry sum.  Entries are
-    Python scalars, and no zero is negative.
+    The series is the product, in int64, of one series per ideal A, with
+    f(A^e) at a = f e.
     """
     rule = _RULES[kind]
-    dtype = np.float64 if kind == "mobius_density" else np.int64
-    series = np.zeros(amax + 1, dtype=dtype)
+    series = np.zeros(amax + 1, dtype=np.int64)
     series[0] = 1
     for f in degrees:
-        powers = np.zeros(amax + 1, dtype=dtype)
-        powers[::f] = [rule(e, k, p**f) for e in range(amax // f + 1)]
+        powers = np.zeros(amax + 1, dtype=np.int64)
+        powers[::f] = [rule(e, k) for e in range(amax // f + 1)]
         series = np.convolve(series, powers)[: amax + 1]
-    return tuple((series + 0).tolist())  # + 0 turns -0.0 into 0.0
+    return tuple(series.tolist())
 
 
 def coefficient_array(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarray:
@@ -105,19 +82,14 @@ def coefficient_array(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndar
         raise ValueError(f"unknown coefficient kind {kind!r}")
     xmax = int(xmax)
     _check_memory(xmax)
-    if kind == "mobius_density":  # the one rule that reads the norm
-        work = dtype = np.float64
-    else:
-        # |c(n)| <= tau(n) < 2^15 over degree <= 2 (see the module docstring)
-        work = np.int16 if field.degree <= 2 and xmax <= 10**15 else np.int64
-        dtype = np.int64
+    # |c(n)| <= tau(n) < 2^15 over degree <= 2 (see the module docstring)
+    work = np.int16 if field.degree <= 2 and xmax <= 10**15 else np.int64
     # widened only once _sieve_work has returned and freed its temporaries
-    return _sieve_work(field, kind, k, xmax, work).astype(dtype, copy=False)
+    return _sieve_work(field, kind, k, xmax, work).astype(np.int64, copy=False)
 
 
 def _sieve_work(field: FieldSpec, kind: str, k: int, xmax: int, dtype) -> np.ndarray:
     """The coefficient array of `coefficient_array`, in the work dtype."""
-    norm_free = kind != "mobius_density"
     val = np.ones(xmax + 1, dtype=dtype)
     if xmax >= 0:
         val[0] = 0
@@ -127,15 +99,13 @@ def _sieve_work(field: FieldSpec, kind: str, k: int, xmax: int, dtype) -> np.nda
     primes = primes_up_to(xmax)
     cut = int(np.searchsorted(primes, root, side="right"))
     classes, of = field.splitting(primes)
-    if norm_free:  # one table per splitting class, for every p^a <= xmax
-        tables = [_local_table(kind, k, 0, degrees, xmax.bit_length()) for degrees in classes]
+    # one table per splitting class, for every p^a <= xmax
+    tables = [_local_table(kind, k, degrees, xmax.bit_length()) for degrees in classes]
 
     # Small primes, p <= sqrt(xmax): one pass per prime power p^a, writing
     # every n that p^a divides exactly, through strided views of val.
     for p, c in zip(primes[:cut].tolist(), of[:cut].tolist()):
-        # mobius_density reads the norm: one table per prime, to p^a <= xmax
-        table = tables[c] if norm_free else _local_table(
-            kind, k, p, classes[c], xmax.bit_length() // (p.bit_length() - 1))
+        table = tables[c]
         pa = p
         a = 1
         while pa <= xmax:
@@ -145,44 +115,24 @@ def _sieve_work(field: FieldSpec, kind: str, k: int, xmax: int, dtype) -> np.nda
                 # the multiples of p^(a+1), and the tail holds no multiple of p
                 mult = val[pa::pa]
                 full = len(mult) - len(mult) % p
-                rows = mult[:full].reshape(-1, p, copy=False)
-                if v == 0:
-                    rows[:, :-1] = 0
-                    mult[full:] = 0
-                else:
-                    rows[:, :-1] *= v
-                    mult[full:] *= v
+                mult[:full].reshape(-1, p, copy=False)[:, :-1] *= v
+                mult[full:] *= v
             pa *= p
             a += 1
 
     # Large primes, p > sqrt(xmax): p^2 > xmax, so p contributes only
     # table[1], to each n = m p <= xmax, where m < p and p divides n exactly.
     # No n has two such primes, so one write per cofactor m covers every
-    # large prime at once, and each n still meets its large prime after all
-    # its small ones, so float products keep their order.
+    # large prime at once.
     large = primes[cut:]
-    # every rule is 1 at e = 0 or 0 at e = 1, so table[1] adds the rule at e = 1
-    # once per degree-1 ideal above p, in the order `_local_table` adds it
-    rule = _RULES[kind]
-    at_one = np.array([rule(1, k, p) for p in ([0] if norm_free else large.tolist())], dtype=dtype)
-    ones = np.array([degrees.count(1) for degrees in classes], dtype=np.intp)[of[cut:]]
-    values = np.zeros(len(large), dtype=dtype)
-    for count in range(1, int(ones.max(initial=0)) + 1):
-        values += np.where(ones >= count, at_one, 0)
-    zero = values == 0
-    scaled = ~zero & (values != 1)
-    # a zero value is written, not multiplied in, as in the small-prime passes:
-    # a negative coefficient times 0.0 would give -0.0
-    for group, factors in ((large[zero], None), (large[scaled], values[scaled])):
-        if not len(group):
-            continue
+    values = np.array([table[1] for table in tables], dtype=dtype)[of[cut:]]
+    scaled = values != 1
+    group, factors = large[scaled], values[scaled]
+    if len(group):
         ms = np.arange(1, xmax // int(group[0]) + 1)
         cuts = np.searchsorted(group, xmax // ms, side="right")
         for m, c in zip(ms.tolist(), cuts.tolist()):
-            if factors is None:
-                val[m * group[:c]] = 0
-            else:
-                val[m * group[:c]] *= factors[:c]
+            val[m * group[:c]] *= factors[:c]
     return val
 
 

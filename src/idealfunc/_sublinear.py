@@ -306,9 +306,9 @@ def kfree_counts(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
 
 def _g_series(degrees: tuple[int, ...], k: int, amax: int) -> np.ndarray:
     """G(p^a) for a <= amax, as int64: the local series of mu_1 * mu_k above
-    a prime p of these residue degrees (mobius rules do not read p)."""
-    mu1 = _sieve._local_table("mobius", 1, 0, degrees, amax)
-    muk = _sieve._local_table("mobius", k, 0, degrees, amax)
+    a prime p of these residue degrees."""
+    mu1 = _sieve._local_table("mobius", 1, degrees, amax)
+    muk = _sieve._local_table("mobius", k, degrees, amax)
     return np.convolve(mu1, muk)[: amax + 1]
 
 

@@ -95,53 +95,24 @@ def _tail(value: float, log_tail: float) -> float:
         return math.inf
 
 
-# a relative slack on the bounds that known Euler products give at a nearby
-# s: the products, as computed, fall with s to within about one ulp of their
-# log, far below this
-_PRODUCT_SLACK = 1.0 + 1e-12
-
-
-def _least_bounded_s(norms: list[float], degree: int, cutoff: int, s: float,
-                     value: float) -> float:
+def _least_bounded_s(norms: list[float], degree: int, cutoff: int, s: float) -> float:
     """The least float s' > s whose tail bound is finite at this cutoff, for
-    an s whose bound is not and the product `value` at s; the bound falls as
-    s grows.
+    an s whose bound is not; the bound falls as s grows.
 
-    A bisection on the bound.  The product falls as s grows and is at least
-    1, so the products already computed bound it at each step; a step that
-    these bounds leave open first computes the products at the ends of its
-    bracket, and only then, if still open, the product at the step.  So every
-    step decides as the product itself would, and most compute none.
+    A bisection on the bound, with the product computed at every step, so
+    every step decides as the product itself would.
     """
-    products = {s: value}
-
-    def product(t: float) -> float:
-        if t not in products:
-            products[t] = _euler_value(norms, t)
-        return products[t]
-
-    def finite(t: float, ends: tuple[float, ...]) -> bool:
-        log_tail = _log_tail(degree, cutoff, t)
-        for fresh in (False, True):
-            upper = min(v for u, v in products.items() if u <= t)
-            lower = max((v for u, v in products.items() if u > t), default=1.0)
-            if math.isfinite(_tail(upper * _PRODUCT_SLACK, log_tail)):
-                return True
-            if not math.isfinite(_tail(lower / _PRODUCT_SLACK, log_tail)):
-                return False
-            if not fresh:
-                for end in ends:
-                    product(end)
-        return math.isfinite(_tail(product(t), log_tail))
+    def finite(t: float) -> bool:
+        return math.isfinite(_tail(_euler_value(norms, t), _log_tail(degree, cutoff, t)))
 
     lo, hi = s, 1.0 + 2.0 * (s - 1.0)
-    while not finite(hi, (lo,)):
+    while not finite(hi):
         lo, hi = hi, 1.0 + 2.0 * (hi - 1.0)
     while True:  # bisect until lo and hi are adjacent floats
         mid = lo + (hi - lo) / 2.0
         if not lo < mid < hi:
             return hi
-        if finite(mid, (lo, hi)):
+        if finite(mid):
             hi = mid
         else:
             lo = mid
@@ -164,7 +135,7 @@ def dedekind_zeta(field: FieldSpec, s: float, cutoff: int = PRIME_CUTOFF) -> Ana
     log_tail = _log_tail(field.degree, cutoff, s)
     tail = _tail(value, log_tail)
     if not math.isfinite(tail):  # s close to 1: the bound exceeds every float
-        least = _least_bounded_s(norms, field.degree, cutoff, s, value)
+        least = _least_bounded_s(norms, field.degree, cutoff, s)
         raise ValueError(f"no finite tail bound for zeta_F at s = {s:g} with prime cutoff "
                          f"{cutoff}: the relative bound exp({log_tail:.4g}) - 1 overflows; "
                          f"s >= {least!r} answers at this cutoff")
@@ -246,12 +217,24 @@ def mobius_density_constant(field: FieldSpec, k: int) -> AnalyticValue:
 def mobius_density_partial_sum(field: FieldSpec, k: int, X: int) -> float:
     """Truncated direct ideal sum of mu_1(A) J_1(A) / (J_k(A) N(A)) over N(A) <= X.
 
-    Independent route to mobius_density_constant, via the coefficient sieve.
+    Independent route to mobius_density_constant.  The summand is
+    multiplicative with squarefree support, so its per-norm series up to X is
+    the product over the prime ideals P of norm n <= X of 1 + t(n) N(P)^-s,
+    t(n) = -(n-1) / (n (n^k - 1)): each factor multiplies the series in place,
+    one prime ideal at a time, and the sum of the series is returned.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    coeff = _sieve.coefficient_array(field, "mobius_density", k, int(X))
-    return float(np.sum(coeff[1:]))
+    X = int(X)
+    if X < 1:
+        return 0.0
+    _check_memory(X)
+    c = np.zeros(X + 1)
+    c[1] = 1.0
+    for n in _prime_ideal_norms(field, X).tolist():
+        # the right side first: each step reads the series before this factor
+        c[n::n] += -(n - 1) / (n * (n**k - 1)) * c[1 : X // n + 1]
+    return float(c.sum())
 
 
 def lambda_generating_partial(field: FieldSpec, k: int, s: float, X: float) -> float:

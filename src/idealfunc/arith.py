@@ -25,12 +25,11 @@ __all__ = [
 ]
 
 
-def _multiplicative(rule: Callable[[int, int, int], int], k: int,
-                    A: IdealFactorization) -> int:
-    """The multiplicative function with prime-power values rule(e, k, norm) at A."""
+def _multiplicative(rule: Callable[[int, int], int], k: int, A: IdealFactorization) -> int:
+    """The multiplicative function with prime-power values rule(e, k) at A."""
     out = 1
-    for lab, e in A.factors:
-        out *= rule(e, k, lab.norm)
+    for _lab, e in A.factors:
+        out *= rule(e, k)
         if not out:
             break
     return out

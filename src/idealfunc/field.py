@@ -118,8 +118,9 @@ class FieldSpec:
         """The splitting types of the rational primes in the int64 array
         `primes`: a list of residue-degree tuples, and the index in it of each
         prime's tuple, as an intp array.  Every local factor in this package
-        depends on p only through its residue degrees.  The list may name a
-        type that no prime asked has, so it is read through the indices."""
+        depends on p only through its residue degrees (each rule of `_sieve`
+        reads only the exponent and the order).  The list may name a type
+        that no prime asked has, so it is read through the indices."""
         if self._table is not None:
             listed, of, classes = self._table
             at = np.searchsorted(listed, primes)

@@ -311,7 +311,7 @@ def _correlation_checks(field: FieldSpec, lay: _Layout, mu1: np.ndarray,
         mb = _values(mu_k, streamed, k1)
         signed = np.flatnonzero(mb)
         mb, eb = mb[signed], b_exps[signed].T.astype(np.int16)
-        table = np.array([_sieve._mobius(e, k1, 0) for e in range(
+        table = np.array([_sieve._mobius(e, k1) for e in range(
             k1 * int(lay.exps.max(initial=0)) + int(eb.max(initial=0)) + 1)], dtype=np.int8)
         # A's prime ideals outside B's columns, each a factor of its own
         own = table[k1 * lay.exps * (lay.cols >= width)].prod(axis=1)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from idealfunc.analytic import (
     residue_c_F,
     _prime_ideal_norms,
 )
-from idealfunc.field import parse_field, primes_with_norm_up_to
+from idealfunc.arith import jordan_totient, mu_1
+from idealfunc.field import make_table_field, parse_field, primes_up_to, primes_with_norm_up_to
+from idealfunc.ideals import enumerate_ideals
 from test_sieve import FIELDS, _gaussian_table
 
 CATALAN = 0.915965594177219015054603514932
@@ -235,6 +238,40 @@ def test_density_constant_dual_method(rational, gaussian):
             euler = mobius_density_constant(field, k).value
             partial = mobius_density_partial_sum(field, k, 1_000_000)
             assert abs(euler - partial) < 1e-5
+
+
+def _cubic_table(limit):
+    # a cubic splitting pattern by p mod 7: 7 ramifies totally, p = +-1 splits,
+    # p = +-2 stays inert, and p = +-3 has ideals of degrees 1 and 2
+    rows = {}
+    for p in primes_up_to(limit).tolist():
+        r = min(p % 7, 7 - p % 7)
+        rows[p] = {0: [(1, 3, 1)], 1: [(1, 1, 3)], 2: [(3, 1, 1)],
+                   3: [(1, 1, 1), (2, 1, 1)]}[r]
+    return make_table_field(rows, label="table:cubic")
+
+
+def test_density_partial_sum_matches_pointwise_sums():
+    # the in-place series against the exact sum of mu_1 J_1 / (J_k N) over
+    # the ideals of norm <= X, from the pointwise functions
+    xmax = 1000
+    fields = {spec: FIELDS[spec] for spec in ("q", "q:-1", "q:5", "table:q(i)")}
+    fields["table:cubic"] = _cubic_table(xmax)
+    for spec, field in fields.items():
+        terms = [(A.norm, k, Fraction(mu_1(A) * jordan_totient(1, A),
+                                      jordan_totient(k, A) * A.norm))
+                 for A in enumerate_ideals(field, xmax) if mu_1(A) for k in (2, 3)]
+        for k in (2, 3):
+            for X in (1, 2, xmax):
+                exact = sum(t for n, order, t in terms if order == k and n <= X)
+                got = mobius_density_partial_sum(field, k, X)
+                assert abs(got - exact) <= 1e-13 * abs(exact), (spec, k, X)
+            for X in (0, 0.5):
+                assert mobius_density_partial_sum(field, k, X) == 0.0, (spec, k, X)
+    for k in (2, 3):
+        for X in (1, 2, xmax):
+            assert mobius_density_partial_sum(fields["table:q(i)"], k, X).hex() == \
+                mobius_density_partial_sum(fields["q:-1"], k, X).hex(), (k, X)
 
 
 def test_lambda_generating_limit(rational, gaussian):

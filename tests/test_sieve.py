@@ -51,7 +51,7 @@ def test_sieve_matches_pointwise(spec, case, x):
 
 def test_gaussian_table_matches_quadratic():
     table, gaussian = FIELDS["table:q(i)"], FIELDS["q:-1"]
-    for kind in ("count", "mobius", "liouville", "kfree", "mobius_density"):
+    for kind in ("count", "mobius", "liouville", "kfree"):
         for k in (1, 2, 3):
             if kind == "kfree" and k == 1:
                 continue
@@ -82,11 +82,10 @@ def test_sieve_matches_pointwise_at_split_boundaries():
 
 def _per_prime_sieve(field, kind, k, xmax):
     # one pass per prime power for every prime up to xmax, in ascending order
-    dtype = np.float64 if kind == "mobius_density" else np.int64
-    val = np.ones(xmax + 1, dtype=dtype)
+    val = np.ones(xmax + 1, dtype=np.int64)
     val[0] = 0
     for p in primes_up_to(xmax).tolist():
-        table = _local_table(kind, k, p, field.residue_degrees(p),
+        table = _local_table(kind, k, field.residue_degrees(p),
                              xmax.bit_length() // (p.bit_length() - 1))
         pa, a = p, 1
         while pa <= xmax:
@@ -102,32 +101,25 @@ def _per_prime_sieve(field, kind, k, xmax):
 
 
 def test_batched_sieve_bytes_match_per_prime_sieve():
-    for spec, field in FIELDS.items():
+    # six degree-1 ideals above every p: a large prime's value is its class's
+    # table entry at a = 1, six times the rule at e = 1
+    six = make_table_field({p: [(1, 1, 6)] for p in primes_up_to(XMAX).tolist()})
+    for spec, field in {**FIELDS, "six": six}.items():
         for k in (1, 2, 3):
             for x in BOUNDARY_X + (1000, XMAX):
-                for kind in ("count", "mobius", "liouville", "kfree", "mobius_density"):
+                for kind in ("count", "mobius", "liouville", "kfree"):
                     got = coefficient_array(field, kind, k, x)
                     want = _per_prime_sieve(field, kind, k, x)
                     assert got.dtype == want.dtype
                     assert got.tobytes() == want.tobytes(), (spec, kind, k, x)
 
 
-def test_large_primes_over_six_ideals_keep_their_bits():
-    # above sqrt(x) a prime's value is the rule at e = 1 summed once per
-    # degree-1 ideal, as the local table's convolution sums it: six equal
-    # floats summed in turn need not give six times one of them
-    field = make_table_field({p: [(1, 1, 6)] for p in primes_up_to(XMAX).tolist()})
-    for k in (1, 2, 3):
-        got = coefficient_array(field, "mobius_density", k, XMAX)
-        assert got.tobytes() == _per_prime_sieve(field, "mobius_density", k, XMAX).tobytes(), k
-
-
-def _series_by_sums(kind, k, p, degrees, amax):
+def _series_by_sums(kind, k, degrees, amax):
     # the local series from its definition, one Python sum per entry
     rule = _sieve._RULES[kind]
     series = [1] + [0] * amax
     for f in degrees:
-        powers = [rule(e, k, p**f) for e in range(amax // f + 1)]
+        powers = [rule(e, k) for e in range(amax // f + 1)]
         series = [sum(series[a - f * e] * powers[e] for e in range(a // f + 1))
                   for a in range(amax + 1)]
     return series
@@ -135,28 +127,17 @@ def _series_by_sums(kind, k, p, degrees, amax):
 
 def test_local_tables_equal_their_defining_sums():
     # every rule over splitting types of up to six ideals: the same values,
-    # types and float bits, with no negative zero
+    # as Python ints
     rng = random.Random(20261019)
     for kind in _sieve._RULES:
         for _ in range(300):
             degrees = tuple(rng.choice((1, 1, 1, 2, 3)) for _ in range(rng.randint(1, 6)))
-            k = rng.randint(1 if kind == "mobius_density" else 0, 6)
-            p = rng.choice((2, 3, 7, 101, 65537, rng.randrange(2, 10**9)))
+            k = rng.randint(0, 6)
             amax = rng.choice((0, 1, 2, 5, 13, 24, 40, 63))
-            got = _local_table(kind, k, p, degrees, amax)
-            want = _series_by_sums(kind, k, p, degrees, amax)
-            assert [(type(v), v.hex() if isinstance(v, float) else v) for v in got] == \
-                [(type(v), v.hex() if isinstance(v, float) else v) for v in want], \
-                (kind, k, p, degrees, amax)
-
-
-def test_mobius_density_zero_signs():
-    # 37 > sqrt(1000) meets c(4) = 0.0 and multiplies it by a negative value
-    coeff = coefficient_array(FIELDS["q"], "mobius_density", 1, 1000)
-    assert coeff[4 * 37] == 0 and np.signbit(coeff[4 * 37])
-    # 11 > sqrt(100) is inert in Z[i], so c(22) is written as 0.0, not 0.0 * c(2)
-    coeff = coefficient_array(FIELDS["q:-1"], "mobius_density", 2, 100)
-    assert coeff[2] < 0 and coeff[22] == 0 and not np.signbit(coeff[22])
+            got = _local_table(kind, k, degrees, amax)
+            want = _series_by_sums(kind, k, degrees, amax)
+            assert [(type(v), v) for v in got] == [(type(v), v) for v in want], \
+                (kind, k, degrees, amax)
 
 
 def test_splitting_classes_are_the_residue_degrees():
