@@ -1,4 +1,4 @@
-"""Exact sums over Q and quadratic fields in about x^(2/3) operations.
+"""Exact sums over Q and quadratic fields in sublinear time and memory.
 
 Every sum here is built from two primitives of a built-in field F:
 
@@ -22,25 +22,26 @@ Every sum here is built from two primitives of a built-in field F:
   j in (L/2, L] reads M only at jn > L, so those j go together, then the
   j in (L/4, L/2], and so on, each batch over every x of a grid.
 
-Up to T both come from `_sieve.cumulative_array`, whose memo keeps each
-table, and the k-full rows below, at the largest reach asked.  A grid builds
-one set of tables, for its largest x, and holds it for every point.  From
-them:
+Every sum takes one of two shapes, and each shape sizes its tables once,
+for the largest x of a grid, and holds them for every point.  The tables are
+prefix sums from `_sieve.cumulative_array`, whose memo keeps each table, and
+the k-full rows below, at the largest reach asked.
 
-* the k-free count is sum_{d <= x^(1/k)} c(d) A([x/d^k]);
-* M_k for k >= 2 is sum_n G(n) A([x/n]), where mu_k = 1_F * g with
-  g = mu_1 * mu_k: a prime ideal of norm p^f contributes the local factor
-  (1 - u)(1 + u + ... + u^(k-1) - u^k) = 1 - 2u^k + u^(k+1), u = p^(-fs), so
-  the per-norm coefficients G of g live on k-full n.  The rows (n, G(n))
-  are built from the primes p <= x^(1/k) in array operations, without
-  recursion: each small prime (p^(2k) <= x) extends the rows found so far by
-  its powers p^a, a >= k; a large one divides n at most once, with
-  k <= a < 2k, and two of them pass x, so per a one gather joins every
-  large p^a to every row it fits; one argsort orders the rows;
-* M_1 is M(x);
-* L_k is sum_m a_F(m) M([x/m^(k+1)]), since the local factor of lambda_k,
-  (1 - u) / (1 - u^(k+1)), is that of mu_1 times that of 1_F at (k+1)-th
-  powers.
+* The count shape, sum_n w(n) A([x/n]), reads A from a count table to
+  isqrt(x), built only if a y reads it, and from the hyperbola formula above
+  (a table field has no chi_D, so its table reaches x; Q needs none):
+  - the ideal count A(x) is the row (1, 1);
+  - the k-free count is sum_{d <= x^(1/k)} c(d) A([x/d^k]);
+  - M_k for k >= 2 is sum_n G(n) A([x/n]), where mu_k = 1_F * g with
+    g = mu_1 * mu_k: a prime ideal of norm p^f contributes the local factor
+    (1 - u)(1 + u + ... + u^(k-1) - u^k) = 1 - 2u^k + u^(k+1), u = p^(-fs),
+    so the per-norm coefficients G of g live on k-full n.
+* The Mertens shape, sum_j w(j) M([x/j]), reads A and M from count and mu_1
+  tables to T = [x^(2/3)] and from the recursion above:
+  - M_1 is the row (1, 1);
+  - L_k is sum_m a_F(m) M([x/m^(k+1)]), since the local factor of lambda_k,
+    (1 - u) / (1 - u^(k+1)), is that of mu_1 times that of 1_F at (k+1)-th
+    powers.
 """
 
 from __future__ import annotations
@@ -89,20 +90,25 @@ def exact_sums(field: FieldSpec, kind: str, k: int, xs: list[int]) -> list[int]:
     A built-in field takes the formulas of this module, and a table field the
     sieve, once for every x.
     """
-    if field.prime_table is None:
-        return _SUMS[kind](field, k, xs)
-    return _sieve.cumulative_array(field, kind, k, max(xs))[xs].tolist()
+    if field.prime_table is not None:
+        return _sieve.cumulative_array(field, kind, k, max(xs))[xs].tolist()
+    if kind == "count" and field.degree == 1:  # [x]_Q = x, with no 64-bit bound on x
+        return list(xs)
+    return _SUMS[kind](field, k, xs)
 
 
-def _reserve(x: int, size: int) -> None:
-    """Refuse x before any table of `size` norms is built, when it would not
-    fit in memory or x leaves the 64-bit arithmetic below.
+def _reserve(x: int, size: int, reach: int = 0, row_bytes: int = 0) -> None:
+    """Refuse x before anything is built, when a table of `size` norms and rows
+    of `row_bytes` per unit of their reach would not fit in memory, or x > 2^62.
 
     Two int64 prefix-sum tables, the sieve's work array and its prime flags
-    take about 20 bytes per norm (17.7 measured at x = 10^11 over q:-1).
+    take about 20 bytes per norm (17.7 measured at x = 10^11 over q:-1).  A
+    row_bytes is its rows' peak RSS over Q at k = 2, x = 10^12-10^16, rounded up.
     """
-    _check_memory(size, 20, f"x = {min(x, 10**308):.3g} is too large: its tables "
-                            f"reach {min(size, 10**308):.3g}")
+    top = max(size, reach)
+    per_norm = -(-(20 * size + row_bytes * reach) // max(top, 1))
+    _check_memory(top, per_norm, f"x = {min(x, 10**308):.3g} is too large: its tables "
+                                 f"reach {min(top, 10**308):.3g}")
     if x > NORM_LIMIT:
         raise ValueError(f"x = {x:.3g} exceeds {NORM_LIMIT}, the largest these formulas take")
 
@@ -119,7 +125,7 @@ def _character(disc: int, top: int) -> tuple[np.ndarray, np.ndarray]:
 
 # the cells of one block of hyperbola sums or of the recursion for M, held
 # at once (1 MiB per int64 array: 2^18 raised the peak RSS of M_1 at 10^10
-# over Q by 1.5 MB); a row wider than this is a block of its own
+# over Q by 1.5 MB); a wider row of the recursion or of a weighted sum is a block
 _HYPERBOLA_TERMS = 2**17
 
 
@@ -146,73 +152,72 @@ def _quotients(ys: np.ndarray, ns: np.ndarray, us: np.ndarray) -> np.ndarray:
 def _hyperbola(chi: np.ndarray, S: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """A(y) over a quadratic field at each entry y >= 1 of the int64 array ys,
     from `_character` of its discriminant to max(ys), in O(sqrt(y)) each: the
-    terms of several y, widest first, are the rows of one block."""
+    terms of several y, widest first, are the rows of one block, and the
+    terms of a wider y are the columns of several."""
     us = _isqrt_many(ys)
-    out = np.empty_like(ys)
+    out = np.zeros_like(ys)
     order = np.argsort(-ys)
     i = 0
     while i < len(ys):
         width = int(us[order[i]])
         rows = order[i : i + max(1, _HYPERBOLA_TERMS // width)]
-        q = _quotients(ys[rows, None], np.arange(1, width + 1), us[rows, None])
-        out[rows] = _hyperbola_rows(chi, S, q, us[rows])
+        for start in range(1, width + 1, _HYPERBOLA_TERMS):
+            ns = np.arange(start, min(start + _HYPERBOLA_TERMS, width + 1))
+            q = _quotients(ys[rows, None], ns, us[rows, None])
+            out[rows] += _hyperbola_rows(chi, S, q, ns, us[rows])
         i += len(rows)
     return out
 
 
-def _hyperbola_rows(chi: np.ndarray, S: np.ndarray, q: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """A(y) for each row of the `_quotients` block q = [y/n], n = 1, 2, ...,
-    with 0 past u = isqrt(y) (chi(0) = S(0) = 0)."""
+def _hyperbola_rows(chi: np.ndarray, S: np.ndarray, q: np.ndarray, ns: np.ndarray,
+                    us: np.ndarray) -> np.ndarray:
+    """The terms at the n of ns of A(y) for each row of the `_quotients` block
+    q = [y/n] (0 past u = isqrt(y); chi(0) = S(0) = 0), with -u S(u) at n = 1."""
     mod = len(chi)
-    chi_n = chi[np.arange(1, q.shape[1] + 1) % mod]
-    return q @ chi_n + S[q % mod].sum(axis=1) - us * S[us % mod]
+    head = us * S[us % mod] if ns[0] == 1 else 0
+    return q @ chi[ns % mod] + S[q % mod].sum(axis=1) - head
 
 
 class _Counts:
-    """A(y) = [y]_F for y <= top: prefix sums of the count coefficients up
-    to `size`, the hyperbola formula above."""
+    """A(y) = [y]_F over a quadratic or table field: a count table to size,
+    built when a y first reads it, and the hyperbola formula above, to top."""
 
     def __init__(self, field: FieldSpec, size: int, top: int):
-        self.size = size
-        self.table = None  # over Q, A(y) = y needs none
-        if field.degree > 1:
-            self.table = _sieve.cumulative_array(field, "count", 0, size)
-            self.size = len(self.table) - 1
-        self.disc, self.top = field.disc, top
+        self.field, self.size, self.top = field, size, top
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The prefix sums; a kept table may reach past size, and size follows it."""
+        table = _sieve.cumulative_array(self.field, "count", 0, self.size)
+        self.size = len(table) - 1
+        return table
 
     @cached_property
     def character(self) -> tuple[np.ndarray, np.ndarray]:
         """`_character` of a quadratic field, built when a y first passes the table."""
-        return _character(self.disc, self.top)
+        return _character(self.field.disc, self.top)
 
     def many(self, ys: np.ndarray) -> np.ndarray:
-        """A at each entry of the int64 array ys."""
-        if self.table is None:
-            return ys
-        out = self.table[np.minimum(ys, self.size)]
+        """A at each entry of the int64 array ys (reading the table first updates size)."""
+        out = self.table[np.minimum(ys, self.size)] if ys.min() <= self.size else np.zeros_like(ys)
         above = ys > self.size
         if above.any():
             out[above] = _hyperbola(*self.character, ys[above])
         return out
 
-    def coefficients(self, r: int) -> np.ndarray:
-        """a_F(1), ..., a_F(r), for r <= size."""
-        if self.table is None:
-            return np.ones(r, dtype=np.int64)
-        return np.diff(self.table[: r + 1])
-
 
 class _Mertens:
-    """M(v) at every v = [x/j] of each x of a grid: a prefix-sum table up to
-    T of the largest x, the recursion above for every x at once."""
+    """M(v) at every v = [x/j] of each x of a grid: prefix-sum tables of A
+    and M up to size, the recursion above for every x at once."""
 
-    def __init__(self, field: FieldSpec, xs: list[int], counts: _Counts):
+    def __init__(self, field: FieldSpec, xs: list[int], size: int):
         self.xs = np.array(xs, dtype=np.int64)
-        table = self.table = _sieve.cumulative_array(field, "mobius", 1, table_size(max(xs)))
         # A and M are both known up to size (A needs no table over Q), and
         # [x/j] > size exactly when j <= last; M([x/j]) for such j goes to
         # big[base + j], and big[0] stays 0
-        size = len(table) - 1 if counts.table is None else min(len(table) - 1, counts.size)
+        counts = None if field.degree == 1 else _sieve.cumulative_array(field, "count", 0, size)
+        table = self.table = _sieve.cumulative_array(field, "mobius", 1, size)
+        size = len(table) - 1 if counts is None else min(len(table), len(counts)) - 1
         lasts = self.lasts = self.xs // (size + 1)
         base = self.base = np.concatenate(([0], np.cumsum(lasts + 1)[:-1]))
         big = self.big = np.zeros(int(lasts.sum()) + len(xs), dtype=np.int64)
@@ -232,9 +237,10 @@ class _Mertens:
         us = _isqrt_many(vs)
         heads = np.minimum(us, ratios)
         root = math.isqrt(max(xs))
-        a = counts.coefficients(root)  # a[i] = a_F(i + 1)
-        mu = np.diff(table[: root + 1])  # mu[i] = c(i + 1)
-        count = (lambda ys: ys) if counts.table is None else counts.table.__getitem__
+        a = self.a = np.ones(root, np.int64) if counts is None else np.diff(counts[: root + 1])
+        mu = np.diff(table[: root + 1])  # mu[i] = c(i + 1), as a[i] = a_F(i + 1)
+        count = (lambda ys: ys) if counts is None else counts.__getitem__
+        chi_S = None if counts is None or not len(vs) else _character(field.disc, max(xs))
         ns = np.arange(1, root + 1, dtype=np.int64)
         ends = np.searchsorted(rounds, rounds, side="right")
         i = 0
@@ -245,8 +251,8 @@ class _Mertens:
             v, u, head, j = vs[i:e, None], us[i:e], heads[i:e, None], js[i:e, None]
             q = _quotients(v, ns[:width], u[:, None])
             # A(v), read at n = 1 below and by later rounds (A(y) = y over Q)
-            count_big[places[i:e]] = (vs[i:e] if counts.table is None
-                                      else _hyperbola_rows(*counts.character, q, u))
+            count_big[places[i:e]] = (vs[i:e] if counts is None
+                                      else _hyperbola_rows(*chi_S, q, ns[:width], u))
             # n <= head: M and A at [x/(jn)], found in an earlier round
             cols = ns[: int(head.max())]
             at = np.where(cols <= head, (places[i:e, None] - j) + j * cols, 0)
@@ -276,40 +282,39 @@ def _weighted_sums(terms, count: int, ns: np.ndarray, ws: np.ndarray) -> list[in
                            for i in range(0, count, step)]).tolist()
 
 
-def _count(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
-    if field.degree == 1:
-        return list(xs)
-    _reserve(max(xs), math.isqrt(max(xs)))  # the arrays of one hyperbola sum
-    return _hyperbola(*_character(field.disc, max(xs)), np.array(xs, dtype=np.int64)).tolist()
+def _count_sums(field: FieldSpec, xs: list[int], reach: int, row_bytes: int, rows) -> list[int]:
+    """The count shape: sum_n w(n) A([x/n]) at each x of xs, over the rows
+    (n, w) that rows() builds, of row_bytes per unit of their reach."""
+    top = max(xs)
+    size = 0 if field.degree == 1 else top if field.prime_table is not None else math.isqrt(top)
+    _reserve(top, size, reach, row_bytes)
+    many = (lambda ys: ys) if field.degree == 1 else _Counts(field, size, top).many
+    xs = np.array(xs, dtype=np.int64)  # n > x reads A(0) = 0
+    return _weighted_sums(lambda points, n: many(xs[points] // n), len(xs), *rows())
+
+
+def _mertens_sums(field: FieldSpec, xs: list[int], rows) -> list[int]:
+    """The Mertens shape: sum_j w(j) M([x/j]) at each x of xs, over the rows
+    (j, w) that rows(mertens) builds, with j <= isqrt(max x)."""
+    size = table_size(max(xs))
+    _reserve(max(xs), size)
+    mertens = _Mertens(field, xs, size)
+    return _weighted_sums(mertens.many, len(xs), *rows(mertens))
 
 
 def kfree_counts(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
     """The number of k-free ideals of norm <= x at each x of xs, by the
-    inversion formula sum_{d <= x^(1/k)} c(d) A([x/d^k]).  A table field has
-    no chi_D, so its table of A reaches the largest x."""
-    top = max(xs)
-    root = integer_kth_root(top, k)
-    if field.degree == 1:
-        size = root
-    else:
-        size = table_size(top) if field.prime_table is None else top
-    _reserve(top, size)
-    mu = np.diff(_sieve.cumulative_array(field, "mobius", 1, root)[: root + 1], prepend=0)
-    counts = _Counts(field, size, top)
-    d = np.flatnonzero(mu)
-    # d^k <= the largest x < 2^63, and A([x/d^k]) = A(0) = 0 past a smaller
-    # x; an order above 62 leaves d = [1] alone, and 1^64 = 1
-    powers = d ** min(k, 64)
-    xs = np.array(xs, dtype=np.int64)
-    return _weighted_sums(lambda points, n: counts.many(xs[points] // n), len(xs), powers, mu[d])
+    inversion formula sum_{d <= x^(1/k)} c(d) A([x/d^k])."""
+    root = integer_kth_root(max(xs), k)
 
+    def rows():
+        mu = np.diff(_sieve.cumulative_array(field, "mobius", 1, root)[: root + 1], prepend=0)
+        d = np.flatnonzero(mu)
+        # d^k <= the largest x < 2^63, and A([x/d^k]) = A(0) = 0 past a smaller
+        # x; an order above 62 leaves d = [1] alone, and 1^64 = 1
+        return d ** min(k, 64), mu[d]
 
-def _g_series(degrees: tuple[int, ...], k: int, amax: int) -> np.ndarray:
-    """G(p^a) for a <= amax, as int64: the local series of mu_1 * mu_k above
-    a prime p of these residue degrees."""
-    mu1 = _sieve._local_table("mobius", 1, degrees, amax)
-    muk = _sieve._local_table("mobius", k, degrees, amax)
-    return np.convolve(mu1, muk)[: amax + 1]
+    return _count_sums(field, xs, root, 34, rows)  # 29.7-31.0 bytes measured (`_reserve`)
 
 
 def _kfull(field: FieldSpec, k: int, x: int) -> np.ndarray:
@@ -326,9 +331,12 @@ def _kfull_rows(field: FieldSpec, k: int, x: int) -> np.ndarray:
     if not len(primes):  # n = 1 alone, and no series: k may pass every exponent
         return np.stack((ns, gs))
     amax = max(x.bit_length(), 2 * k)
-    # one series per splitting class: row c holds G at the powers of a prime of class c
+    # one series per splitting class: row c holds G at the powers of a prime
+    # of class c, the local series of mu_1 times that of mu_k
     classes, of = field.splitting(primes)
-    g_of = np.array([_g_series(degrees, k, amax) for degrees in classes], dtype=np.int64)
+    g_of = np.array([np.convolve(_sieve._local_table("mobius", 1, degrees, amax),
+                                 _sieve._local_table("mobius", k, degrees, amax))[: amax + 1]
+                     for degrees in classes], dtype=np.int64)
     # the small primes, p^(2k) <= x, one at a time, largest first, while the
     # rows are few: each power p^a, a >= k, with G(p^a) != 0 extends every n
     # found before p that it fits, and the n that fit p^(a+1) fit p^a
@@ -364,31 +372,23 @@ def _kfull_rows(field: FieldSpec, k: int, x: int) -> np.ndarray:
 
 
 def _mobius(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
-    top = max(xs)
-    size = table_size(top)
     if k == 1:
-        _reserve(top, size)
-        one = np.ones(1, dtype=np.int64)
-        mertens = _Mertens(field, xs, _Counts(field, size, top))
-        return _weighted_sums(mertens.many, len(xs), one, one)
-    _reserve(top, size if field.degree == 2 else integer_kth_root(top, k))
-    ns, gs = _kfull(field, k, top)
-    counts = _Counts(field, size, top)
-    xs = np.array(xs, dtype=np.int64)  # n > x reads A(0) = 0
-    return _weighted_sums(lambda points, n: counts.many(xs[points] // n), len(xs), ns, gs)
+        return _mertens_sums(field, xs, lambda mertens: _ONE_ROW)
+    top = max(xs)
+    return _count_sums(field, xs, integer_kth_root(top, k), 100,  # 88.4-94.0 bytes measured
+                       lambda: tuple(_kfull(field, k, top)))
 
 
 def _liouville(field: FieldSpec, k: int, xs: list[int]) -> list[int]:
-    top = max(xs)
-    size = table_size(top)
-    _reserve(top, size)
-    counts = _Counts(field, size, top)
-    mertens = _Mertens(field, xs, counts)
-    a = counts.coefficients(integer_kth_root(top, k + 1))
-    m = np.flatnonzero(a) + 1
-    # m^(k+1) <= the largest x (M([x/j]) = 0 for j > x), and a huge k leaves m = [1]
-    js = m ** min(k + 1, 64)
-    return _weighted_sums(mertens.many, len(xs), js, a[m - 1])
+    def rows(mertens):
+        a = mertens.a[: integer_kth_root(max(xs), k + 1)]
+        m = np.flatnonzero(a) + 1
+        # m^(k+1) <= the largest x (M([x/j]) = 0 for j > x), and a huge k leaves m = [1]
+        return m ** min(k + 1, 64), a[m - 1]
+
+    return _mertens_sums(field, xs, rows)
 
 
-_SUMS = {"count": _count, "kfree": kfree_counts, "mobius": _mobius, "liouville": _liouville}
+_ONE_ROW = (np.ones(1, dtype=np.int64),) * 2
+_SUMS = {"count": lambda field, k, xs: _count_sums(field, xs, 0, 0, lambda: _ONE_ROW),
+         "kfree": kfree_counts, "mobius": _mobius, "liouville": _liouville}

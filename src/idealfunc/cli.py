@@ -68,9 +68,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser(
         "sum", help="exact summatory value at one x",
-        description="Exact summatory value at one x.  Over q and q:<m> it takes "
-                    "O(x^(2/3)) hyperbola and Mertens formulas (x = 10^10 in about "
-                    "1 s); table fields sieve every norm up to x.")
+        description="Exact summatory value at one x.  Over q and q:<m>, qfree and mobius k >= 2 "
+                    "read a count table to sqrt(x) (x = 10^12 in 0.4 s), mobius 1 and liouville "
+                    "read tables to x^(2/3) (x = 10^10 in 1 s); table fields sieve norms to x.")
     add_field(p)
     p.add_argument("--fn", choices=("mobius", "liouville", "qfree"), required=True)
     p.add_argument("--order", type=int, required=True)

@@ -278,10 +278,12 @@ def test_dense_grid_past_the_budget_sieves_once(theorem, fresh_memos, monkeypatc
                         calls.append((kind, xmax)) or sieve(field, kind, k, xmax))
     monkeypatch.setattr(_sieve, "_KEPT_BYTES", 8 * 10**4)  # a table takes 8 (10^4 + 1)
     assert run_cli(argv) == want
-    # the count table to T = 10^4, and the mu_1 table to T or to 10^(6/2)
-    assert sorted(calls) == {"1": [("count", 10**4)],
+    # M_2 and the k-free count read a count table to isqrt(10^6) = 1000 (the
+    # latter with the mu_1 table to 10^(6/2)); L_2 reads its count and mu_1
+    # tables to T = 10^4
+    assert sorted(calls) == {"1": [("count", 1000)],
                              "2": [("count", 10**4), ("mobius", 10**4)],
-                             "3": [("count", 10**4), ("mobius", 1000)]}[theorem]
+                             "3": [("count", 1000), ("mobius", 1000)]}[theorem]
 
 
 def test_sparse_grid_keeps_no_sieve_array(fresh_memos):
@@ -815,14 +817,44 @@ def test_non_finite_numbers_rejected(argv):
 
 @pytest.mark.parametrize("x", ["1e16", "1e300"])
 def test_sum_refuses_x_beyond_physical_memory(x):
-    # only x the preflight refuses: 20 bytes per norm of the sublinear route's
-    # tables, which reach x^(2/3), must exceed physical memory
-    assert 20 * float(x) ** (2 / 3) > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    # only x the preflight refuses: M_2 over q:-1 takes 20 bytes per unit of
+    # sqrt(x) for its count table and 100 for its k-full rows, which must
+    # exceed physical memory
+    assert 120 * float(x) ** 0.5 > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     code, out, err = run_cli(["sum", "--field", "q:-1", "--fn", "mobius", "--order", "2",
                               "--x", x])
     assert code == 1 and out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error:") and "physical memory" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sum", "--field", "q", "--fn", "mobius", "--order", "2", "--x", "1e16"],
+    ["sum", "--field", "q", "--fn", "qfree", "--order", "2", "--x", "1e17"],
+])
+def test_sum_refuses_rows_past_memory_before_building(argv, monkeypatch, fresh_memos):
+    # the k-full rows of M_2 take about 100 bytes and the k-free rows of Q_2
+    # about 34 per unit of sqrt(x): past 8 GiB here, so the preflight refuses
+    # before either is built
+    fake_physical_memory(monkeypatch, 8 * 2**30)
+
+    def build(*args):
+        raise AssertionError("rows built before the preflight")
+
+    monkeypatch.setattr(_sublinear, "_kfull", build)
+    monkeypatch.setattr(_sieve, "coefficient_array", build)
+    code, out, err = run_cli(argv)
+    assert_one_line_error(code, out, err)
+    assert "physical memory" in err
+
+
+def test_sum_answers_orders_3_over_q_at_1e18(monkeypatch, fresh_memos):
+    # their rows reach 10^6 = (10^18)^(1/3): far inside 8 GiB
+    fake_physical_memory(monkeypatch, 8 * 2**30)
+    for fn, want in (("qfree", "831907372580707771"), ("mobius", "744695497906067477")):
+        code, out, err = run_cli(["sum", "--field", "q", "--fn", fn, "--order", "3",
+                                  "--x", "1e18"])
+        assert (code, out.strip(), err) == (0, want, ""), fn
 
 
 def test_counting_suite_over_q_refuses_its_count_table_past_memory(monkeypatch, fresh_memos):

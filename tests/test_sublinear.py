@@ -51,16 +51,18 @@ def test_route_equals_sieve(spec):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_primitives_at_the_table_cutoff(spec, fresh_memos):
-    # A below, at and above T, and M at every [x/j], on both sides of the cut
-    # (no kept table reaches past T)
+    # A below, at and above the table sizes of both shapes, isqrt(x) and T
+    # (over a quadratic field: over Q, A(y) = y needs no table), and M at
+    # every [x/j], on both sides of T (no kept table reaches past either)
     field = parse_field(spec)
     x = 10**5
     size = _sublinear.table_size(x)
-    counts = _sublinear._Counts(field, size, x)
     cum_count = _sieve_sums(field, "count", 0, x)
-    ys = np.array([1, 2, size - 1, size, size + 1, x // 2, x], dtype=np.int64)
-    assert counts.many(ys).tolist() == cum_count[ys].tolist()
-    mertens = _sublinear._Mertens(field, [x], counts)
+    for cut in (math.isqrt(x), size) if field.degree > 1 else ():
+        counts = _sublinear._Counts(field, cut, x)
+        ys = np.array([1, 2, cut - 1, cut, cut + 1, x // 2, x], dtype=np.int64)
+        assert counts.many(ys).tolist() == cum_count[ys].tolist()
+    mertens = _sublinear._Mertens(field, [x], size)
     js = np.arange(1, x + 1, dtype=np.int64)
     assert np.array_equal(mertens.many(0, js), _sieve_sums(field, "mobius", 1, x)[x // js])
 
@@ -222,8 +224,8 @@ def test_blocked_grid_equals_one_x_calls(spec, fresh_memos, monkeypatch):
     for case in cases:
         assert _sublinear.exact_sums(field, *case, xs) == separate[case], case
     # M([x/j]) at a whole block of (x, j) at once
-    counts = _sublinear._Counts(field, _sublinear.table_size(xs[-1]), xs[-1])
-    mertens = _sublinear._Mertens(field, xs, counts)
+    size = _sublinear.table_size(xs[-1])
+    mertens = _sublinear._Mertens(field, xs, size)
     js = np.arange(1, 400, dtype=np.int64)
     points = np.arange(len(xs))[:, None]
     expected = _sieve_sums(field, "mobius", 1, xs[-1])[np.array(xs)[:, None] // js]

@@ -5,7 +5,7 @@ import pytest
 
 from idealfunc._sieve import cumulative_array
 from idealfunc._sublinear import integer_kth_root, kfree_counts
-from idealfunc.field import make_quadratic_field, primes_up_to
+from idealfunc.field import make_quadratic_field, parse_field, primes_up_to
 from idealfunc.ideals import ideal_count
 from idealfunc.summatory import (
     CSV_HEADER,
@@ -95,6 +95,29 @@ def test_large_discriminant_sums_pinned():
         for x, value in zip((1000, 99999, 10**8), want):
             got = ideal_count(field, x) if key == "count" else sums[key[0]](field, key[1], x)
             assert got == value, (key, x)
+
+
+# k-free counts and M_k sums of quadratic fields at large x.  Those to 10^12
+# were recorded with count tables to x^(2/3), so each checks the count
+# shape's tables to isqrt(x); Q_2 over q:-1 at 10^14 is also what a split of
+# its sum at D ~ x^(2/5), a different formula, gave.
+LARGE_X_SUMS = [
+    ("q:-1", 10**12, "qfree", 2, 521269393924),
+    ("q:-1", 10**12, "qfree", 3, 674318716335),
+    ("q:-1", 10**12, "mobius", 2, 390811940719),
+    ("q:-1", 10**12, "mobius", 3, 616468685950),
+    ("q:5", 10**12, "qfree", 2, 370508404757),
+    ("q:5", 10**12, "mobius", 2, 326463731155),
+    ("q:-1000003", 10**11, "qfree", 2, 29699182149),
+    ("q:-1000003", 10**11, "mobius", 2, 27167117121),
+    ("q:-1", 10**14, "qfree", 2, 52126939292957),
+]
+
+
+@pytest.mark.parametrize("spec, x, fn, k, want", LARGE_X_SUMS)
+def test_large_x_sums_pinned(spec, x, fn, k, want, fresh_memos):
+    sums = {"mobius": mertens_k, "qfree": qfree_count}
+    assert sums[fn](parse_field(spec), k, x) == want
 
 
 def test_qfree_classical_anchor(rational):
