@@ -11,9 +11,7 @@ from .analytic import (
     dedekind_zeta,
     dedekind_zeta_series,
     dirichlet_L,
-    lambda_generating_partial,
     mobius_density_constant,
-    mobius_density_partial_sum,
     residue_c_F,
 )
 from .arith import (
@@ -29,7 +27,6 @@ from .arith import (
 from .field import (
     FieldSpec,
     PrimeIdealLabel,
-    kronecker_symbol,
     make_quadratic_field,
     make_rational_field,
     make_table_field,

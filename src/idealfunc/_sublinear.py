@@ -52,29 +52,9 @@ from functools import cached_property
 import numpy as np
 
 from . import _sieve
-from .field import NORM_LIMIT, FieldSpec, _check_memory, _chi_array, primes_up_to
+from .field import NORM_LIMIT, FieldSpec, _check_memory, _chi_array, integer_kth_root, primes_up_to
 
-__all__ = ["exact_sums", "kfree_counts", "table_size", "integer_kth_root"]
-
-
-def integer_kth_root(n: int, k: int) -> int:
-    """Largest r with r**k <= n."""
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    if n == 0:
-        return 0
-    if k == 2:
-        return math.isqrt(n)
-    if k >= n.bit_length():  # n < 2^k
-        return 1
-    # integer Newton from 2^ceil(bits / k) >= n^(1/k): the iterates fall
-    # strictly until they reach the root
-    r = 1 << -(-n.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
+__all__ = ["exact_sums", "kfree_counts", "table_size"]
 
 
 def table_size(x: int) -> int:

@@ -22,9 +22,6 @@ __all__ = [
     "dirichlet_L",
     "residue_c_F",
     "mobius_density_constant",
-    "mobius_density_partial_sum",
-    "lambda_generating_partial",
-    "kfree_generating_partial",
 ]
 
 
@@ -65,7 +62,7 @@ def _prime_ideal_norms(field: FieldSpec, cutoff: int) -> np.ndarray:
 
     The norms of `primes_with_norm_up_to`, from the same list, as a
     read-only int64 array; equal norms give equal Euler factors, so the
-    products and sums below keep their floating-point order.  Each field
+    products below keep their floating-point order.  Each field
     keeps the array of the largest cutoff asked in the memo of `_sieve`, as
     "norms", and a smaller cutoff takes a prefix of it.
     """
@@ -143,7 +140,10 @@ def dedekind_zeta(field: FieldSpec, s: float, cutoff: int = PRIME_CUTOFF) -> Ana
 
 
 def dedekind_zeta_series(field: FieldSpec, s: float) -> AnalyticValue:
-    """zeta_F(s) by the coefficient series sum_{n <= N0} a_F(n) n^-s."""
+    """zeta_F(s) by the coefficient series sum_{n <= N0} a_F(n) n^-s, a second
+    route to `dedekind_zeta`.  Outside the tests only perfbench/record_golden.py
+    calls it, to cross-check the recorded zeta values; it joins the test
+    oracles in tests/_oracles.py once that script reads it from there."""
     if s <= 1 + 1e-3:
         raise ValueError("s must exceed 1 + 1e-3 (pole at s = 1)")
     n0 = SERIES_CUTOFF
@@ -213,53 +213,3 @@ def mobius_density_constant(field: FieldSpec, k: int) -> AnalyticValue:
     return AnalyticValue(value=value, tail_bound=value * math.expm1(log_tail),
                          method="euler-product")
 
-
-def mobius_density_partial_sum(field: FieldSpec, k: int, X: int) -> float:
-    """Truncated direct ideal sum of mu_1(A) J_1(A) / (J_k(A) N(A)) over N(A) <= X.
-
-    Independent route to mobius_density_constant.  The summand is
-    multiplicative with squarefree support, so its per-norm series up to X is
-    the product over the prime ideals P of norm n <= X of 1 + t(n) N(P)^-s,
-    t(n) = -(n-1) / (n (n^k - 1)): each factor multiplies the series in place,
-    one prime ideal at a time, and the sum of the series is returned.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    X = int(X)
-    if X < 1:
-        return 0.0
-    _check_memory(X)
-    c = np.zeros(X + 1)
-    c[1] = 1.0
-    for n in _prime_ideal_norms(field, X).tolist():
-        # the right side first: each step reads the series before this factor
-        c[n::n] += -(n - 1) / (n * (n**k - 1)) * c[1 : X // n + 1]
-    return float(c.sum())
-
-
-def lambda_generating_partial(field: FieldSpec, k: int, s: float, X: float) -> float:
-    """Partial Dirichlet series  sum_{N(A) <= X} lambda_{k-1}(A) / N(A)^s.
-
-    Converges to zeta_F(ks) / zeta_F(s) for s > 1.
-    """
-    return _generating_partial(field, "liouville", k, k - 1, s, X)
-
-
-def kfree_generating_partial(field: FieldSpec, k: int, s: float, X: float) -> float:
-    """Partial Dirichlet series  sum_{N(A) <= X} q_k(A) / N(A)^s  (-> zeta_F(s)/zeta_F(ks))."""
-    return _generating_partial(field, "kfree", k, k, s, X)
-
-
-def _generating_partial(field: FieldSpec, kind: str, k: int, order: int, s: float,
-                        X: float) -> float:
-    """sum_{N(A) <= X} f(A) / N(A)^s, f the coefficients `kind` of `order`."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if s <= 1:
-        raise ValueError("s must exceed 1")
-    if X < 2:
-        return 1.0
-    n0 = math.floor(X)
-    coeff = _sieve.coefficient_array(field, kind, order, n0)
-    n = np.arange(1, n0 + 1, dtype=np.float64)
-    return float(np.dot(coeff[1:].astype(np.float64), n ** (-s)))

@@ -24,7 +24,6 @@ __all__ = [
     "make_quadratic_field",
     "make_table_field",
     "parse_field",
-    "kronecker_symbol",
     "is_squarefree",
     "is_fundamental_discriminant",
     "prime_ideals_above",
@@ -102,12 +101,6 @@ class FieldSpec:
         """The key of this field in the per-process memos: equal for equal
         fields, and hashed once per FieldSpec rather than once per lookup."""
         return self._key
-
-    def chi(self, n: int) -> int:
-        """Splitting character chi_disc(n) for quadratic fields."""
-        if self.degree != 2 or self.prime_table is not None:
-            raise ValueError("chi is defined for built-in quadratic fields only")
-        return int(_chi_array(self.disc)[n % abs(self.disc)])
 
     def residue_degrees(self, p: int) -> tuple[int, ...]:
         """Residue degrees of the prime ideals above the prime p, by `splitting`."""
@@ -350,36 +343,6 @@ def parse_field(spec: str) -> FieldSpec:
     raise ValueError(f"unknown field designation {spec!r}")
 
 
-def kronecker_symbol(D: int, n: int) -> int:
-    """Kronecker symbol (D/n) for n >= 1, completely multiplicative in n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return 1
-    a, result = D, 1
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t % 2 and a % 8 in (3, 5):
-            result = -result
-    a %= n
-    while a:
-        t = 0
-        while a % 2 == 0:
-            a //= 2
-            t += 1
-        if t % 2 and n % 8 in (3, 5):
-            result = -result
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a, n = n % a, a
-    return result if n == 1 else 0
-
-
 # ---------------------------------------------------------------------------
 # rational primes
 
@@ -427,6 +390,26 @@ def primes_up_to(limit: int) -> np.ndarray:
     return primes[:cut]
 
 
+def integer_kth_root(n: int, k: int) -> int:
+    """Largest r with r**k <= n."""
+    if n < 0 or k < 1:
+        raise ValueError("need n >= 0 and k >= 1")
+    if n == 0:
+        return 0
+    if k == 2:
+        return math.isqrt(n)
+    if k >= n.bit_length():  # n < 2^k
+        return 1
+    # integer Newton from 2^ceil(bits / k) >= n^(1/k): the iterates fall
+    # strictly until they reach the root
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 # ---------------------------------------------------------------------------
 # splitting
 
@@ -446,8 +429,6 @@ def _prime_ideals(field: FieldSpec, X: int) -> tuple[np.ndarray, ...]:
     """The prime ideals of norm <= X as four int64 arrays, the fields of
     their labels: norm, p, conjugate index and f, in (norm, p, index) order.
     Each array owns its bytes."""
-    from ._sublinear import integer_kth_root
-
     primes = primes_up_to(X)
     classes, of = field.splitting(primes)
     parts = []

