@@ -184,12 +184,78 @@ def dirichlet_L(D: int, s: float) -> AnalyticValue:
 
 def residue_c_F(field: FieldSpec) -> AnalyticValue:
     """Residue of zeta_F at s = 1: exactly 1 for the rationals, L(1, chi_D) for
-    quadratic fields (zeta_F = zeta * L(., chi_D))."""
+    quadratic fields (zeta_F = zeta * L(., chi_D)), by the class number formula
+    over one period of chi_D.
+
+    The sums read `_BLOCK` residues at a time, so past the character, whose
+    `_chi_array` checks its own 3 bytes per residue, they hold under 2 MiB
+    whatever |D| (1.5-1.8 MiB traced at |D| near 10^6 and 10^7).
+    `dirichlet_L(D, 1)` is the independent cross-check.
+    """
     if field.prime_table is not None:
         raise ValueError("c_F is not available for explicit-table fields")
     if field.degree == 1:
         return AnalyticValue(value=1.0, tail_bound=0.0, method="exact")
-    return dirichlet_L(field.disc, 1.0)
+    if field.disc < 0:
+        return _odd_L1(field.disc)
+    return _even_L1(field.disc)
+
+
+# unit roundoff: one correctly rounded float operation errs by at most this
+# relative amount
+_U = 2.0**-53
+# numpy's float64 sin and log are taken to err by at most this many units in
+# the last place (each unit at most 2 _U relative)
+_LIBM_ULPS = 4
+_BLOCK = 2**16
+
+
+def _odd_L1(D: int) -> AnalyticValue:
+    """L(1, chi_D) = -pi |D|^(-3/2) sum_{a<|D|} chi(a) a for D < 0.
+
+    The sum is an exact integer: each block adds start * sum(chi) and
+    sum(chi(a) (a - start)), whose int64 terms stay below _BLOCK^2.  The value
+    then takes six roundings (pi, the sum, the square root, two products and
+    the quotient), each within _U relative.
+    """
+    mod = abs(D)
+    chi = _chi_array(D)
+    offsets = np.arange(min(_BLOCK, mod), dtype=np.int64)
+    total = 0
+    for start in range(0, mod, _BLOCK):
+        block = chi[start:start + _BLOCK].astype(np.int64)
+        total += start * int(block.sum()) + int(np.dot(block, offsets[:len(block)]))
+    value = -math.pi * total / (mod * math.sqrt(mod))
+    return AnalyticValue(value=value, tail_bound=8 * _U * abs(value),
+                         method="class-number-formula")
+
+
+def _even_L1(D: int) -> AnalyticValue:
+    """L(1, chi_D) = -2 D^(-1/2) sum_{a<D/2} chi(a) log sin(pi a / D) for D > 0.
+
+    chi_D is even, so the terms for a and D - a are equal and only the half
+    period is summed, where sin(pi a / D) is well conditioned.  Per term, the
+    argument a * (pi / D) errs by 3 _U relative, and so does its sine (the
+    condition number t cot t is at most 1) before the sine's own units; the
+    log adds that relative error, plus its own units times |log sin|.  Each
+    block and the block total are summed by math.fsum, within _U of the sum
+    of |terms| each, and the factor 2 / sqrt(D) takes three more roundings.
+    """
+    chi = _chi_array(D)
+    stop = (D + 1) // 2  # a < D/2; a = D/2 is even, so chi(a) = 0
+    partials, terms, size = [], 0, 0.0
+    for start in range(1, stop, _BLOCK):
+        a = np.flatnonzero(chi[start:min(start + _BLOCK, stop)]) + start
+        logs = np.log(np.sin(a * (math.pi / D)))  # all <= 0
+        partials.append(math.fsum(np.where(chi[a] > 0, logs, -logs).tolist()))
+        terms += len(a)
+        size -= float(logs.sum())  # the sum of |log sin|
+    scale = 2.0 / math.sqrt(D)
+    value = -scale * math.fsum(partials)
+    sine = 3 + 2 * _LIBM_ULPS  # the sine's relative error, in units of _U
+    sum_error = _U * (1.01 * sine * terms + (2 * _LIBM_ULPS + 2) * size)
+    return AnalyticValue(value=value, tail_bound=1.01 * (scale * sum_error + 3 * _U * abs(value)),
+                         method="class-number-formula")
 
 
 def mobius_density_constant(field: FieldSpec, k: int) -> AnalyticValue:

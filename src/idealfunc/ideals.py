@@ -28,7 +28,6 @@ __all__ = [
     "IdealFactorization",
     "UNIT",
     "from_factors",
-    "prime_power",
     "multiply",
     "power",
     "divides",
@@ -93,10 +92,6 @@ def from_factors(pairs: Iterable[tuple[PrimeIdealLabel, int]]) -> IdealFactoriza
         raise ValueError("negative exponent")
     kept.sort()  # labels are distinct, so the exponents are never compared
     return IdealFactorization(tuple(kept))
-
-
-def prime_power(label: PrimeIdealLabel, e: int = 1) -> IdealFactorization:
-    return IdealFactorization(((label, e),))
 
 
 def multiply(A: IdealFactorization, B: IdealFactorization) -> IdealFactorization:

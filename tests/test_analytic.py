@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
 
 from idealfunc import _sieve
 from idealfunc.analytic import (
@@ -15,7 +17,14 @@ from idealfunc.analytic import (
     _prime_ideal_norms,
 )
 from idealfunc.arith import jordan_totient, mu_1
-from idealfunc.field import make_table_field, parse_field, primes_up_to, primes_with_norm_up_to
+from idealfunc.field import (
+    is_fundamental_discriminant,
+    make_quadratic_field,
+    make_table_field,
+    parse_field,
+    primes_up_to,
+    primes_with_norm_up_to,
+)
 from idealfunc.ideals import enumerate_ideals
 from _oracles import dirichlet_partial, mobius_density_partial_sum
 from test_sieve import FIELDS, _gaussian_table
@@ -96,6 +105,65 @@ def test_residue(rational, gaussian):
     assert residue_c_F(rational).tail_bound == 0.0
     c = residue_c_F(gaussian)
     assert c.value == pytest.approx(math.pi / 4, abs=1e-4)
+
+
+def _digamma_L1(D):
+    """L(1, chi_D) = -(1/|D|) sum_{a<|D|} chi(a) psi(a/|D|) at 30 digits, with
+    sympy's Kronecker symbol as chi."""
+    m = abs(D)
+    with mpmath.workdps(30):
+        terms = []
+        for a in range(1, m):
+            chi = sympy.kronecker_symbol(D, a)
+            if chi:
+                terms.append(chi * mpmath.digamma(mpmath.mpf(a) / m))
+        return -mpmath.fsum(terms) / m
+
+
+# L(1, chi_D) in closed form
+RESIDUE_CLOSED_FORMS = {
+    "q:-1": lambda: mpmath.pi / 4,
+    "q:-3": lambda: mpmath.pi / (3 * mpmath.sqrt(3)),
+    "q:2": lambda: mpmath.log(1 + mpmath.sqrt(2)) / mpmath.sqrt(2),
+    "q:5": lambda: 2 * mpmath.log((1 + mpmath.sqrt(5)) / 2) / mpmath.sqrt(5),
+}
+
+
+@pytest.mark.parametrize("label", sorted(RESIDUE_CLOSED_FORMS))
+def test_residue_closed_forms(label):
+    c = residue_c_F(parse_field(label))
+    with mpmath.workdps(30):
+        exact = RESIDUE_CLOSED_FORMS[label]()
+        assert abs((c.value - exact) / exact) < 1e-14
+        assert abs(c.value - exact) <= c.tail_bound
+    assert c.method == "class-number-formula"
+
+
+@pytest.mark.parametrize("label", ["q:-1", "q:-3", "q:-5", "q:2", "q:5", "q:13"])
+def test_residue_to_double_precision(label):
+    field = parse_field(label)
+    exact = _digamma_L1(field.disc)
+    assert abs((residue_c_F(field).value - exact) / exact) < 1e-14
+
+
+def test_residue_within_its_bound_for_every_small_discriminant():
+    # both parities of chi_D: the integer sum of the odd characters and the
+    # log-sine sum of the even ones
+    discs = [D for D in range(-500, 501) if D != 1 and is_fundamental_discriminant(D)]
+    assert len(discs) == 306
+    for D in discs:
+        c = residue_c_F(make_quadratic_field(D if D % 4 == 1 else D // 4))
+        exact = _digamma_L1(D)
+        assert abs(c.value - exact) <= c.tail_bound, D
+        assert c.tail_bound < 1e-12 * c.value, D
+
+
+@pytest.mark.parametrize("label", ["q:-1000003", "q:1000003"])
+def test_residue_matches_the_character_sum(label):
+    # the independent route: L(1, chi_D) by dirichlet_L's whole-period sum
+    field = parse_field(label)
+    c, L = residue_c_F(field), dirichlet_L(field.disc, 1.0)
+    assert abs(c.value - L.value) <= L.tail_bound + c.tail_bound
 
 
 def test_residue_matches_ideal_count_density(any_field):

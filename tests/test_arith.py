@@ -19,13 +19,13 @@ from idealfunc.arith import (
 from idealfunc.field import PrimeIdealLabel
 from idealfunc.ideals import (
     UNIT,
+    IdealFactorization,
     coprime,
     divisors,
     enumerate_ideals,
     from_factors,
     multiply,
     power,
-    prime_power,
 )
 
 P2 = PrimeIdealLabel(2, 1, 0)
@@ -47,9 +47,9 @@ def big_omega(A):
 def test_prime_power_rules():
     for k in range(1, 5):
         for e in range(1, 10):
-            v = mu_k(k, prime_power(P2, e))
+            v = mu_k(k, IdealFactorization(((P2, e),)))
             assert v == (1 if e < k else (-1 if e == k else 0))
-            w = lambda_k(k, prime_power(P2, e))
+            w = lambda_k(k, IdealFactorization(((P2, e),)))
             r = e % (k + 1)
             assert w == (1 if r == 0 else (-1 if r == 1 else 0))
     assert mu_k(2, UNIT) == 1
@@ -73,13 +73,13 @@ def test_lambda_1_is_classical_liouville(rational):
 
 
 def test_qk_is_kfree_indicator():
-    assert q_k(2, prime_power(P2, 1)) == 1
-    assert q_k(2, prime_power(P2, 2)) == 0
+    assert q_k(2, IdealFactorization(((P2, 1),))) == 1
+    assert q_k(2, IdealFactorization(((P2, 2),))) == 0
     assert q_k(3, ideal((P2, 2), (P3, 2))) == 1
-    assert q_k(3, prime_power(P2, 3)) == 0
+    assert q_k(3, IdealFactorization(((P2, 3),))) == 0
     for e in range(1, 8):
         for k in range(2, 5):
-            A = prime_power(P2, e)
+            A = IdealFactorization(((P2, e),))
             assert q_k(k, A) == abs(mu_k(k - 1, A))
 
 
@@ -93,13 +93,14 @@ def test_jordan_and_sigma():
 
     assert sigma(0, six) == 4                  # number of divisors
     assert sigma(1, six) == 12                 # sum of divisor norms
-    assert sigma(2, prime_power(P2, 2)) == 21  # 1 + 4 + 16
+    assert sigma(2, IdealFactorization(((P2, 2),))) == 21  # 1 + 4 + 16
     assert sigma(0.5, six) == pytest.approx((1 + 2**0.5) * (1 + 3**0.5))
     assert delta(UNIT) == 1 and delta(six) == 0
 
 
 def test_convolution_identities():
-    for A in [UNIT, prime_power(P2, 1), prime_power(P2, 3), ideal((P2, 2), (P3, 1))]:
+    two, eight = IdealFactorization(((P2, 1),)), IdealFactorization(((P2, 3),))
+    for A in [UNIT, two, eight, ideal((P2, 2), (P3, 1))]:
         assert dirichlet_convolve(mu_1, one, A) == delta(A)
 
 
@@ -108,19 +109,19 @@ def test_kfree_convolution_gives_delta():
     for k in (2, 3, 4):
         f, g = partial(q_k, k), partial(lambda_k, k - 1)
         for e in range(0, 9):
-            A = UNIT if e == 0 else prime_power(P2, e)
+            A = UNIT if e == 0 else IdealFactorization(((P2, e),))
             assert dirichlet_convolve(f, g, A) == delta(A)
         assert dirichlet_convolve(f, g, ideal((P2, 3), (P3, 2))) == 0
 
 
 def test_dirichlet_inverse():
-    for A in [UNIT, prime_power(P2, 2), ideal((P2, 1), (P3, 1))]:
+    for A in [UNIT, IdealFactorization(((P2, 2),)), ideal((P2, 1), (P3, 1))]:
         assert dirichlet_inverse(one, A) == Fraction(mu_1(A))
     # inverse of lambda_{k-1} is q_k
     for k in (2, 3):
         f = partial(lambda_k, k - 1)
         for e in range(0, 7):
-            A = UNIT if e == 0 else prime_power(P3, e)
+            A = UNIT if e == 0 else IdealFactorization(((P3, e),))
             assert dirichlet_inverse(f, A) == Fraction(q_k(k, A))
 
 
@@ -155,7 +156,7 @@ def correlation_sum(field, k, A, x):
 
 
 def test_correlation_sum_examples(rational):
-    two = prime_power(P2)
+    two = IdealFactorization(((P2, 1),))
     # frozen oracle: sum over norms <= 10 of mu_1(B) mu_1(2B)
     assert correlation_sum(rational, 2, two, 10) == -4
     # A = unit: reduces to the count of k-free ideals
@@ -165,14 +166,14 @@ def test_correlation_sum_examples(rational):
         got = correlation_sum(rational, k, UNIT, 50)
         assert got == qfree_count(rational, k, 50)
     # a square factor of A^{k-1} kills every term
-    assert correlation_sum(rational, 2, prime_power(P2, 2), 50) == 0
+    assert correlation_sum(rational, 2, IdealFactorization(((P2, 2),)), 50) == 0
 
 
 @settings(max_examples=150, deadline=None)
 @given(e2=st.integers(0, 5), e3=st.integers(0, 5), k=st.integers(2, 4))
 def test_multiplicativity(e2, e3, k):
-    A = UNIT if e2 == 0 else prime_power(P2, e2)
-    B = UNIT if e3 == 0 else prime_power(P3, e3)
+    A = UNIT if e2 == 0 else IdealFactorization(((P2, e2),))
+    B = UNIT if e3 == 0 else IdealFactorization(((P3, e3),))
     assert coprime(A, B)
     AB = multiply(A, B)
     for fn in (mu_k, lambda_k, q_k, jordan_totient):
@@ -182,11 +183,11 @@ def test_multiplicativity(e2, e3, k):
 @settings(max_examples=60, deadline=None)
 @given(e=st.integers(1, 10), k=st.integers(1, 5))
 def test_prime_power_value_range(e, k):
-    A = prime_power(P3, e)
+    A = IdealFactorization(((P3, e),))
     assert mu_k(k, A) in (-1, 0, 1)
     assert lambda_k(k, A) in (-1, 0, 1)
     assert q_k(k + 1, A) in (0, 1)
-    assert mu_k(k, prime_power(P3, k)) == -1
+    assert mu_k(k, IdealFactorization(((P3, k),))) == -1
 
 
 def test_prime_power_rule_matches_value(rational):
@@ -197,9 +198,10 @@ def test_prime_power_rule_matches_value(rational):
                 continue
             coeff = coefficient_array(rational, kind, k, 2**6)
             for e in range(1, 7):
-                assert coeff[2**e] == fn(k, prime_power(P2, e))
+                assert coeff[2**e] == fn(k, IdealFactorization(((P2, e),)))
         for e in range(1, 7):
-            assert jordan_totient(k, prime_power(P2, e)) == 2 ** (k * e) - 2 ** (k * (e - 1))
+            power_of_two = IdealFactorization(((P2, e),))
+            assert jordan_totient(k, power_of_two) == 2 ** (k * e) - 2 ** (k * (e - 1))
 
 
 def test_mu_of_kth_power_is_mu1(any_field):

@@ -11,6 +11,7 @@ import pytest
 from pathlib import Path
 
 from idealfunc import _sieve, _sublinear
+from idealfunc import field as field_module
 from idealfunc.cli import main
 from idealfunc.field import parse_field, primes_up_to
 from idealfunc.summatory import CSV_HEADER
@@ -165,7 +166,7 @@ def test_report_count_remainder():
         ["q:-1", "R", "0", "100", "79"], ["q:-1", "R", "0", "1000", "787"],
         ["q:-1", "R", "0", "10000", "7854"]]
     assert all(line.split(",")[7] == "x^((d-1)/(d+1));d=2" for line in lines[1:])
-    # the remainder against c_F = pi/4 (to its series tail), normalized by x^(1/3)
+    # the remainder against c_F = pi/4, normalized by x^(1/3)
     row = lines[1].split(",")
     assert float(row[6]) == pytest.approx(79 - 25 * 3.14159265358979, abs=1e-3)
     assert float(row[8]) == pytest.approx(float(row[6]) / 100 ** (1 / 3))
@@ -178,6 +179,17 @@ def test_report_count_remainder():
     assert code == 0
     assert [(r["fn"], r["k"], r["raw"], r["remainder"]) for r in json.loads(out)] == [
         ("R", 0, 10, 0.0), ("R", 0, 100, 0.0)]
+
+
+def test_report_count_remainder_at_large_x_is_the_remainder():
+    # R(x) / x^(1/3) over Q(i) stays below 1 at 10^9 and 10^10; a relative
+    # error of 3e-6 in c_F alone would print 2.4 and 11.5 there
+    code, out, err = run_cli(["report", "--field", "q:-1", "--theorem", "0",
+                              "--grid", "1e9:1e10:2"])
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[4] for row in rows] == ["785398102", "7853981364"]
+    assert all(abs(float(row[8])) < 1 for row in rows)
 
 
 @pytest.mark.parametrize("theorem", ["0", "1", "2", "3"])
@@ -395,16 +407,30 @@ def test_report_grid_past_memory_is_refused_before_it_is_built(monkeypatch):
                    "per grid point exceed the 8.0 GiB of physical memory\n")
 
 
-def test_l_series_past_memory_is_refused_while_sums_answer(monkeypatch, fresh_memos):
-    # the character of q:-1000003 fits in 16 MiB at 3 bytes per residue, but
-    # the L-series sum behind c_F peaks near 40 bytes per residue
+def test_report_constants_need_only_the_character_in_memory(monkeypatch, fresh_memos):
+    # c_F sums one period of the character in fixed-size blocks, so a report
+    # over q:-1000003 is refused only where its character (3 bytes per
+    # residue) does not fit, and answers in 16 MiB as `sum` does
+    field_module._chi_array.cache_clear()
+    fake_physical_memory(monkeypatch, 2 * 2**20)
+    code, out, err = run_cli(["report", "--field", "q:-1000003", "--theorem", "0",
+                              "--grid", "1000:10000:2"])
+    assert_one_line_error(code, out, err)
+    assert err == ("error: discriminant -1000003 is too large to tabulate its character: "
+                   "about 3 bytes per residue exceed the 0.0 GiB of physical memory\n")
     fake_physical_memory(monkeypatch, 16 * 2**20)
-    for theorem in ("0", "1"):
+    rows = {"0": ["q:-1000003,R,0,1000,337,329.8667338,7.133266173,x^((d-1)/(d+1));d=2,"
+                  "0.7133266173",
+                  "q:-1000003,R,0,10000,3308,3298.667338,9.332661728,x^((d-1)/(d+1));d=2,"
+                  "0.4331837846"],
+            "1": ["q:-1000003,M,2,1000,277,271.6715643,5.328435693,x^(1/2)*log(x),0.02439286349",
+                  "q:-1000003,M,2,10000,2703,2716.715643,-13.71564307,x^(1/2)*log(x),"
+                  "-0.01489157025"]}
+    for theorem, expected in rows.items():
         code, out, err = run_cli(["report", "--field", "q:-1000003", "--theorem", theorem,
                                   "--order", "2", "--grid", "1000:10000:2"])
-        assert_one_line_error(code, out, err)
-        assert err == ("error: discriminant -1000003 is too large for its L-series sum: "
-                       "about 40 bytes per residue exceed the 0.0 GiB of physical memory\n")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [CSV_HEADER] + expected
     code, out, err = run_cli(["sum", "--field", "q:-1000003", "--fn", "mobius", "--order", "2",
                               "--x", "1e5"])
     assert (code, out, err) == (0, "27125\n", "")

@@ -12,6 +12,7 @@ from idealfunc import _sieve
 from idealfunc.field import PrimeIdealLabel, _chi_array
 from idealfunc.ideals import (
     UNIT,
+    IdealFactorization,
     coprime,
     divides,
     divisors,
@@ -22,7 +23,6 @@ from idealfunc.ideals import (
     ideals_of_norm,
     multiply,
     power,
-    prime_power,
     quotient,
 )
 
@@ -38,7 +38,8 @@ def ideal(*pairs):
 def test_multiply_identity_and_powers():
     A = ideal((P2, 1), (P3, 2))
     assert multiply(UNIT, A) == A
-    assert multiply(prime_power(P2, 2), prime_power(P2)) == prime_power(P2, 3)
+    two, four, eight = (IdealFactorization(((P2, e),)) for e in (1, 2, 3))
+    assert multiply(four, two) == eight
     B = multiply(ideal((P2, 1), (P3, 1)), ideal((P2, 1), (P5a, 1)))
     assert B == ideal((P2, 2), (P3, 1), (P5a, 1))
     assert B.norm == 4 * 3 * 5
@@ -46,26 +47,27 @@ def test_multiply_identity_and_powers():
 
 def test_divides_quotient_coprime():
     assert divides(UNIT, ideal((P2, 1)))
-    assert not divides(prime_power(P2, 2), prime_power(P2))
+    two, four, eight = (IdealFactorization(((P2, e),)) for e in (1, 2, 3))
+    assert not divides(four, two)
     assert divides(ideal((P2, 1), (P3, 1)), ideal((P2, 2), (P3, 3)))
     assert quotient(ideal((P2, 3)), UNIT) == ideal((P2, 3))
-    assert quotient(prime_power(P2, 3), prime_power(P2)) == prime_power(P2, 2)
+    assert quotient(eight, two) == four
     with pytest.raises(ValueError):
-        quotient(prime_power(P2), prime_power(P3))
+        quotient(two, IdealFactorization(((P3, 1),)))
     assert coprime(UNIT, ideal((P2, 1)))
-    assert not coprime(prime_power(P2), prime_power(P2, 2))
-    assert coprime(prime_power(P2), prime_power(P3))
+    assert not coprime(two, four)
+    assert coprime(IdealFactorization(((P2, 1),)), IdealFactorization(((P3, 1),)))
 
 
 def test_divisors():
     assert divisors(UNIT) == [UNIT]
-    assert [D.norm for D in divisors(prime_power(P2, 2))] == [1, 2, 4]
+    assert [D.norm for D in divisors(IdealFactorization(((P2, 2),)))] == [1, 2, 4]
     assert len(divisors(ideal((P2, 2), (P3, 1)))) == 6
 
 
 def test_norm_overflow_rejected():
     with pytest.raises(OverflowError):
-        prime_power(P2, 80)
+        IdealFactorization(((P2, 80),))
 
 
 def test_enumerate_rational(rational):
@@ -152,10 +154,10 @@ def count_coprime(field, X, A):
 
 
 def test_ideal_count_coprime(rational, gaussian):
-    two = prime_power(P2)
+    two = IdealFactorization(((P2, 1),))
     assert count_coprime(rational, 10, two) == 5
     assert count_coprime(rational, 10, UNIT) == ideal_count(rational, 10)
-    ram2 = prime_power(PrimeIdealLabel(2, 1, 0))
+    ram2 = IdealFactorization(((PrimeIdealLabel(2, 1, 0), 1),))
     # ideals of Z[i] with norm <= 10 coprime to the ramified prime above 2:
     # norms 1, 5, 5, 9
     assert count_coprime(gaussian, 10, ram2) == 4

@@ -322,20 +322,20 @@ NORMALIZED_BITS = {
         ("0x1.23bd2905c1ba0p-5", "0x1.fbf26aa8f72ccp-5", "-0x1.048450e4b5f7bp-1",
          "0x1.0c700e69a10cep-5", "0x1.2867cdf937a5bp-7"),
     ("count", "q:-1", 0, "x^((d-1)/(d+1));d=2"):
-        ("0x1.b7827a7a4d4b0p-3", "0x1.5cd6ccfb4f13ap-2", "-0x1.8bff8a0ffc034p-4",
-         "0x1.f0345d9f4db97p-4", "0x1.382420e28f5c4p+1"),
+        ("0x1.b7812aeef4ba0p-3", "0x1.5cd5c2a8f3ec1p-2", "-0x1.8c04a52a25184p-4",
+         "0x1.ef2e2263f7047p-4", "-0x1.f6f7c810624e0p-5"),
     ("mobius", "q:-1", 2, "x^(1/2)*log(x)"):
-        ("0x1.37e79425256cep-1", "0x1.b919875972771p-1", "0x1.232f948c8c269p-1",
-         "-0x1.2def77be77c71p-8", "0x1.3b74ed7fea34dp-9"),
+        ("0x1.37e76a674f6e0p-1", "0x1.b9194c51649eap-1", "0x1.232f4fba951dep-1",
+         "-0x1.2e4f073fc696dp-8", "0x1.0a94c7af66c95p-11"),
     ("mobius", "q:-1", 3, "x^(1/3)*log(x)"):
-        ("0x1.88bcf2571a634p-2", "0x1.37b766f8b34eep-1", "0x1.dbd9ffcab9fd2p-3",
-         "0x1.07cebae554031p-5", "0x1.723fdf330e354p-4"),
+        ("0x1.88bc6ea7603f8p-2", "0x1.37b6fe73af54ap-1", "0x1.dbd7fecfc5034p-3",
+         "0x1.07932410bf815p-5", "-0x1.19985f8b5fc96p-8"),
     ("mobius", "q:-1", 4, "x^(1/4)*log(x)"):
-        ("0x1.2bb14521d4f66p-2", "0x1.f805482b7807ap-2", "0x1.ecffdc4b16cb7p-5",
-         "0x1.5d73ea1ba24b0p-4", "0x1.2ccdada110af4p-1"),
+        ("0x1.2bb0ae091fca2p-2", "0x1.f8044a0e882f0p-2", "0x1.ecf5dd529e41fp-5",
+         "0x1.5d371e8ccbb31p-4", "-0x1.8057690411b7ap-6"),
     ("mobius", "q:-1", 5, "x^(1/5)*log(x)"):
-        ("0x1.025f13911505cp-2", "0x1.c1d9c8eebe923p-2", "-0x1.b2d5e4c50d149p-6",
-         "0x1.2131edf453a5cp-4", "0x1.c5cb59b589146p+0"),
+        ("0x1.025e73d9ad184p-2", "0x1.c1d8b2d9a2c56p-2", "-0x1.b2ec1c0e94001p-6",
+         "0x1.20d7271737334p-4", "-0x1.856609356e361p-5"),
     ("liouville", "q:-1", 2, "x^0.6"):
         ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
          "-0x1.c648c82d9c7e0p-4", "-0x1.11bc98d3ab8e1p-4"),
@@ -361,17 +361,17 @@ NORMALIZED_BITS = {
         ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
          "-0x1.c5a45fd9604d0p-5", "-0x1.28ba09b73ef1fp-10"),
     ("qfree", "q:-1", 2, "x^(1/2)"):
-        ("0x1.ea38ae871cd88p-2", "0x1.5aa38dff96f18p-1", "0x1.6a1f680594165p-2",
-         "0x1.7d074a3e8b23bp-5", "0x1.809ee365008a3p-5"),
+        ("0x1.ea383f2d5b79ep-2", "0x1.5aa33f42fa09dp-1", "0x1.6a1eb06f88854p-2",
+         "0x1.7c99397ad7088p-5", "-0x1.69b8bc2aea358p-8"),
     ("qfree", "q:-1", 3, "x^(1/3)*log(x)"):
-        ("0x1.4d7ff4f28fdd4p-2", "0x1.08b2f11c62401p-1", "0x1.ea2e87e1f4199p-4",
-         "0x1.3f3c5efde181ap-6", "0x1.940316a1af2a2p-4"),
+        ("0x1.4d7f64e74b0cap-2", "0x1.08b27ec876aaap-1", "0x1.ea2a25a516935p-4",
+         "0x1.3eba0246388f2p-6", "-0x1.43bb8b4ae0c4fp-8"),
     ("qfree", "q:-1", 4, "x^((d-1)/(d+1));d=2"):
-        ("0x1.109ec388d8356p-2", "0x1.b0c1ee8ffdb8ap-2", "0x1.fbe92e0b3c153p-9",
-         "0x1.253302d8f14ffp-2", "0x1.22ed11ee56043p+1"),
+        ("0x1.109e26ca604f4p-2", "0x1.b0c0f5bf3169cp-2", "0x1.fb5088331fcf0p-9",
+         "0x1.24f5c338ab67cp-2", "-0x1.01430645a1caep-4"),
     ("qfree", "q:-1", 5, "x^((d-1)/(d+1));d=2"):
-        ("0x1.eacf2e9f13f68p-3", "0x1.858e3c0a5a3c6p-2", "-0x1.885305c48c86ap-5",
-         "0x1.d164b794a42f2p-3", "0x1.3290211c28f5ep+1"),
+        ("0x1.eacde9c752754p-3", "0x1.858d3a366916bp-2", "-0x1.885ce898e6004p-5",
+         "0x1.d0e5c8794af71p-3", "-0x1.9d98d51eb8521p-6"),
 }
 DEGREE_3_BITS = {
     ("qfree", 2, "x^(1/2)*log(x)"):
