@@ -24,19 +24,22 @@ fields of degree >= 3 (where tau_3(n) can pass 2^15) sieve in int64.
 Each rule below gives the integer f at the e-th power of a prime ideal, for
 the order k; no rule reads the prime or its norm.  The pointwise functions
 in `arith` evaluate the same rules over a factorization.
+`cumulative_array` keeps its prefix sums in the memo of `field.kept_array`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from typing import Callable
 
 import numpy as np
 
-from .field import FieldSpec, _check_memory, primes_up_to
+from .field import FieldSpec, _check_memory, kept_array, primes_up_to
+# the memo lives in `field`, but the benchmark scripts reach it through these two
+# names: perfbench/spans.py reads `cumulative_array.__globals__["_CUM_CACHE"]`,
+# and perfbench/record_golden.py calls `_sieve.clear_cache()`
+from .field import _CUM_CACHE, clear_cache  # noqa: F401
 
-__all__ = ["coefficient_array", "cumulative_array", "kept_array", "clear_cache"]
+__all__ = ["coefficient_array", "cumulative_array"]
 
 
 def _count(e: int, k: int) -> int:
@@ -136,50 +139,15 @@ def _sieve_work(field: FieldSpec, kind: str, k: int, xmax: int, dtype) -> np.nda
     return val
 
 
-# ---------------------------------------------------------------------------
-# The one memo of per-field arrays, keyed by (field.cache_key(), name): the
-# prefix sums of the sieve (name (kind, k)), the k-full rows of `_sublinear`
-# (("kfull", k)), the prime-ideal norms of `analytic` ("norms") and the report
-# constants of `summatory` (0-d arrays, (name, *args)).  Each is kept
-# read-only, beside the reach it was built for.  The least recently used
-# arrays are dropped while the kept bytes exceed _KEPT_BYTES, but the newest
-# is always kept.
-
-_CUM_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_REACHES: dict[tuple, int] = {}
-_KEPT_BYTES = 32 * 2**20
-
-
-def kept_array(field: FieldSpec, name: object, reach: int,
-               build: Callable[[int], np.ndarray]) -> np.ndarray:
-    """The kept array `name` of field if it was built for a reach at least
-    as far, else build(reach), kept."""
-    key = (field.cache_key(), name)
-    if key in _REACHES and _REACHES[key] >= reach:
-        _CUM_CACHE.move_to_end(key)
-        return _CUM_CACHE[key]
-    if key in _REACHES:  # the shorter array goes before the longer is built
-        del _CUM_CACHE[key], _REACHES[key]
-    array = build(reach)  # an array that fails to build is not kept
-    array.flags.writeable = False
-    _CUM_CACHE[key] = array
-    _REACHES[key] = reach
-    kept = sum(a.nbytes for a in _CUM_CACHE.values())
-    while kept > _KEPT_BYTES and len(_CUM_CACHE) > 1:
-        dropped, old = _CUM_CACHE.popitem(last=False)
-        del _REACHES[dropped]
-        kept -= old.nbytes
-    return array
-
-
 def cumulative_array(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarray:
     """Prefix sums of the coefficient array; cum[x] = sum_{n <= x} c(n).
 
-    Kept in the memo above: the array may reach past xmax, and is read-only.
+    Kept in the memo of `field.kept_array`: the array may reach past xmax,
+    and is read-only.
     """
     if xmax < 0:
         raise ValueError(f"xmax = {xmax} must be >= 0")
-    return kept_array(field, (kind, k), int(xmax),
+    return kept_array((field.cache_key(), (kind, k)), int(xmax),
                       lambda reach: _cumulate(field, kind, k, reach))
 
 
@@ -189,14 +157,3 @@ def _cumulate(field: FieldSpec, kind: str, k: int, xmax: int) -> np.ndarray:
         return np.arange(xmax + 1, dtype=np.int64)
     coeff = coefficient_array(field, kind, k, xmax)  # checks xmax
     return np.cumsum(coeff, out=coeff)  # in place: one x-sized array, not two
-
-
-def clear_cache() -> None:
-    """Empty every per-process memo of the package: the kept per-field
-    arrays (with the report constants) and the parsed table fields.  The
-    grow-only rational-prime array and the per-discriminant characters
-    stay."""
-    from . import field
-
-    for memo in (_CUM_CACHE, _REACHES, field._TABLE_FIELDS):
-        memo.clear()

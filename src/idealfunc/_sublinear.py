@@ -52,7 +52,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _sieve
-from .field import NORM_LIMIT, FieldSpec, _check_memory, _chi_array, integer_kth_root, primes_up_to
+from .field import (NORM_LIMIT, FieldSpec, _check_memory, _chi_array, integer_kth_root, kept_array,
+                    primes_up_to)
 
 __all__ = ["exact_sums", "kfree_counts", "table_size"]
 
@@ -301,7 +302,8 @@ def _kfull(field: FieldSpec, k: int, x: int) -> np.ndarray:
     """Every k-full n <= x with G(n) != 0 and G(n), as the rows of a (2, m)
     array ascending in n.  G(n) does not depend on x, so the kept rows of a
     larger x answer too."""
-    held = _sieve.kept_array(field, ("kfull", k), x, lambda reach: _kfull_rows(field, k, reach))
+    held = kept_array((field.cache_key(), ("kfull", k)), x,
+                      lambda reach: _kfull_rows(field, k, reach))
     return held[:, : int(np.searchsorted(held[0], x, side="right"))]
 
 

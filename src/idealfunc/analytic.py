@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _sieve
-from .field import FieldSpec, _check_memory, _chi_array, _prime_ideals, is_fundamental_discriminant
+from .field import (FieldSpec, _check_memory, _chi_array, _prime_ideals, is_fundamental_discriminant,
+                    kept_array)
 
 __all__ = [
     "AnalyticValue",
@@ -62,12 +63,12 @@ def _prime_ideal_norms(field: FieldSpec, cutoff: int) -> np.ndarray:
 
     The norms of `primes_with_norm_up_to`, from the same list, as a
     read-only int64 array; equal norms give equal Euler factors, so the
-    products below keep their floating-point order.  Each field
-    keeps the array of the largest cutoff asked in the memo of `_sieve`, as
+    products below keep their floating-point order.  Each field keeps the
+    array of the largest cutoff asked in the memo of `kept_array`, as
     "norms", and a smaller cutoff takes a prefix of it.
     """
-    norms = _sieve.kept_array(field, "norms", cutoff,
-                              lambda reach: _prime_ideals(field, int(reach))[0])
+    norms = kept_array((field.cache_key(), "norms"), cutoff,
+                       lambda reach: _prime_ideals(field, int(reach))[0])
     return norms[: int(np.searchsorted(norms, cutoff, side="right"))]
 
 

@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import analytic, summatory, verify
+from . import analytic, arith, summatory, verify
 from .analytic import AnalyticValue
 from .field import FieldSpec, _check_memory, parse_field
 from .ideals import enumerate_ideals, format_ideal, ideals_of_norm
@@ -183,22 +183,18 @@ def _cmd_enumerate(args, out) -> int:
     return 0
 
 
-def _cmd_eval(args, out) -> int:
-    from . import arith
+_EVAL_FNS = {"mobius": arith.mu_k, "liouville": arith.lambda_k, "qfree": arith.q_k,
+             "jordan": arith.jordan_totient}
 
-    field = parse_field(args.field)
-    A = _find_ideal(field, args.ideal)
-    k = args.order
-    if args.fn == "mobius":
-        value = arith.mu_k(k, A)
-    elif args.fn == "liouville":
-        value = arith.lambda_k(k, A)
-    elif args.fn == "qfree":
-        value = arith.q_k(k, A)
-    else:
-        value = arith.jordan_totient(k, A)
-    print(value, file=out)
+
+def _cmd_eval(args, out) -> int:
+    A = _find_ideal(parse_field(args.field), args.ideal)
+    print(_EVAL_FNS[args.fn](args.order, A), file=out)
     return 0
+
+
+_SUM_FNS = {"mobius": summatory.mertens_k, "liouville": summatory.liouville_sum_k,
+            "qfree": summatory.qfree_count}
 
 
 def _cmd_sum(args, out) -> int:
@@ -207,13 +203,7 @@ def _cmd_sum(args, out) -> int:
         raise UsageError("--x must be >= 1")
     if args.fast and args.fn != "qfree":
         raise UsageError("--fast applies to --fn qfree only")
-    if args.fn == "mobius":
-        value = summatory.mertens_k(field, args.order, args.x)
-    elif args.fn == "liouville":
-        value = summatory.liouville_sum_k(field, args.order, args.x)
-    else:
-        value = summatory.qfree_count(field, args.order, args.x)
-    print(value, file=out)
+    print(_SUM_FNS[args.fn](field, args.order, args.x), file=out)
     return 0
 
 

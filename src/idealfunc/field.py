@@ -4,6 +4,8 @@ A field is represented only by its degree and fundamental discriminant; all
 downstream arithmetic works with norm-indexed prime-ideal labels, so ring
 elements, generators and class groups never appear.  Fields of degree >= 3
 are supported through an explicit prime-ideal table (``table:<path>``).
+It also holds the one memo of arrays kept between queries, `kept_array`,
+which `clear_cache` empties; as the bottom module, it imports no other.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import math
 import os
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +31,7 @@ __all__ = [
     "prime_ideals_above",
     "primes_with_norm_up_to",
     "primes_up_to",
+    "clear_cache",
 ]
 
 NORM_LIMIT = 2**62
@@ -160,37 +163,39 @@ _TWO_PART_CHI = {-4: (0, 1, 0, -1), 8: (0, 1, 0, -1, 0, -1, 0, 1),
                  -8: (0, 1, 0, 1, 0, -1, 0, -1)}
 
 
-@lru_cache(maxsize=None)
 def _chi_array(disc: int) -> np.ndarray:
-    """chi_disc(n) for 0 <= n < |disc| (one period), as a read-only int8 array.
+    """chi_disc(n) for 0 <= n < |disc| (one period), as a read-only int8
+    array, kept in the memo of arrays under (None, ("chi", disc)).
 
     A fundamental discriminant is a product of prime discriminants: one of
     -4, 8, -8 for its 2-part, and p* = (-1)^((p-1)/2) p for each odd p | disc,
     whose character is the Legendre symbol (n/p).  chi_disc is the product
     of their characters, each tiled over the period.
     """
-    mod = abs(disc)
-    _check_memory(mod, 3, what=f"discriminant {disc} is too large to tabulate its character",
-                  unit="residue")
-    chi = np.ones(mod, dtype=np.int8)
-    rest = disc
-    for p in _odd_prime_divisors(mod):
-        legendre = np.full(p, -1, dtype=np.int8)
-        for start in range(0, p // 2 + 1, 2**14):  # the squares, in small blocks
-            squares = np.arange(start, min(start + 2**14, p // 2 + 1), dtype=np.int64)
-            squares *= squares
-            squares %= p
-            legendre[squares] = 1
-        legendre[0] = 0
-        rows = chi.reshape(-1, p, copy=False)  # legendre, tiled in place
-        rows *= legendre
-        rest //= p if p % 4 == 1 else -p
-    if rest != 1:
-        two = np.array(_TWO_PART_CHI[rest], dtype=np.int8)
-        rows = chi.reshape(-1, len(two), copy=False)
-        rows *= two
-    chi.flags.writeable = False
-    return chi
+    def build(_reach: int) -> np.ndarray:
+        mod = abs(disc)
+        _check_memory(mod, 3, what=f"discriminant {disc} is too large to tabulate its character",
+                      unit="residue")
+        chi = np.ones(mod, dtype=np.int8)
+        rest = disc
+        for p in _odd_prime_divisors(mod):
+            legendre = np.full(p, -1, dtype=np.int8)
+            for start in range(0, p // 2 + 1, 2**14):  # the squares, in small blocks
+                squares = np.arange(start, min(start + 2**14, p // 2 + 1), dtype=np.int64)
+                squares *= squares
+                squares %= p
+                legendre[squares] = 1
+            legendre[0] = 0
+            rows = chi.reshape(-1, p, copy=False)  # legendre, tiled in place
+            rows *= legendre
+            rest //= p if p % 4 == 1 else -p
+        if rest != 1:
+            two = np.array(_TWO_PART_CHI[rest], dtype=np.int8)
+            rows = chi.reshape(-1, len(two), copy=False)
+            rows *= two
+        return chi
+
+    return kept_array((None, ("chi", disc)), 0, build)
 
 
 def _odd_prime_divisors(n: int) -> list[int]:
@@ -344,6 +349,49 @@ def parse_field(spec: str) -> FieldSpec:
 
 
 # ---------------------------------------------------------------------------
+# The one memo of arrays kept between queries, each read-only beside the reach
+# it was built for, by key (owner, name): the rational primes (None, "primes")
+# and the quadratic characters (None, ("chi", disc)); per field, with owner
+# field.cache_key(), the sieve's prefix sums ((kind, k)), the k-full rows of
+# `_sublinear` (("kfull", k)), the Euler products' prime-ideal norms ("norms")
+# and the report constants of `summatory` (0-d arrays, (name, *args)).  The
+# least recently used arrays are dropped while the kept bytes exceed
+# _KEPT_BYTES, but the newest is always kept.
+
+_CUM_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+_REACHES: dict[tuple, int] = {}
+_KEPT_BYTES = 32 * 2**20
+
+
+def kept_array(key: tuple, reach: int, build: Callable[[int], np.ndarray]) -> np.ndarray:
+    """The array kept under key if it was built for a reach at least as far,
+    else build(reach), kept."""
+    if key in _REACHES and _REACHES[key] >= reach:
+        _CUM_CACHE.move_to_end(key)
+        return _CUM_CACHE[key]
+    if key in _REACHES:  # the shorter array goes before the longer is built
+        del _CUM_CACHE[key], _REACHES[key]
+    array = build(reach)  # an array that fails to build is not kept
+    array.flags.writeable = False
+    _CUM_CACHE[key] = array
+    _REACHES[key] = reach
+    kept = sum(a.nbytes for a in _CUM_CACHE.values())
+    while kept > _KEPT_BYTES and len(_CUM_CACHE) > 1:
+        dropped, old = _CUM_CACHE.popitem(last=False)
+        del _REACHES[dropped]
+        kept -= old.nbytes
+    return array
+
+
+def clear_cache() -> None:
+    """Empty every per-process memo of the package: the kept arrays (the
+    primes, the characters, the per-field arrays and the report constants)
+    and the parsed table fields."""
+    for memo in (_CUM_CACHE, _REACHES, _TABLE_FIELDS):
+        memo.clear()
+
+
+# ---------------------------------------------------------------------------
 # rational primes
 
 def _check_memory(count: int, bytes_each: int = 17, what: str = "", unit: str = "norm") -> None:
@@ -365,29 +413,25 @@ def _check_memory(count: int, bytes_each: int = 17, what: str = "", unit: str = 
                          f"the {physical / 2**30:.1f} GiB of physical memory")
 
 
-_prime_cache: dict[str, object] = {"limit": 0, "primes": np.empty(0, dtype=np.int64)}
-
-
 def primes_up_to(limit: int) -> np.ndarray:
-    """All rational primes <= limit, as an int64 array (cached, grow-only)."""
+    """All rational primes <= limit, as a read-only int64 array: a prefix of
+    the kept primes of the largest limit asked."""
     limit = int(limit)
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    if limit > _prime_cache["limit"]:
-        _check_memory(limit)
-        # odd numbers only: odd[i] flags 2i + 1, and 2 is prepended
-        odd = np.ones((limit + 1) // 2, dtype=bool)
-        odd[0] = False
-        for i in range(1, (math.isqrt(limit) + 1) // 2):
-            if odd[i]:
-                p = 2 * i + 1
-                odd[p * p // 2 :: p] = False
-        _prime_cache["primes"] = np.concatenate(
-            (np.array([2], dtype=np.int64), 2 * np.flatnonzero(odd).astype(np.int64) + 1))
-        _prime_cache["limit"] = limit
-    primes: np.ndarray = _prime_cache["primes"]  # type: ignore[assignment]
-    cut = np.searchsorted(primes, limit, side="right")
-    return primes[:cut]
+    primes = kept_array((None, "primes"), max(limit, 2), _sieve_primes)
+    return primes[: np.searchsorted(primes, limit, side="right")]
+
+
+def _sieve_primes(limit: int) -> np.ndarray:
+    _check_memory(limit)
+    # odd numbers only: odd[i] flags 2i + 1, and 2 is prepended
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    odd[0] = False
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    return np.concatenate((np.array([2], dtype=np.int64),
+                           2 * np.flatnonzero(odd).astype(np.int64) + 1))
 
 
 def integer_kth_root(n: int, k: int) -> int:

@@ -16,9 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _sieve, _sublinear
+from . import _sublinear
 from .analytic import dedekind_zeta, mobius_density_constant, residue_c_F
-from .field import FieldSpec
+from .field import FieldSpec, kept_array
 
 __all__ = [
     "SummatoryReport",
@@ -119,9 +119,9 @@ def qfree_count(field: FieldSpec, k: int, x: float) -> int:
 
 def _constant(name: str, fn, field: FieldSpec, *args) -> float:
     """fn(field, *args).value, kept as a 0-d array under (name, *args) in
-    the one memo of per-field arrays."""
-    return _sieve.kept_array(field, (name, *args), 0,
-                             lambda reach: np.array(fn(field, *args).value)).item()
+    the one memo of arrays."""
+    return kept_array((field.cache_key(), (name, *args)), 0,
+                      lambda reach: np.array(fn(field, *args).value)).item()
 
 
 # the coefficient kind, the least order and the fn letter of each report kind

@@ -188,6 +188,27 @@ class _Layout:
         return out[:, :ncols]
 
 
+def _coprime_sums(a: _Layout, b: _Layout, width: int, weights: np.ndarray) -> np.ndarray:
+    """coprime(A, B) @ weights: row i sums the rows of weights, one per ideal
+    B of b, over the B that share no prime ideal of the first width columns
+    with the i-th ideal A of a.  The supports of the shorter list are held
+    as one matrix, and the longer list is taken in blocks of at most
+    _BLOCK_CELLS cells of coprime(A, B)."""
+    out = np.zeros((len(a.ideals), weights.shape[1]), dtype=np.int64)
+    weights = weights.astype(np.float64)  # exact: every sum counts fewer than 2^53 ideals
+    held, blocked = (b, a) if len(a.ideals) >= len(b.ideals) else (a, b)
+    support = (held.dense(np.arange(len(held.ideals)), width) > 0).T.astype(np.float32)
+    step = max(1, _BLOCK_CELLS // max(len(held.ideals), width, 1))
+    for start in range(0, len(blocked.ideals), step):
+        rows = np.arange(start, min(start + step, len(blocked.ideals)))
+        coprime = ((blocked.dense(rows, width) > 0).astype(np.float32) @ support) == 0
+        if blocked is a:
+            out[rows] = coprime.astype(np.float64) @ weights
+        else:
+            out += (coprime.T.astype(np.float64) @ weights[rows]).astype(np.int64)
+    return out
+
+
 def _values(fn: Callable, ideals: list[IdealFactorization], *order: int) -> np.ndarray:
     """fn(*order, A) at each ideal A, as an int64 array."""
     return np.array([fn(*order, A) for A in ideals], dtype=np.int64)
@@ -301,17 +322,10 @@ def _correlation_checks(field: FieldSpec, lay: _Layout, mu1: np.ndarray,
     bs = _Layout(streamed, lay.labels)
     width = sum(lab.norm <= _CORR_X for lab in lay.labels)  # the columns of B
     b_exps = bs.dense(np.arange(len(streamed)), width)
-    b_support = (b_exps > 0).T.astype(np.float32)
     kfree = np.stack([_values(q_k, streamed, k) != 0 for k in range(2, kmax + 1)], axis=1)
+    coprime_count = _coprime_sums(lay, bs, width, kfree)
 
     n = len(ideals)
-    step = max(1, _BLOCK_CELLS // max(len(streamed), width, 1))
-    coprime_count = np.zeros((n, kmax - 1), dtype=np.int64)
-    for start in range(0, n, step):
-        a_support = lay.dense(np.arange(start, min(start + step, n)), width) > 0
-        coprime = (a_support.astype(np.float32) @ b_support) == 0
-        coprime_count[start:start + step] = coprime.astype(np.int64) @ kfree
-
     results = []
     for k in range(2, kmax + 1):
         k1 = k - 1
@@ -447,15 +461,7 @@ def counting_suite(field: FieldSpec, xmax: int = 10_000, kmax: int = 4) -> list[
     cs = _Layout(stream, labels)
     small = _Layout(stream[:np.searchsorted(cs.norms, 200, side="right")], labels)
     width = sum(lab.norm <= 200 for lab in labels)  # the columns of A
-    a_support = (small.dense(np.arange(len(small.ideals)), width) > 0).T.astype(np.float32)
-    direct = np.zeros((len(xs), len(small.ideals)), dtype=np.int64)
-    cuts = np.searchsorted(cs.norms, xs, side="right")
-    step = max(1, _BLOCK_CELLS // max(len(small.ideals), width))
-    for start in range(0, len(stream), step):
-        c_support = cs.dense(np.arange(start, min(start + step, len(stream))), width) > 0
-        coprime = (c_support.astype(np.float32) @ a_support) == 0
-        for row, cut in enumerate(cuts.tolist()):
-            direct[row] += coprime[:max(cut - start, 0)].sum(axis=0)
+    direct = _coprime_sums(small, cs, width, cs.norms[:, None] <= np.array(xs)).T
     mu1 = _values(mu_1, small.ideals)
     counts = [_ideal_counts(field, X // small.norms) for X in xs]  # [X/N(E)]_F
     via_formula = np.zeros_like(direct)

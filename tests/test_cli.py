@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from pathlib import Path
@@ -288,7 +289,7 @@ def test_dense_grid_past_the_budget_sieves_once(theorem, fresh_memos, monkeypatc
     sieve = _sieve.coefficient_array
     monkeypatch.setattr(_sieve, "coefficient_array", lambda field, kind, k, xmax:
                         calls.append((kind, xmax)) or sieve(field, kind, k, xmax))
-    monkeypatch.setattr(_sieve, "_KEPT_BYTES", 8 * 10**4)  # a table takes 8 (10^4 + 1)
+    monkeypatch.setattr(field_module, "_KEPT_BYTES", 8 * 10**4)  # a table takes 8 (10^4 + 1)
     assert run_cli(argv) == want
     # M_2 and the k-free count read a count table to isqrt(10^6) = 1000 (the
     # latter with the mu_1 table to 10^(6/2)); L_2 reads its count and mu_1
@@ -333,19 +334,43 @@ def test_report_reaches_as_far_as_sum():
                     "--x", "1e9"])[1] == raw + "\n"
 
 
-def _module_dicts():
-    # every dict at module level in the package, by (module, name)
+def _module_globals():
+    # every name at module level in the package, by (module, name)
     return {(module.__name__, name): value
             for module in (sys.modules[n] for n in list(sys.modules)
                            if n == "idealfunc" or n.startswith("idealfunc."))
-            for name, value in vars(module).items() if isinstance(value, dict)}
+            for name, value in vars(module).items()}
+
+
+def _module_dicts():
+    # every dict at module level in the package, by (module, name)
+    return {key: value for key, value in _module_globals().items() if isinstance(value, dict)}
+
+
+def _held_arrays():
+    # the ids of the numpy arrays held at module level in the package,
+    # directly or in a dict, list or tuple there, by (module, name)
+    def arrays(value, depth=0):
+        if isinstance(value, np.ndarray):
+            return [value]
+        if depth < 3 and isinstance(value, (dict, list, tuple)):
+            items = value.values() if isinstance(value, dict) else value
+            return [a for item in items for a in arrays(item, depth + 1)]
+        return []
+
+    return {key: [id(a) for a in held] for key, value in _module_globals().items()
+            if (held := arrays(value))}
 
 
 def test_one_session_of_every_subcommand_keeps_bounded_memos(tmp_path, fresh_memos):
+    constants = _held_arrays()  # the arrays held from import on, such as `_sublinear._ONE_ROW`
     path = tmp_path / "qi.table"
     path.write_text(_table_text(primes_up_to(20_000).tolist(), True))
     table = f"table:{path}"
     before = {key: len(d) for key, d in _module_dicts().items()}
+    # no function of the package keeps results of its own, but the parser
+    assert {key for key, value in _module_globals().items()
+            if hasattr(value, "cache_info")} == {("idealfunc.cli", "_build_parser")}
     session = [
         ["field", "--field", "q:-1"],
         ["enumerate", "--field", "q:5", "--xmax", "50"],
@@ -365,20 +390,29 @@ def test_one_session_of_every_subcommand_keeps_bounded_memos(tmp_path, fresh_mem
         code, _, err = run_cli(argv)
         assert code == 0, (argv, err)
     # the kept arrays stay within the one budget README states, but for the newest
-    kept = list(_sieve._CUM_CACHE.values())
-    assert 0 < sum(a.nbytes for a in kept) <= _sieve._KEPT_BYTES + kept[-1].nbytes
-    assert _sieve._KEPT_BYTES == 32 * 2**20
+    kept = list(field_module._CUM_CACHE.values())
+    assert 0 < sum(a.nbytes for a in kept) <= field_module._KEPT_BYTES + kept[-1].nbytes
+    assert field_module._KEPT_BYTES == 32 * 2**20
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
-    assert "one memo of per-field arrays, 32 MiB in all" in readme
+    assert "one memo of arrays, 32 MiB in all" in readme
     assert "the newest array is always kept" in readme
-    # every module-level dict the session grew is a memo, and the reset empties it
+    # every module-level dict the session grew is a memo (`_sieve` names the
+    # memo of `field`), and the reset empties it
     grown = [key for key, d in _module_dicts().items() if len(d) > before.get(key, 0)]
-    assert set(grown) == {("idealfunc._sieve", "_CUM_CACHE"), ("idealfunc._sieve", "_REACHES"),
-                          ("idealfunc.field", "_TABLE_FIELDS")}
-    # the report constants are 0-d arrays of the one memo
-    assert any(a.shape == () for a in _sieve._CUM_CACHE.values())
-    _sieve.clear_cache()
+    assert set(grown) == {("idealfunc.field", "_CUM_CACHE"), ("idealfunc.field", "_REACHES"),
+                          ("idealfunc._sieve", "_CUM_CACHE"), ("idealfunc.field", "_TABLE_FIELDS")}
+    assert _sieve._CUM_CACHE is field_module._CUM_CACHE
+    # the memo holds the primes, the characters and the report constants (0-d
+    # arrays) beside the per-field arrays, and those are all the arrays held
+    keys = [name for _, name in field_module._CUM_CACHE]
+    assert "primes" in keys and any(name[0] == "chi" for name in keys if isinstance(name, tuple))
+    assert any(a.shape == () for a in kept)
+    assert {key for key, ids in _held_arrays().items() if ids != constants.get(key)} == \
+        {("idealfunc.field", "_CUM_CACHE"), ("idealfunc._sieve", "_CUM_CACHE")}
+    field_module.clear_cache()
     assert [key for key in grown if _module_dicts()[key]] == []
+    # and once it is reset, the package holds no array but those it held at import
+    assert _held_arrays() == constants
 
 
 def test_report_bad_grid():
@@ -410,8 +444,8 @@ def test_report_grid_past_memory_is_refused_before_it_is_built(monkeypatch):
 def test_report_constants_need_only_the_character_in_memory(monkeypatch, fresh_memos):
     # c_F sums one period of the character in fixed-size blocks, so a report
     # over q:-1000003 is refused only where its character (3 bytes per
-    # residue) does not fit, and answers in 16 MiB as `sum` does
-    field_module._chi_array.cache_clear()
+    # residue) does not fit, and answers in 16 MiB as `sum` does (the
+    # fixture empties the memo, where the character is kept)
     fake_physical_memory(monkeypatch, 2 * 2**20)
     code, out, err = run_cli(["report", "--field", "q:-1000003", "--theorem", "0",
                               "--grid", "1000:10000:2"])

@@ -28,6 +28,7 @@ from idealfunc.field import (
     primes_up_to,
     primes_with_norm_up_to,
 )
+from idealfunc.summatory import mertens_k
 
 
 def test_rational_field():
@@ -90,12 +91,11 @@ def test_large_quadratic_fields_answer_or_are_refused_quickly():
         assert time.perf_counter() - start < 0.1
 
 
-def test_character_past_memory_names_its_unit(monkeypatch):
+def test_character_past_memory_names_its_unit(monkeypatch, fresh_memos):
     # 3 bytes for each residue of the period, against 16 MiB of memory
     sysconf = os.sysconf
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4096}
     monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or sysconf(name))
-    field_module._chi_array.cache_clear()
     with pytest.raises(ValueError) as info:
         field_module._chi_array(make_quadratic_field(-1000003 * 1009).disc)
     assert str(info.value) == ("discriminant -1009003027 is too large to tabulate its "
@@ -118,10 +118,9 @@ def test_quadratic_field_is_checked_for_squarefreeness_once(monkeypatch):
         FieldSpec(degree=2, disc=16, m=4)
 
 
-def test_residue_degrees_of_a_large_discriminant_hold_its_character_in_bytes():
+def test_residue_degrees_of_a_large_discriminant_hold_its_character_in_bytes(fresh_memos):
     # chi_D over one period is an int8 array: about 1 byte per unit of |D|,
     # with small temporaries while it is built
-    field_module._chi_array.cache_clear()
     field = make_quadratic_field(-999983)
     tracemalloc.start()
     try:
@@ -210,18 +209,44 @@ def _trial_division_primes(n):
     return [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
 
 
-def test_primes_up_to_matches_trial_division(monkeypatch):
+def test_primes_up_to_matches_trial_division(fresh_memos):
     expected = _trial_division_primes(2000)
-    for n in range(2001):  # each limit sieved from an empty cache
-        # limit and primes together, so that teardown restores both
-        monkeypatch.setitem(field_module._prime_cache, "limit", 0)
-        monkeypatch.setitem(field_module._prime_cache, "primes", np.empty(0, dtype=np.int64))
+    for n in range(2001):  # each limit sieved from an empty memo
+        field_module.clear_cache()
         got = primes_up_to(n)
         assert got.dtype == np.int64
         assert got.tolist() == [p for p in expected if p <= n], n
-    primes_up_to(2000)  # then every limit cut from the grown cache
+    primes_up_to(2000)  # then every limit cut from the kept primes
     for n in range(2001):
         assert primes_up_to(n).tolist() == [p for p in expected if p <= n], n
+
+
+def test_primes_and_characters_share_the_bounded_memo(monkeypatch, fresh_memos):
+    # the characters of four fields with |D| near 10^6 (1 byte per residue)
+    # and the primes live in the one memo of arrays: over a 1 MiB budget each
+    # new character pushes older arrays out, and every answer stays the same
+    monkeypatch.setattr(field_module, "_KEPT_BYTES", 2**20)
+    fields = [parse_field(f"q:{m}") for m in (-1000003, -999983, 1000001, 999997)]
+    memo = field_module._CUM_CACHE
+    answers = []
+    for field in fields * 2:
+        answers.append(mertens_k(field, 2, 10**5))
+        kept = [a.nbytes for a in memo.values()]
+        assert sum(kept) <= field_module._KEPT_BYTES + kept[-1]
+    assert answers[:4] == answers[4:]
+    assert all(len(field_module._chi_array(f.disc)) == abs(f.disc) for f in fields)
+    # the primes are read-only, and until the memo is emptied one sieve serves
+    primes = primes_up_to(1000)
+    with pytest.raises(ValueError, match="read-only"):
+        primes[0] = 0
+    chi = field_module._chi_array(fields[-1].disc)
+    assert np.shares_memory(primes_up_to(500), primes)
+    assert field_module._chi_array(fields[-1].disc) is chi
+    # clear_cache empties the memo: both are built again
+    field_module.clear_cache()
+    assert not memo
+    assert field_module._chi_array(fields[-1].disc) is not chi
+    assert not np.shares_memory(primes_up_to(1000), primes)
 
 
 def test_prime_sieve_refuses_limit_beyond_physical_memory():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sympy import kronecker_symbol
 
 from idealfunc import _sieve
+from idealfunc import field as field_module
 from idealfunc._sieve import _local_table, coefficient_array, cumulative_array
 from idealfunc.arith import lambda_k, mu_k, q_k
 from idealfunc.field import _chi_array, make_table_field, parse_field, primes_up_to
@@ -214,12 +215,13 @@ def test_negative_reach_is_refused_and_the_memo_kept(fresh_memos):
     # a reach below 0 is refused in one line whether or not an array of its
     # name is kept, and the memo stays as it was
     cumulative_array(FIELDS["q:-1"], "count", 0, 100)
-    before = dict(_sieve._REACHES)
+    before = dict(field_module._REACHES)
     for spec in ("q:-1", "q:5"):
         with pytest.raises(ValueError, match="xmax = -3") as refusal:
             cumulative_array(FIELDS[spec], "count", 0, -3)
         assert len(str(refusal.value).splitlines()) == 1
-    assert _sieve._REACHES == before and list(_sieve._CUM_CACHE) == list(before)
+    assert field_module._REACHES == before and list(field_module._CUM_CACHE) == list(before)
     # a name with no kept array is built, whatever the reach, not read as kept
-    built = _sieve.kept_array(FIELDS["q"], "probe", -1, lambda reach: np.arange(reach + 2))
+    built = field_module.kept_array((FIELDS["q"].cache_key(), "probe"), -1,
+                                    lambda reach: np.arange(reach + 2))
     assert built.tolist() == [0]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealfunc import _sieve, _sublinear
+from idealfunc import field as field_module
 from idealfunc.field import (
     is_squarefree,
     make_quadratic_field,
@@ -154,15 +155,17 @@ def test_orders_past_every_exponent(k):
 
 
 def test_route_keeps_no_array_past_its_table_size(fresh_memos):
-    # the route keeps its tables in the one memo of the sieve, but none of
-    # them reaches past T = [x^(2/3)]: no x-sized array is built or kept
+    # the route keeps its tables in the one memo of arrays, but none of the
+    # field's arrays reaches past T = [x^(2/3)]: no x-sized array is built or
+    # kept.  (The sieve oracle here keeps primes to x, which are not the field's.)
     field, x = parse_field("q:2"), 10**6
     assert qfree_count(field, 2, x) == int(_sieve_sums(field, "kfree", 2, x)[-1])
     assert mertens_k(field, 1, x) == int(_sieve_sums(field, "mobius", 1, x)[-1])
     assert liouville_sum_k(field, 2, x) == int(_sieve_sums(field, "liouville", 2, x)[-1])
     size = _sublinear.table_size(x)
-    assert _sieve._REACHES and max(_sieve._REACHES.values()) <= size
-    assert max(len(array) for array in _sieve._CUM_CACHE.values()) <= size + 1
+    own = [key for key in field_module._REACHES if key[0] == field.cache_key()]
+    assert own and max(field_module._REACHES[key] for key in own) <= size
+    assert max(len(field_module._CUM_CACHE[key]) for key in own) <= size + 1
 
 
 def test_route_tables_answer_the_sieve(fresh_memos, monkeypatch):
@@ -269,33 +272,40 @@ def test_route_equals_sieve_with_kept_tables(spec, fresh_memos):
         for kind, k in cases:
             got = [route(field, kind, k, x) for x in order]
             assert got == expected[kind, k][list(order)].tolist(), (kind, k, order)
-    # the route kept its mu_1 table in the memo of the sieve
+    # the route kept its mu_1 table in the memo of arrays
     assert (field.cache_key(), ("mobius", 1)) in _sieve._CUM_CACHE
 
 
 def test_kept_route_tables_are_bounded(fresh_memos, monkeypatch):
-    kept_bytes = lambda: sum(a.nbytes for a in _sieve._CUM_CACHE.values())  # noqa: E731
-    # a budget of two fields' Liouville tables at 10^5 (the count and mu_1
-    # prefix sums to T): a third field pushes out the least recently used one
-    size = _sublinear.table_size(10**5)
-    monkeypatch.setattr(_sieve, "_KEPT_BYTES", 2 * 2 * 8 * (size + 1))
+    kept_bytes = lambda: sum(a.nbytes for a in field_module._CUM_CACHE.values())  # noqa: E731
+    # the sieve oracle runs first, and the memo is emptied: its primes to x
+    # would push every table out
     specs = ("q:-1", "q:5", "q:-5")
+    field = parse_field("q:2")
+    cases = ((10**6, "liouville"), (10**4, "mobius"), (10**4, "liouville"))
+    want = {spec: int(_sieve_sums(parse_field(spec), "liouville", 2, 10**5)[-1]) for spec in specs}
+    want.update({case: int(_sieve_sums(field, case[1], 2, case[0])[-1]) for case in cases})
+    field_module.clear_cache()
+    # a budget of two fields' Liouville tables at 10^5 (the count and mu_1
+    # prefix sums to T), beside the primes to T and the characters the
+    # fields read: a third field pushes out the least recently used one
+    size = _sublinear.table_size(10**5)
+    shared = 8 * len(primes_up_to(size)) + sum(abs(parse_field(s).disc) for s in specs)
+    monkeypatch.setattr(field_module, "_KEPT_BYTES", 2 * 2 * 8 * (size + 1) + shared)
     for spec in specs:
-        field = parse_field(spec)
-        assert _sublinear.exact_sums(field, "liouville", 2, [10**5])[0] == \
-            int(_sieve_sums(field, "liouville", 2, 10**5)[-1])
-    assert [key for key, _ in _sieve._CUM_CACHE] == \
+        assert _sublinear.exact_sums(parse_field(spec), "liouville", 2, [10**5])[0] == want[spec]
+    assert [key for key, _ in field_module._CUM_CACHE if key is not None] == \
         [parse_field(s).cache_key() for s in specs[1:] for _ in range(2)]
     # an array past the budget is kept only while it is the newest; older
     # arrays make room for a newer one
     size = _sublinear.table_size(10**6)
-    monkeypatch.setattr(_sieve, "_KEPT_BYTES", 8 * size)
-    field = parse_field("q:2")
-    for x, kind in ((10**6, "liouville"), (10**4, "mobius"), (10**4, "liouville")):
-        assert _sublinear.exact_sums(field, kind, 2, [x])[0] == \
-            int(_sieve_sums(field, kind, 2, x)[-1])
-        assert kept_bytes() <= 8 * size or len(_sieve._CUM_CACHE) == 1
-        if x == 10**6:  # its mu_1 table alone is over the budget
-            assert list(_sieve._CUM_CACHE) == [(field.cache_key(), ("mobius", 1))]
-    assert all(a.nbytes < 8 * size for a in _sieve._CUM_CACHE.values())
-    assert field.cache_key() in {key for key, _ in _sieve._CUM_CACHE}
+    monkeypatch.setattr(field_module, "_KEPT_BYTES", 8 * size)
+    for x, kind in cases:
+        assert _sublinear.exact_sums(field, kind, 2, [x])[0] == want[x, kind]
+        assert kept_bytes() <= 8 * size or len(field_module._CUM_CACHE) == 1
+        if x == 10**6:  # its tables are each over the budget, so each array
+            # built pushes out every older one: only the character, which the
+            # route reads last, stays
+            assert list(field_module._CUM_CACHE) == [(None, ("chi", field.disc))]
+    assert all(a.nbytes < 8 * size for a in field_module._CUM_CACHE.values())
+    assert field.cache_key() in {key for key, _ in field_module._CUM_CACHE}
