@@ -259,6 +259,12 @@ def _even_L1(D: int) -> AnalyticValue:
                          method="class-number-formula")
 
 
+def _density_factors(norms: np.ndarray, k: int) -> np.ndarray:
+    """The Euler factors 1 - (N-1) / (N (N^k - 1)) at these norms, as float64."""
+    n = norms.astype(np.float64)
+    return 1.0 - (n - 1.0) / (n * (n**k - 1.0))
+
+
 def mobius_density_constant(field: FieldSpec, k: int) -> AnalyticValue:
     """The absolutely convergent ideal sum  sum_A mu_1(A) J_1(A) / (J_k(A) N(A)),
     as an Euler product over prime ideals.
@@ -266,16 +272,17 @@ def mobius_density_constant(field: FieldSpec, k: int) -> AnalyticValue:
     The summand is multiplicative and supported on squarefree ideals, so the
     per-prime factor is 1 - (N-1) / (N (N^k - 1)); every factor lies in (0, 1].
     A factor with N^k >= 2^61 has a term below 2^-60 and rounds to exactly
-    1.0, so it is skipped without forming N^k, which could overflow.
+    1.0, so it is skipped without forming N^k, which could overflow.  The
+    factors are float64 arrays, each element rounded as the scalar expression
+    is, and `np.multiply.accumulate` multiplies them one after another in
+    norm order, so the product keeps the bits of a loop over the norms.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     norms = _prime_ideal_norms(field, PRIME_CUTOFF)
     # N^k >= 2^61 exactly when N >= 2^ceil(61/k); norms ascend
     stop = int(np.searchsorted(norms, 2 ** -(-61 // k)))
-    value = 1.0
-    for n in norms[:stop].astype(np.float64).tolist():
-        value *= 1.0 - (n - 1.0) / (n * (n**k - 1.0))
+    value = float(np.multiply.accumulate(_density_factors(norms[:stop], k))[-1]) if stop else 1.0
     log_tail = 2.0 * _prime_ideal_norm_tail(field.degree, PRIME_CUTOFF, float(k))
     return AnalyticValue(value=value, tail_bound=value * math.expm1(log_tail),
                          method="euler-product")

@@ -43,7 +43,8 @@ def _finite_float(text: str) -> float:
 
 
 @functools.cache  # once per process: parse_args keeps no state between calls
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
+    """The top parser, and the parser of each subcommand by name."""
     parser = _Parser(prog="idealfunc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -106,7 +107,7 @@ def _build_parser() -> _Parser:
     add_field(p)
     p.add_argument("--order", type=int, required=True)
 
-    return parser
+    return parser, sub.choices
 
 
 def _analytic_json(v: AnalyticValue) -> str:
@@ -283,9 +284,14 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(list(argv) if argv is not None else None)
+        # a named subcommand's parser reads the rest of argv, as the top parser
+        # would hand it on, without the top parser's own pass over argv
+        sub = commands.get(argv[0]) if argv else None
+        args = (sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])) if sub
+                else parser.parse_args(argv))
         code = _COMMANDS[args.command](args, out)
         out.flush()
         return code

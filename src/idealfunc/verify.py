@@ -15,12 +15,15 @@ closed form.  The terms are evaluated in numpy, on the exponent rows of a
 - a sum over the D with D^m | A runs over the pairs (D, C) of listed ideals
   with A = D^m C, each product found by its exact key, and its terms are
   grouped by A with np.add.at;
-- the correlation sum evaluates mu_{k-1}(A^{k-1} B) from the merged
-  exponents of A and B, and coprime counts come from products of
-  prime-ideal support matrices.
+- the correlation sum evaluates mu_{k-1}(A^{k-1} B) as the product of the
+  local values at the merged exponents over the prime ideals of A and B
+  alone, so each pair (A, B) costs one cell per slot of A and of B, and
+  coprime counts come from products of prime-ideal support matrices;
+- the multiplicativity check builds each distinct product AB once, from
+  its merged exponent row.
 
-The pairs, and the cells of the correlation sums, are built in blocks of at
-most _BLOCK_CELLS.
+The pairs, and the cells of the correlation sums, are built in blocks of
+about _BLOCK_CELLS.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .ideals import (
     enumerate_ideals,
     format_ideal,
     ideal_count,
-    multiply,
     power,
 )
 
@@ -66,7 +68,7 @@ _KEPT_FAILURES = 10
 _CORR_X = 200
 
 # the cells of one block of (D, C) pairs, or of the correlation check's
-# (column, A, B) array: 128 KiB as int64
+# (pair, slot) arrays: 128 KiB as int64
 _BLOCK_CELLS = 2**14
 
 
@@ -306,11 +308,9 @@ def _correlation_checks(field: FieldSpec, lay: _Layout, mu1: np.ndarray,
     """sum_{N(B)<=x} mu_{k-1}(B) mu_{k-1}(A^{k-1} B) = mu_1(A) #{B k-free, (A,B)=1}
     for every listed A and k = 2..kmax.
 
-    The left side is evaluated literally: mu_{k-1}(A^{k-1} B) is the product
-    of the local values at the merged exponents, over the prime ideals of
-    norm <= x (the columns B can use) and over the other prime ideals of A.
-    The right side counts by a product of support matrices.  Both run over
-    the same stream of B.
+    The left side is evaluated literally, by `_correlation_lhs`; the right
+    side counts by a product of support matrices.  Both run over the same
+    stream of B.
     """
     ideals = lay.ideals
     if kmax < 2:
@@ -321,38 +321,76 @@ def _correlation_checks(field: FieldSpec, lay: _Layout, mu1: np.ndarray,
         streamed = list(enumerate_ideals(field, _CORR_X))
     bs = _Layout(streamed, lay.labels)
     width = sum(lab.norm <= _CORR_X for lab in lay.labels)  # the columns of B
-    b_exps = bs.dense(np.arange(len(streamed)), width)
     kfree = np.stack([_values(q_k, streamed, k) != 0 for k in range(2, kmax + 1)], axis=1)
     coprime_count = _coprime_sums(lay, bs, width, kfree)
 
-    n = len(ideals)
     results = []
     for k in range(2, kmax + 1):
-        k1 = k - 1
-        mb = _values(mu_k, streamed, k1)
-        signed = np.flatnonzero(mb)
-        mb, eb = mb[signed], b_exps[signed].T.astype(np.int16)
-        table = np.array([_sieve._mobius(e, k1) for e in range(
-            k1 * int(lay.exps.max(initial=0)) + int(eb.max(initial=0)) + 1)], dtype=np.int8)
-        # A's prime ideals outside B's columns, each a factor of its own
-        own = table[k1 * lay.exps * (lay.cols >= width)].prod(axis=1)
-        lhs = np.zeros(n, dtype=np.int64)
-        step = max(1, _BLOCK_CELLS // max(len(signed) * width, 1))
-        for start in range(0, n, step):
-            rows = np.arange(start, min(start + step, n))
-            ea = (k1 * lay.dense(rows, width)).T.astype(np.int16)
-            # the merged exponents, (column, A, B); over B's columns,
-            # mu_{k-1}(A^{k-1} B) is the product of the local values there
-            merged = ea[:, :, None] + eb[:, None, :]
-            local = np.multiply.reduce(np.take(table, merged), axis=0)
-            lhs[rows] = own[rows] * (local @ mb)
+        # f = mu_{k-1}, by its local values up to the largest merged exponent
+        table = np.array([_sieve._mobius(e, k - 1) for e in range(
+            (k - 1) * int(lay.exps.max(initial=0)) + int(bs.exps.max(initial=0)) + 1)],
+            dtype=np.int8)
+        lhs = _correlation_lhs(lay, bs, width, _values(mu_k, streamed, k - 1), k - 1, table)
         rhs = mu1 * coprime_count[:, k - 2]
         r = CheckResult(
             f"correlation sum vs signed coprime {k}-free count, x={_CORR_X}  [{field.label}]")
         r.fail_where(lhs != rhs, lambda i: f"A={format_ideal(ideals[i])} lhs={lhs[i]} rhs={rhs[i]}")
-        r.tested = n
+        r.tested = len(ideals)
         results.append(r)
     return results
+
+
+def _correlation_lhs(lay: _Layout, bs: _Layout, width: int, mb: np.ndarray, m: int,
+                     table: np.ndarray) -> np.ndarray:
+    """sum over the ideals B of bs of mb[B] f(A^m B), for each ideal A of lay,
+    where f is the multiplicative function with value table[e] at the e-th
+    power of a prime ideal (table[0] = 1), and B's prime ideals lie in the
+    first width columns.
+
+    f(A^m B) is the product of the local values at the merged exponents,
+    over the prime ideals of the pair alone: table[m e_A + e_B] over B's
+    slots, table[m e_A] over A's slots in B's columns that B lacks, and one
+    factor `own` over A's slots past B's columns.  So a block of pairs holds
+    (w_A + w_B) cells per pair, for the w_A slots of A in B's columns and the
+    w_B of B, not one per column.
+    """
+    signed = np.flatnonzero(mb)
+    mb, b_cols, b_exps = mb[signed], bs.cols[signed], bs.exps[signed]
+    # a row's columns ascend, so its slots in B's columns come first
+    w_a = int((lay.cols < width).sum(axis=1).max(initial=0))
+    own = table[m * lay.exps[:, w_a:]].prod(axis=1)
+    # A's other slots past B's columns go to column width + 1, which B never
+    # reads; B's pads read column width, which A never sets
+    a_cols = np.where(lay.cols[:, :w_a] < width, lay.cols[:, :w_a], width + 1)
+    a_exps = m * lay.exps[:, :w_a]
+    a_vals = table[a_exps]
+    b_cols = np.minimum(b_cols, width).T  # (w_B, |B|)
+    # B's slots as rows (e_B, column) of the table of each A below
+    b_rows = b_exps.T * (width + 2) + b_cols
+    e_b = np.arange(int(b_exps.max(initial=0)) + 1)[:, None, None]
+
+    n = len(lay.ideals)
+    lhs = np.zeros(n, dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // max(len(signed) * (w_a + len(b_cols)), 1))
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        ea = np.zeros((width + 2, len(rows)), dtype=np.int64)  # m e_A by column
+        ea[a_cols[rows], np.arange(len(rows))[:, None]] = a_exps[rows]
+        # over B's slots: table[m e_A + e_B], gathered from each A's table by
+        # (e_B, column); `local` is (|B|, rows)
+        at_b = table[ea + e_b].reshape(-1, len(rows)).take(b_rows, axis=0)
+        local = np.ones((len(signed), len(rows)), dtype=np.int64)
+        for values in at_b:
+            local *= values
+        # over A's slots where B's exponent is 0: table[m e_A]
+        for t in range(w_a):
+            col = a_cols[rows, t]
+            in_b = b_cols[0, :, None] == col
+            for c in b_cols[1:]:
+                in_b |= c[:, None] == col
+            local *= np.where(in_b, 1, a_vals[rows, t])
+        lhs[rows] = own[rows] * (mb @ local)
+    return lhs
 
 
 def _multiplicativity_check(field: FieldSpec, ideals: list[IdealFactorization],
@@ -386,24 +424,23 @@ def _multiplicativity_check(field: FieldSpec, ideals: list[IdealFactorization],
     product_of = np.empty(len(order), dtype=np.int64)
     product_of[order] = np.cumsum(new) - 1
 
-    # mu_k, lambda_k, J_k and q_k (k >= 2) at every order, as Python ints:
-    # J_k passes int64
+    # each distinct AB from its merged row; its columns ascend, and so do
+    # its labels
+    labels, w = lay.labels, cols.shape[1]
+    products = [IdealFactorization(tuple(
+        (labels[c], e) for c, e in zip(row[1:1 + w], row[1 + w:]) if c < len(labels)))
+        for row in merged[first].tolist()]
+
+    # mu_k, lambda_k, J_k and q_k (k >= 2) at every order, one column of
+    # Python ints each: J_k passes int64
     calls = [(k, f, fn) for k in range(1, kmax + 1)
              for f, fn in enumerate((mu_k, lambda_k, jordan_totient, q_k)) if f < 3 or k >= 2]
-
-    def values(ideals, n: int) -> np.ndarray:
-        out = np.empty((n, len(calls)), dtype=object)
-        for row, A in enumerate(ideals):
-            out[row] = [fn(k, A) for k, _, fn in calls]
-        return out
-
-    at = values(small, len(small))
-    at_product = values((multiply(small[a], small[b]) for a, b in zip(i[first], j[first])),
-                        len(first))
     names = ("mu", "lambda", "J", "q")
     bad = np.zeros((len(i), kmax, len(names)), dtype=bool)
-    for col, (k, f, _) in enumerate(calls):
-        bad[:, k - 1, f] = at_product[product_of, col] != at[i, col] * at[j, col]
+    for k, f, fn in calls:
+        at = np.array([fn(k, A) for A in small], dtype=object)
+        at_product = np.array([fn(k, AB) for AB in products], dtype=object)
+        bad[:, k - 1, f] = at_product[product_of] != at[i] * at[j]
 
     def message(flat: int) -> str:
         pair, k, f = np.unravel_index(flat, bad.shape)
@@ -433,8 +470,13 @@ def counting_suite(field: FieldSpec, xmax: int = 10_000, kmax: int = 4) -> list[
     r = CheckResult(f"enumerate_ideals size = ideal_count  [{field.label}]")
     grid = sorted({1, 10, 100, 1000, xmax})
     _sieve.cumulative_array(field, "count", 0, xmax)
+    # the stream of the coprime counts below, enumerated once: X = max(xs)
+    # is on the grid unless xmax > 10^4
+    xs = (100, 1000, min(xmax, 10_000))
+    stream = list(enumerate_ideals(field, max(xs)))  # max(xs) >= 1000
     for X in grid:
-        if sum(1 for _ in enumerate_ideals(field, X)) != ideal_count(field, X):
+        size = len(stream) if X == max(xs) else sum(1 for _ in enumerate_ideals(field, X))
+        if size != ideal_count(field, X):
             r.fail(f"X={X}")
         r.tested += 1
     results.append(r)
@@ -455,8 +497,6 @@ def counting_suite(field: FieldSpec, xmax: int = 10_000, kmax: int = 4) -> list[
         results.append(r)
 
     r = CheckResult(f"coprime count = sum mu_1(E) [X/N(E)]_F over E | A  [{field.label}]")
-    xs = (100, 1000, min(xmax, 10_000))
-    stream = list(enumerate_ideals(field, max(xs)))  # max(xs) >= 200
     labels = primes_with_norm_up_to(field, max(xs))
     cs = _Layout(stream, labels)
     small = _Layout(stream[:np.searchsorted(cs.norms, 200, side="right")], labels)

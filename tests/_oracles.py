@@ -3,7 +3,7 @@ compare against.  No user path reaches them, so they live here."""
 
 import numpy as np
 
-from idealfunc import _sieve
+from idealfunc import _sieve, verify
 from idealfunc.analytic import _prime_ideal_norms
 from idealfunc.field import FieldSpec, _check_memory
 
@@ -37,3 +37,29 @@ def dirichlet_partial(field: FieldSpec, kind: str, order: int, s: float, X: int)
     coeff = _sieve.coefficient_array(field, kind, order, X)
     n = np.arange(1, X + 1, dtype=np.float64)
     return float(np.dot(coeff[1:].astype(np.float64), n ** (-s)))
+
+
+def correlation_lhs_dense(lay: verify._Layout, bs: verify._Layout, width: int, mb: np.ndarray,
+                          m: int, table: np.ndarray) -> np.ndarray:
+    """`verify._correlation_lhs` evaluated on a dense (column, A, B) array
+    over every column B can use, with the prime ideals of A past them taken
+    as one factor of A alone.  The merged exponents fill the whole array, so
+    it costs width cells per pair where `_correlation_lhs` holds the pair's
+    own slots."""
+    b_exps = bs.dense(np.arange(len(bs.ideals)), width)
+    signed = np.flatnonzero(mb)
+    mb, eb = mb[signed], b_exps[signed].T.astype(np.int16)
+    # A's prime ideals outside B's columns, each a factor of its own
+    own = table[m * lay.exps * (lay.cols >= width)].prod(axis=1)
+    n = len(lay.ideals)
+    lhs = np.zeros(n, dtype=np.int64)
+    step = max(1, verify._BLOCK_CELLS // max(len(signed) * width, 1))
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        ea = (m * lay.dense(rows, width)).T.astype(np.int16)
+        # the merged exponents, (column, A, B); over B's columns,
+        # f(A^m B) is the product of the local values there
+        merged = ea[:, :, None] + eb[:, None, :]
+        local = np.multiply.reduce(np.take(table, merged), axis=0)
+        lhs[rows] = own[rows] * (local @ mb)
+    return lhs

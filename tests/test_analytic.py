@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -8,12 +9,14 @@ import sympy
 
 from idealfunc import _sieve
 from idealfunc.analytic import (
+    PRIME_CUTOFF,
     AnalyticValue,
     dedekind_zeta,
     dedekind_zeta_series,
     dirichlet_L,
     mobius_density_constant,
     residue_c_F,
+    _density_factors,
     _prime_ideal_norms,
 )
 from idealfunc.arith import jordan_totient, mu_1
@@ -304,6 +307,54 @@ def test_density_constant_dual_method(rational, gaussian):
             euler = mobius_density_constant(field, k).value
             partial = mobius_density_partial_sum(field, k, 1_000_000)
             assert abs(euler - partial) < 1e-5
+
+
+def test_density_factors_keep_the_bits_of_the_scalar_expression():
+    # every norm the Euler product admits at each order: the prime powers up
+    # to PRIME_CUTOFF with N^k < 2^61
+    powers = sorted(p**a for p in primes_up_to(PRIME_CUTOFF).tolist()
+                    for a in range(1, PRIME_CUTOFF.bit_length()) if p**a <= PRIME_CUTOFF)
+    for k in range(2, 65):
+        admitted = [n for n in powers if n**k < 2**61]
+        want = [1.0 - (n - 1.0) / (n * (n**k - 1.0)) for n in map(float, admitted)]
+        got = _density_factors(np.array(admitted, dtype=np.int64), k).tolist()
+        assert [v.hex() for v in got] == [v.hex() for v in want], k
+
+
+def test_density_constant_past_order_60_is_the_empty_product(any_field):
+    # 2^k > 2^60 for every norm, so no factor is formed, not even 2^k
+    for k in (61, 64, 1000, 10**6):
+        K = mobius_density_constant(any_field, k)
+        assert K.value == 1.0 and K.tail_bound < 1e-300, k
+
+
+def _shuffled_gaussian_table_text(limit, seed=0):
+    """Q(i) to limit as perfbench/gen.py spells it: a split prime as one line
+    of multiplicity 2 or as two lines, and the lines in a seeded order."""
+    rng = random.Random(seed)
+    lines = []
+    for p in primes_up_to(limit).tolist():
+        if p == 2:
+            lines.append("2 1 2 1")
+        elif p % 4 == 3:
+            lines.append(f"{p} 2 1 1")
+        elif rng.random() < 0.5:
+            lines.append(f"{p} 1 1 2")
+        else:
+            lines += [f"{p} 1 1 1", f"{p} 1 1 1 # conjugate"]
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def test_density_constant_over_a_gaussian_table_keeps_the_bits_of_q_minus_1(
+        tmp_path, fresh_memos):
+    path = tmp_path / "qi.table"
+    path.write_text(_shuffled_gaussian_table_text(PRIME_CUTOFF))
+    table, gaussian = parse_field(f"table:{path}"), parse_field("q:-1")
+    for k in (2, 3, 4, 5, 12, 62):
+        got, want = mobius_density_constant(table, k), mobius_density_constant(gaussian, k)
+        assert (got.value.hex(), got.tail_bound.hex()) == (want.value.hex(),
+                                                           want.tail_bound.hex()), k
 
 
 def _cubic_table(limit):

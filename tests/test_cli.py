@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from pathlib import Path
 
 from idealfunc import _sieve, _sublinear
 from idealfunc import field as field_module
-from idealfunc.cli import main
+from idealfunc.cli import UsageError, _build_parser, main
 from idealfunc.field import parse_field, primes_up_to
 from idealfunc.summatory import CSV_HEADER
 
@@ -1066,6 +1067,48 @@ def test_one_parser_serves_every_query():
     in_process = [run_cli(argv) for argv in session]
     assert [code for code, _, _ in in_process] == [0] * 4 + [1] + [0] * 6
     assert in_process == [run_fresh(argv) for argv in session]
+
+
+def _outcome(call, argv):
+    """(exit code, stdout, stderr) of call(argv, out, err); --help prints to
+    sys.stdout and exits, and the top parser raises its usage errors."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = call(argv, out, err)
+    except UsageError as exc:
+        return 1, out.getvalue(), f"error: {exc}\n"
+    except SystemExit as exc:
+        code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sum", "--field", "q", "--fn", "bogus", "--order", "2", "--x", "10"],
+    ["sum", "--fn", "mobius", "--order", "2", "--x", "10"],
+    ["sum", "--field", "q", "--fn", "mobius", "--order", "2", "--x", "10", "--bogus"],
+    ["bogus", "--field", "q"],
+    ["sum", "--help"],
+    [],
+    ["-h"],
+])
+def test_a_subcommand_parses_as_the_top_parser_would_hand_it_on(argv):
+    # main sends argv that names a subcommand straight to that subcommand's parser
+    top, _ = _build_parser()
+    assert _outcome(main, argv) == _outcome(lambda argv, out, err: top.parse_args(argv), argv)
+
+
+def test_usage_errors_keep_their_messages():
+    assert run_cli(["sum", "--field", "q", "--fn", "bogus", "--order", "2", "--x", "10"]) == (
+        1, "", "error: argument --fn: invalid choice: 'bogus' "
+               "(choose from 'mobius', 'liouville', 'qfree')\n")
+    assert run_cli(["sum", "--fn", "mobius", "--order", "2", "--x", "10"]) == (
+        1, "", "error: the following arguments are required: --field\n")
+    assert run_cli(["sum", "--field", "q", "--fn", "mobius", "--order", "2", "--x", "10",
+                    "--bogus"]) == (1, "", "error: unrecognized arguments: --bogus\n")
+    assert run_cli(["bogus", "--field", "q"]) == (
+        1, "", "error: argument command: invalid choice: 'bogus' (choose from 'field', "
+               "'enumerate', 'eval', 'sum', 'report', 'verify', 'zeta', 'constant')\n")
 
 
 _WITHOUT_FORMAT = [

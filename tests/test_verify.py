@@ -1,10 +1,14 @@
 """The brute-force suites must still catch a function that breaks an identity."""
 
+import numpy as np
 import pytest
 
-from idealfunc import arith, verify
-from idealfunc.field import make_quadratic_field, primes_with_norm_up_to
+from idealfunc import _sieve, arith, verify
+from idealfunc.field import (make_quadratic_field, make_table_field, primes_up_to,
+                             primes_with_norm_up_to)
 from idealfunc.ideals import enumerate_ideals, ideals_of_norm, multiply, power
+
+from _oracles import correlation_lhs_dense
 
 
 def test_multiplicativity_check_catches_a_wrong_jordan_totient(monkeypatch, fresh_memos):
@@ -108,3 +112,57 @@ def test_layout_finds_each_product_by_its_exact_key(monkeypatch, any_field, coll
             (d, c) for d, D in enumerate(ideals) for c, C in enumerate(ideals)
             if D.norm**m * C.norm <= 300]
         assert all(ideals[a] == multiply(power(ideals[d], m), ideals[c]) for d, c, a in found)
+
+
+def _six_split(limit=200):
+    """A degree-6 table field with six prime ideals of degree 1 above every
+    prime up to limit: about 46,000 ideals of norm <= 200, with up to seven
+    prime ideals each."""
+    return make_table_field({p: [(1, 1, 6)] for p in primes_up_to(limit).tolist()},
+                            label="table:six-split")
+
+
+def _correlation_lhs_both(field, xa, xb, m, table=None):
+    """_correlation_lhs and its dense oracle, for A of norm <= xa and B of
+    norm <= xb, as the correlation checks lay them out, with mb = mu_m(B);
+    f is mu_m, or the function with these local values."""
+    lay = verify._Layout(list(enumerate_ideals(field, xa)),
+                         primes_with_norm_up_to(field, max(xa, xb)))
+    bs = verify._Layout(list(enumerate_ideals(field, xb)), lay.labels)
+    width = sum(lab.norm <= xb for lab in lay.labels)
+    mb = verify._values(arith.mu_k, bs.ideals, m)
+    if table is None:
+        top = m * int(lay.exps.max()) + int(bs.exps.max())
+        table = np.array([_sieve._mobius(e, m) for e in range(top + 1)], dtype=np.int8)
+    return (verify._correlation_lhs(lay, bs, width, mb, m, table),
+            correlation_lhs_dense(lay, bs, width, mb, m, table))
+
+
+# local values with no zero: mu_{k-1}(A^{k-1} B) is 0 wherever A and B share a
+# prime ideal, so these also reach the slots of A that B shares
+NO_ZERO = np.array([1, -2, 3, -1, 2, 5, -3, 1, 4, -5, 2, 3, -1, 2, -2, 1] * 4, dtype=np.int64)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_correlation_lhs_matches_the_dense_oracle(any_field, k):
+    # A past B's columns, as at xmax > 200, takes the factor of A alone
+    for table in (None, NO_ZERO):
+        got, want = _correlation_lhs_both(any_field, 300, verify._CORR_X, k - 1, table)
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_correlation_lhs_matches_the_dense_oracle_on_wide_rows(k):
+    # B of norm <= 16 has up to four prime ideals, and A of norm <= 32 up to
+    # five and reaches past B's columns; the dense oracle over B to norm 200
+    # would take seconds
+    for table in (None, NO_ZERO):
+        got, want = _correlation_lhs_both(_six_split(), 32, 16, k - 1, table)
+        assert got.tolist() == want.tolist()
+
+
+def test_identity_suite_passes_on_a_six_split_table():
+    # about 46,000 ideals B of norm <= 200 in every correlation check
+    results = verify.identity_suite(_six_split(), xmax=4, kmax=3)
+    assert [r.line() for r in results if not r.ok] == []
+    assert len(results) == 17
