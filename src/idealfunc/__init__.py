@@ -1,7 +1,7 @@
 """Order-k Mobius and Liouville functions over ideals of number fields.
 
 Exact arithmetic-function identities, ideal enumeration and counting,
-Dedekind zeta / Dirichlet L evaluation with tail bounds, and summatory
+Dedekind zeta values and residues with tail bounds, and summatory
 remainder reports, for the rationals and quadratic fields (explicit
 prime-ideal tables extend to higher degree).
 """
@@ -9,8 +9,6 @@ prime-ideal tables extend to higher degree).
 from .analytic import (
     AnalyticValue,
     dedekind_zeta,
-    dedekind_zeta_series,
-    dirichlet_L,
     mobius_density_constant,
     residue_c_F,
 )
@@ -37,12 +35,10 @@ from .ideals import (
     UNIT,
     IdealFactorization,
     coprime,
-    divides,
     divisors,
     enumerate_ideals,
     format_ideal,
     ideal_count,
-    multiply,
     power,
     quotient,
 )

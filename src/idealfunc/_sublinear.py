@@ -71,7 +71,7 @@ def exact_sums(field: FieldSpec, kind: str, k: int, xs: list[int]) -> list[int]:
     A built-in field takes the formulas of this module, and a table field the
     sieve, once for every x.
     """
-    if field.prime_table is not None:
+    if field.table is not None:
         return _sieve.cumulative_array(field, kind, k, max(xs))[xs].tolist()
     if kind == "count" and field.degree == 1:  # [x]_Q = x, with no 64-bit bound on x
         return list(xs)
@@ -267,7 +267,7 @@ def _count_sums(field: FieldSpec, xs: list[int], reach: int, row_bytes: int, row
     """The count shape: sum_n w(n) A([x/n]) at each x of xs, over the rows
     (n, w) that rows() builds, of row_bytes per unit of their reach."""
     top = max(xs)
-    size = 0 if field.degree == 1 else top if field.prime_table is not None else math.isqrt(top)
+    size = 0 if field.degree == 1 else top if field.table is not None else math.isqrt(top)
     _reserve(top, size, reach, row_bytes)
     many = (lambda ys: ys) if field.degree == 1 else _Counts(field, size, top).many
     xs = np.array(xs, dtype=np.int64)  # n > x reads A(0) = 0

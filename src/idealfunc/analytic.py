@@ -1,4 +1,4 @@
-"""Real analytic quantities: zeta_F, L(s, chi_D), the residue c_F, and the
+"""Real analytic quantities: zeta_F, the residue c_F = L(1, chi_D), and the
 leading constant of the order-k Mobius summatory asymptotic.
 
 Every evaluation returns an AnalyticValue carrying an explicit tail bound;
@@ -13,14 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _sieve
-from .field import (FieldSpec, _check_memory, _chi_array, _prime_ideals, is_fundamental_discriminant,
-                    kept_array)
+from .field import FieldSpec, _chi_array, _prime_ideals, kept_array
 
 __all__ = [
     "AnalyticValue",
     "dedekind_zeta",
-    "dedekind_zeta_series",
-    "dirichlet_L",
     "residue_c_F",
     "mobius_density_constant",
 ]
@@ -160,29 +157,6 @@ def dedekind_zeta_series(field: FieldSpec, s: float) -> AnalyticValue:
     return AnalyticValue(value=value, tail_bound=tail, method="series")
 
 
-def dirichlet_L(D: int, s: float) -> AnalyticValue:
-    """L(s, chi_D) for a fundamental discriminant D != 1 and real s >= 1.
-
-    Direct character sum over whole periods (the per-period sums vanish),
-    with the Abel-summation tail bound 2 B N^-s from bounded partial sums.
-    """
-    if D == 1 or not is_fundamental_discriminant(D):
-        raise ValueError(f"{D} is not a fundamental discriminant != 1")
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    mod = abs(D)
-    # about 40 bytes per residue at the peak when |D| passes SERIES_CUTOFF
-    _check_memory(mod, 40, f"discriminant {D} is too large for its L-series sum", "residue")
-    table = _chi_array(D).astype(np.float64)
-    n0 = ((SERIES_CUTOFF + mod - 1) // mod) * mod  # whole periods only
-    n = np.arange(1, n0 + 1, dtype=np.float64)
-    chi = table[np.arange(1, n0 + 1) % mod]
-    value = float(np.dot(chi, n ** (-s)))
-    partial_bound = float(np.max(np.abs(np.cumsum(table))))
-    tail = 2.0 * partial_bound * n0 ** (-s)
-    return AnalyticValue(value=value, tail_bound=tail, method="character-sum")
-
-
 def residue_c_F(field: FieldSpec) -> AnalyticValue:
     """Residue of zeta_F at s = 1: exactly 1 for the rationals, L(1, chi_D) for
     quadratic fields (zeta_F = zeta * L(., chi_D)), by the class number formula
@@ -191,9 +165,9 @@ def residue_c_F(field: FieldSpec) -> AnalyticValue:
     The sums read `_BLOCK` residues at a time, so past the character, whose
     `_chi_array` checks its own 3 bytes per residue, they hold under 2 MiB
     whatever |D| (1.5-1.8 MiB traced at |D| near 10^6 and 10^7).
-    `dirichlet_L(D, 1)` is the independent cross-check.
+    The tests cross-check it against L(1, chi_D) by a character sum.
     """
-    if field.prime_table is not None:
+    if field.table is not None:
         raise ValueError("c_F is not available for explicit-table fields")
     if field.degree == 1:
         return AnalyticValue(value=1.0, tail_bound=0.0, method="exact")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -27,7 +27,6 @@ __all__ = [
     "make_table_field",
     "parse_field",
     "is_squarefree",
-    "is_fundamental_discriminant",
     "prime_ideals_above",
     "primes_with_norm_up_to",
     "primes_up_to",
@@ -66,28 +65,23 @@ class FieldSpec:
     """A number field, as far as this package needs one.
 
     degree 1 means the rationals (disc 1, m absent); degree 2 means a
-    quadratic field Q(sqrt(m)) with fundamental discriminant disc.  A
-    prime_table is the extension point for higher-degree fields: per
-    rational prime, the residue degrees / ramification / multiplicities
-    of the primes above it.
+    quadratic field Q(sqrt(m)) with fundamental discriminant disc.  A table
+    field (disc 0, m absent) is the extension point for higher-degree
+    fields: `table` holds what `splitting` reads of its prime-ideal table,
+    from `make_table_field`.  That is the residue-degree classes, in order
+    of first appearance, then the bytes of the listed primes (int64,
+    ascending) and of the index of each one's class (intp).  Bytes hash once
+    and compare exactly, so equal splittings share a cache key.
     """
 
     degree: int
     disc: int
     m: int | None = None
     label: str = ""
-    prime_table: tuple[tuple[int, tuple[TableRow, ...]], ...] | None = None
-    # the `_table_splitting` of a prime_table
-    _table: tuple | None = dc_field(init=False, compare=False, repr=False)
-    _key: "_CacheKey" = dc_field(init=False, compare=False, repr=False)
+    table: tuple[tuple[tuple[int, ...], ...], bytes, bytes] | None = None
 
     def __post_init__(self) -> None:
-        table = (None if self.prime_table is None
-                 else _table_splitting(self.prime_table, self.degree))
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_key",
-                           _CacheKey((self.degree, self.disc, self.m, self.prime_table)))
-        if table is not None:
+        if self.table is not None:
             return
         if self.degree == 1:
             if self.m is not None or self.disc != 1:
@@ -95,15 +89,15 @@ class FieldSpec:
         elif self.degree == 2:
             if self.m is None or self.m in (0, 1) or not is_squarefree(self.m):
                 raise ValueError(f"m={self.m} must be squarefree and not 0 or 1")
-            if self.disc % 4 not in (0, 1):
-                raise ValueError(f"discriminant {self.disc} is not 0 or 1 mod 4")
+            if self.disc != (self.m if self.m % 4 == 1 else 4 * self.m):
+                raise ValueError(f"discriminant {self.disc} is not that of m={self.m}")
         else:
             raise ValueError("native support covers degree 1 and 2 only; use a prime table")
 
-    def cache_key(self) -> "_CacheKey":
+    def cache_key(self) -> tuple:
         """The key of this field in the per-process memos: equal for equal
-        fields, and hashed once per FieldSpec rather than once per lookup."""
-        return self._key
+        fields, whatever their labels."""
+        return (self.degree, self.disc, self.m, self.table)
 
     def residue_degrees(self, p: int) -> tuple[int, ...]:
         """Residue degrees of the prime ideals above the prime p, by `splitting`."""
@@ -117,41 +111,20 @@ class FieldSpec:
         depends on p only through its residue degrees (each rule of `_sieve`
         reads only the exponent and the order).  The list may name a type
         that no prime asked has, so it is read through the indices."""
-        if self._table is not None:
-            listed, of, classes = self._table
+        if self.table is not None:
+            classes, listed, of = self.table
+            listed = np.frombuffer(listed, dtype=np.int64)
             at = np.searchsorted(listed, primes)
             found = at < len(listed)
             found[found] = listed[at[found]] == primes[found]
             if not found.all():
                 raise ValueError(f"prime {primes[found.argmin()]} missing from the "
                                  f"supplied prime-ideal table")
-            return list(classes), of[at]
+            return list(classes), np.frombuffer(of, dtype=np.intp)[at]
         if self.degree == 1:
             return [(1,)], np.zeros(len(primes), dtype=np.intp)
         chi = _chi_array(self.disc)[primes % abs(self.disc)]
         return list(_QUADRATIC_CLASSES), chi.astype(np.intp) + 1
-
-
-class _CacheKey:
-    """A tuple with its hash taken once.  Equality still compares the whole
-    tuple (after an identity check), so distinct prime tables never share a
-    key; a tuple would hash all of a prime_table on every memo lookup."""
-
-    __slots__ = ("value", "_hash")
-
-    def __init__(self, value: tuple):
-        self.value = value
-        self._hash = hash(value)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, _CacheKey) and self._hash == other._hash
-                                 and self.value == other.value)
-
-    def __reduce__(self):  # hash again on unpickling: hash(None) varies by process
-        return _CacheKey, (self.value,)
 
 
 # residue degrees above p by chi_disc(p) + 1: inert, ramified, split
@@ -231,17 +204,6 @@ def is_squarefree(n: int) -> bool:
     return n == 1 or math.isqrt(n) ** 2 != n
 
 
-def is_fundamental_discriminant(D: int) -> bool:
-    if D == 1:
-        return True
-    if D % 4 == 1:
-        return is_squarefree(D)
-    if D % 4 == 0:
-        m = D // 4
-        return m % 4 in (2, 3) and is_squarefree(m)
-    return False
-
-
 def make_rational_field() -> FieldSpec:
     return FieldSpec(degree=1, disc=1, label="q")
 
@@ -258,39 +220,44 @@ def make_quadratic_field(m: int) -> FieldSpec:
 def make_table_field(rows: dict[int, list[TableRow]], label: str = "table") -> FieldSpec:
     """Build a field from explicit splitting data {p: [(f, e, multiplicity)]}.
     Its degree is the sum of f e multiplicity over the least prime."""
-    table = tuple((p, tuple(rows[p])) for p in sorted(rows))
-    if not table:
+    if not rows:
         raise ValueError("empty prime-ideal table")
-    degree = sum(f * e * mult for f, e, mult in table[0][1])
-    return FieldSpec(degree=degree, disc=0, label=label, prime_table=table)
+    primes = sorted(rows)
+    degree = sum(f * e * mult for f, e, mult in rows[primes[0]])
+    return FieldSpec(degree=degree, disc=0, label=label,
+                     table=_table_splitting(rows, primes, degree))
 
 
-def _table_splitting(table: tuple, degree: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """A table's primes (int64, ascending, but for any past every norm), each
-    one's class index (intp) and the classes in order of first appearance,
-    in one pass over its primes in order: the first prime with a row entry
-    below 1, or whose f e multiplicity do not sum to the degree, is refused."""
+def _table_splitting(rows: dict[int, list[TableRow]], primes: list[int],
+                     degree: int) -> tuple[tuple[tuple[int, ...], ...], bytes, bytes]:
+    """A table's `FieldSpec.table`: its classes in order of first appearance,
+    and the bytes of its primes (int64, ascending, but for any past every
+    norm) and of each one's class index (intp), in one pass over its primes
+    in order: the first prime with a row entry below 1, or whose f e
+    multiplicity do not sum to the degree, is refused."""
     classes: dict[tuple[int, ...], int] = {}
     checked: dict[tuple, int] = {}  # most primes share their rows with others
     listed, of = [], []
-    for p, rows in table:
-        c = checked.get(rows)
+    for p in primes:
+        spelled = tuple(rows[p])
+        c = checked.get(spelled)
         if c is None:
-            if any(f < 1 or e < 1 or mult < 1 for f, e, mult in rows):
+            if any(f < 1 or e < 1 or mult < 1 for f, e, mult in spelled):
                 raise ValueError(f"bad table row for p={p}")
-            d = sum(f * e * mult for f, e, mult in rows)
+            d = sum(f * e * mult for f, e, mult in spelled)
             if d != degree:
                 raise ValueError(f"inconsistent degree at p={p}: {d} != {degree}")
-            ideals = tuple(f for f, _e, mult in sorted(rows) for _ in range(mult))
-            c = checked[rows] = classes.setdefault(ideals, len(classes))
+            ideals = tuple(f for f, _e, mult in sorted(spelled) for _ in range(mult))
+            c = checked[spelled] = classes.setdefault(ideals, len(classes))
         if abs(p) <= NORM_LIMIT:
             listed.append(p)
             of.append(c)
-    return np.array(listed, dtype=np.int64), np.array(of, dtype=np.intp), tuple(classes)
+    return (tuple(classes), np.array(listed, dtype=np.int64).tobytes(),
+            np.array(of, dtype=np.intp).tobytes())
 
 
-# the last few table fields parsed, by (path, file text): with the text, its
-# prime_table and splitting, about 175 bytes per prime of the table
+# the last few table fields parsed, by (path, file text): the text and the
+# splitting of a Q(i) table keep about 35 bytes per prime (tracemalloc, to 10^6)
 _TABLE_FIELDS: "OrderedDict[tuple[str, str], FieldSpec]" = OrderedDict()
 _TABLE_FIELDS_KEPT = 4
 

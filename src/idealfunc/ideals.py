@@ -28,9 +28,7 @@ __all__ = [
     "IdealFactorization",
     "UNIT",
     "from_factors",
-    "multiply",
     "power",
-    "divides",
     "quotient",
     "coprime",
     "divisors",
@@ -94,25 +92,12 @@ def from_factors(pairs: Iterable[tuple[PrimeIdealLabel, int]]) -> IdealFactoriza
     return IdealFactorization(tuple(kept))
 
 
-def multiply(A: IdealFactorization, B: IdealFactorization) -> IdealFactorization:
-    if A.is_unit:
-        return B
-    if B.is_unit:
-        return A
-    return from_factors(list(A.factors) + list(B.factors))
-
-
 def power(A: IdealFactorization, n: int) -> IdealFactorization:
     if n < 0:
         raise ValueError("negative power")
     if n == 0:
         return UNIT
     return IdealFactorization(tuple((lab, e * n) for lab, e in A.factors))
-
-
-def divides(D: IdealFactorization, A: IdealFactorization) -> bool:
-    exps = A.exponents()
-    return all(exps.get(lab, 0) >= e for lab, e in D.factors)
 
 
 def quotient(A: IdealFactorization, D: IdealFactorization) -> IdealFactorization:

@@ -112,6 +112,17 @@ def _group_offsets(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return group, np.arange(len(group)) - starts[group]
 
 
+def _group_blocks(sizes: np.ndarray, step: int):
+    """`_group_offsets(sizes)` in order, as blocks of at most step items."""
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, step):
+        pos = np.arange(start, min(start + step, total))
+        group = np.searchsorted(ends, pos, side="right")
+        yield group, pos - starts[group]
+
+
 def _weights(n: int, salt: int, bits: int) -> np.ndarray:
     """n pseudo-random weights below 2^bits: splitmix64 of (salt, index)."""
     z = np.arange(n, dtype=np.uint64) + np.uint64(salt << 32)
@@ -177,11 +188,7 @@ class _Layout:
         top = int(self.norms[-1])
         nd = np.searchsorted(self.norms, integer_kth_root(top, m), side="right")
         sizes = np.searchsorted(self.norms, top // self.norms[:nd] ** m, side="right")
-        ends = np.cumsum(sizes)
-        for start in range(0, int(ends[-1]), _BLOCK_CELLS):
-            pos = np.arange(start, min(start + _BLOCK_CELLS, int(ends[-1])))
-            d = np.searchsorted(ends, pos, side="right")
-            yield d, pos - (ends - sizes)[d]
+        yield from _group_blocks(sizes, _BLOCK_CELLS)
 
     def dense(self, rows: np.ndarray, ncols: int) -> np.ndarray:
         """The exponents of the given rows at the first ncols columns."""
@@ -401,13 +408,20 @@ def _multiplicativity_check(field: FieldSpec, ideals: list[IdealFactorization],
     r = CheckResult(f"f(AB) = f(A) f(B) for coprime A, B  [{field.label}]")
     small = [A for A in ideals if A.norm <= 200]
     lay = _Layout(small, primes_with_norm_up_to(field, 200))
-    # i <= j with N(A) N(B) <= 5000: for each i, a run of j in norm order
-    i, offset = _group_offsets(np.maximum(
-        np.searchsorted(lay.norms, 5000 // lay.norms, side="right") - np.arange(len(small)), 0))
-    j = i + offset
-    ci, cj = lay.cols[i][:, :, None], lay.cols[j][:, None, :]
-    shared = ((ci == cj) & (ci < len(lay.labels))).any(axis=(1, 2))
-    i, j = i[~shared][:3000], j[~shared][:3000]
+    # i <= j with N(A) N(B) <= 5000: for each i, a run of j in norm order,
+    # taken in blocks of about _BLOCK_CELLS (pair, slot, slot) cells until
+    # 3000 of them are coprime
+    sizes = np.maximum(
+        np.searchsorted(lay.norms, 5000 // lay.norms, side="right") - np.arange(len(small)), 0)
+    pairs = np.zeros((2, 0), dtype=np.intp)
+    for a, offset in _group_blocks(sizes, _BLOCK_CELLS // max(lay.cols.shape[1] ** 2, 1)):
+        b = a + offset
+        ci, cj = lay.cols[a][:, :, None], lay.cols[b][:, None, :]
+        coprime = ~((ci == cj) & (ci < len(lay.labels))).any(axis=(1, 2))
+        pairs = np.hstack((pairs, np.stack((a, b))[:, coprime]))
+        if pairs.shape[1] >= 3000:
+            break
+    i, j = pairs[:, :3000]
     r.tested = len(i)
     # AB by its norm and merged row, sorted by column: exact, since A and B
     # are coprime
@@ -481,7 +495,7 @@ def counting_suite(field: FieldSpec, xmax: int = 10_000, kmax: int = 4) -> list[
         r.tested += 1
     results.append(r)
 
-    if field.degree == 2 and field.prime_table is None:
+    if field.degree == 2 and field.table is None:
         n0 = min(xmax, 10_000)
         r = CheckResult(f"#(norm n) = sum of chi_D over divisors of n, n <= {n0}  [{field.label}]")
         coeff = _sieve.coefficient_array(field, "count", 0, n0)

@@ -13,7 +13,6 @@ from idealfunc.analytic import (
     AnalyticValue,
     dedekind_zeta,
     dedekind_zeta_series,
-    dirichlet_L,
     mobius_density_constant,
     residue_c_F,
     _density_factors,
@@ -21,7 +20,6 @@ from idealfunc.analytic import (
 )
 from idealfunc.arith import jordan_totient, mu_1
 from idealfunc.field import (
-    is_fundamental_discriminant,
     make_quadratic_field,
     make_table_field,
     parse_field,
@@ -29,7 +27,8 @@ from idealfunc.field import (
     primes_with_norm_up_to,
 )
 from idealfunc.ideals import enumerate_ideals
-from _oracles import dirichlet_partial, mobius_density_partial_sum
+from _oracles import (dirichlet_L, dirichlet_partial, is_fundamental_discriminant,
+                      mobius_density_partial_sum)
 from test_sieve import FIELDS, _gaussian_table
 
 CATALAN = 0.915965594177219015054603514932

@@ -24,9 +24,10 @@ from idealfunc.ideals import (
     divisors,
     enumerate_ideals,
     from_factors,
-    multiply,
     power,
 )
+
+from _oracles import multiply
 
 P2 = PrimeIdealLabel(2, 1, 0)
 P3 = PrimeIdealLabel(3, 1, 0)

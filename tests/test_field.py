@@ -15,10 +15,10 @@ from sympy import kronecker_symbol
 from test_sieve import FIELDS, _gaussian_table
 
 from idealfunc import field as field_module
+from idealfunc.analytic import _prime_ideal_norms
 from idealfunc.field import (
     FieldSpec,
     PrimeIdealLabel,
-    is_fundamental_discriminant,
     is_squarefree,
     make_quadratic_field,
     make_rational_field,
@@ -29,6 +29,8 @@ from idealfunc.field import (
     primes_with_norm_up_to,
 )
 from idealfunc.summatory import mertens_k
+
+from _oracles import is_fundamental_discriminant
 
 
 def test_rational_field():
@@ -116,6 +118,11 @@ def test_quadratic_field_is_checked_for_squarefreeness_once(monkeypatch):
     # a FieldSpec built directly is still checked, with the message q:<m> gives
     with pytest.raises(ValueError, match="^m=4 must be squarefree and not 0 or 1$"):
         FieldSpec(degree=2, disc=16, m=4)
+    # and its discriminant must be that of its m: -4 would answer as Q(i)
+    for disc, m in ((-4, 5), (-3, -1), (5, -5), (-20, -1), (-8, 2), (2, 2)):
+        with pytest.raises(ValueError, match=f"^discriminant {disc} is not that of m={m}$"):
+            FieldSpec(degree=2, disc=disc, m=m)
+    assert FieldSpec(degree=2, disc=-4, m=-1).cache_key() == make_quadratic_field(-1).cache_key()
 
 
 def test_residue_degrees_of_a_large_discriminant_hold_its_character_in_bytes(fresh_memos):
@@ -415,18 +422,40 @@ def test_cache_key_is_exact_and_taken_once():
     rows = {p: [(1, 1, 2)] for p in primes_up_to(2000).tolist()}
     a, b = make_table_field(rows), make_table_field(dict(rows))
     other = make_table_field({**rows, 3: [(2, 1, 1)]})  # 3 inert, not split
-    # one key object per field: no hash of the table per lookup
-    assert a.cache_key() is a.cache_key()
-    # equal tables share a key, and a distinct table never does, even when
-    # its hash collides
+    # equal tables share a key, and a distinct table never does
     assert a.cache_key() == b.cache_key() and hash(a.cache_key()) == hash(b.cache_key())
     assert a.cache_key() != other.cache_key()
-    forged = copy.copy(other.cache_key())
-    forged._hash = hash(a.cache_key())
-    assert forged != a.cache_key() and len({a.cache_key(), forged}) == 2
     assert parse_field("q:-1").cache_key() == make_quadratic_field(-1).cache_key()
     assert parse_field("q:-1").cache_key() != parse_field("q").cache_key()
     for field in (a, parse_field("q:5")):
         for twin in (copy.deepcopy(field), pickle.loads(pickle.dumps(field))):
             assert twin.cache_key() == field.cache_key()
             assert hash(twin.cache_key()) == hash(field.cache_key())
+
+
+def test_a_parsed_table_keeps_its_text_and_splitting_alone(tmp_path, fresh_memos):
+    # Q(i) to 10^6, 78,498 primes: the kept text is about 18 bytes per prime
+    # and the splitting 16 (an int64 prime and an intp class index)
+    from test_analytic import _shuffled_gaussian_table_text
+
+    text = _shuffled_gaussian_table_text(10**6)
+    paths = [tmp_path / "a.table", tmp_path / "b.table"]
+    for path in paths:
+        path.write_text(text)
+    del text
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        a = parse_field(f"table:{paths[0]}")
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 60 * 78_498
+    # a copy parsed apart from it is the same field under another label, and
+    # shares its kept arrays
+    b = parse_field(f"table:{paths[1]}")
+    assert a.cache_key() == b.cache_key() and a.label != b.label
+    assert a.residue_degrees(999_983) == (2,) and b.residue_degrees(999_961) == (1, 1)
+    norms = _prime_ideal_norms(a, 1000)
+    assert _prime_ideal_norms(b, 1000).base is norms.base
+    assert list(field_module._CUM_CACHE) == [(None, "primes"), (a.cache_key(), "norms")]

@@ -14,17 +14,17 @@ from idealfunc.ideals import (
     UNIT,
     IdealFactorization,
     coprime,
-    divides,
     divisors,
     enumerate_ideals,
     format_ideal,
     from_factors,
     ideal_count,
     ideals_of_norm,
-    multiply,
     power,
     quotient,
 )
+
+from _oracles import divides, multiply
 
 P2 = PrimeIdealLabel(2, 1, 0)
 P3 = PrimeIdealLabel(3, 1, 0)

@@ -1,9 +1,14 @@
 """The import graph between the modules of the package, read from their source."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "idealfunc"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "idealfunc"
 
 
 def _import_graph():
@@ -56,3 +61,23 @@ def test_field_is_the_bottom_module():
     # the memo of kept arrays lives in `field` so that every other module can
     # reach it without an import cycle
     assert _import_graph()["field"] == set()
+
+
+def test_the_package_needs_only_numpy_at_run_time():
+    # the test oracles, sympy and mpmath serve the tests alone: no module of
+    # the package imports them, and numpy is its one declared dependency
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top in ("numpy", "idealfunc"), \
+                    f"{path.name} imports {name}"
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    declared = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", spec).group() for spec in declared] == ["numpy"]

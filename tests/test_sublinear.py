@@ -198,7 +198,7 @@ def test_one_grid_call_equals_separate_sums(spec, fresh_memos):
     # and alone over the straddling points.  A table field's table stops at
     # 3000.
     field = SIEVE_FIELDS[spec]
-    straddling = _straddling(XMAX if field.prime_table is None else 3000)
+    straddling = _straddling(XMAX if field.table is None else 3000)
     cases = ([("count", 0), ("kfree", 2), ("kfree", 3)]
              + [(kind, k) for kind in ("mobius", "liouville") for k in (1, 2, 3)])
     for kind, k in cases:
@@ -213,7 +213,7 @@ def test_one_grid_call_equals_separate_sums(spec, fresh_memos):
             assert got == separate, (kind, k, xs)
 
 
-@pytest.mark.parametrize("spec", sorted(s for s, f in SIEVE_FIELDS.items() if f.prime_table is None))
+@pytest.mark.parametrize("spec", sorted(s for s, f in SIEVE_FIELDS.items() if f.table is None))
 def test_blocked_grid_equals_one_x_calls(spec, fresh_memos, monkeypatch):
     # blocks of a few cells cut each grid sum into many, and a row wider than
     # a block is a block of its own: the grid still equals one call per x
@@ -260,7 +260,7 @@ def test_route_equals_sieve_with_kept_tables(spec, fresh_memos):
     # smaller x to a larger one; every kind shares them.  A table field's only
     # route is the inversion formula, and its table stops at 3000.
     field = SIEVE_FIELDS[spec]
-    if field.prime_table is None:
+    if field.table is None:
         xs, cases, route = (1, 2, 97, 1000, 2999, 50_000), CASES, _route
     else:
         xs = (1, 2, 97, 1000, 2999, 3000)

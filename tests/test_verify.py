@@ -1,14 +1,16 @@
 """The brute-force suites must still catch a function that breaks an identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from idealfunc import _sieve, arith, verify
 from idealfunc.field import (make_quadratic_field, make_table_field, primes_up_to,
                              primes_with_norm_up_to)
-from idealfunc.ideals import enumerate_ideals, ideals_of_norm, multiply, power
+from idealfunc.ideals import enumerate_ideals, ideals_of_norm, power
 
-from _oracles import correlation_lhs_dense
+from _oracles import correlation_lhs_dense, multiply
 
 
 def test_multiplicativity_check_catches_a_wrong_jordan_totient(monkeypatch, fresh_memos):
@@ -166,3 +168,32 @@ def test_identity_suite_passes_on_a_six_split_table():
     results = verify.identity_suite(_six_split(), xmax=4, kmax=3)
     assert [r.line() for r in results if not r.ok] == []
     assert len(results) == 17
+
+
+@pytest.mark.parametrize("xmax,products,norm_sum", [(30, 2612, 79_087), (50, 3000, 82_829)])
+def test_multiplicativity_check_stops_at_its_3000_pairs(monkeypatch, xmax, products, norm_sum):
+    # over the six-split table every pair i <= j of the 1,670 (4,316) ideals
+    # of norm <= 30 (50) has N(A) N(B) <= 5000; the check takes the first
+    # 3000 coprime ones in (i, j) order, and the distinct products AB it
+    # evaluates are those of a check that built every pair first: their count
+    # and norm sum are pinned from it, which held 197 MB (1,447 MB) at its peak
+    field = _six_split()
+    ideals = list(enumerate_ideals(field, xmax))
+    small = sum(A.norm <= 200 for A in ideals)
+    seen = []
+
+    def recording(k, A):
+        if k == 1:
+            seen.append(A.norm)
+        return arith.mu_k(k, A)
+
+    monkeypatch.setattr(verify, "mu_k", recording)
+    tracemalloc.start()
+    try:
+        result = verify._multiplicativity_check(field, ideals, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.line() == f"ok   f(AB) = f(A) f(B) for coprime A, B  [{field.label}]  tested=3000"
+    assert (len(seen) - small, sum(seen[small:])) == (products, norm_sum)
+    assert peak < 32 * 2**20
