@@ -15,10 +15,8 @@ import os
 import sys
 from typing import Sequence
 
-from . import analytic, arith, summatory, verify
-from .analytic import AnalyticValue
+# each subcommand imports the modules it calls, so a process loads only those
 from .field import FieldSpec, _check_memory, parse_field
-from .ideals import enumerate_ideals, format_ideal, ideals_of_norm
 
 __all__ = ["main"]
 
@@ -42,75 +40,40 @@ def _finite_float(text: str) -> float:
     return value
 
 
-@functools.cache  # once per process: parse_args keeps no state between calls
-def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
-    """The top parser, and the parser of each subcommand by name."""
-    parser = _Parser(prog="idealfunc", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# each subcommand by name, in the order the top parser lists them: the
+# function that runs it, its help line in the top parser, its description,
+# and its arguments after --field as (flag, add_argument keywords)
+_COMMANDS: dict[str, tuple] = {}
 
-    def add_field(p: argparse.ArgumentParser) -> None:
+
+def _command(name: str, help: str, *arguments: tuple[str, dict], description: str | None = None):
+    def register(run):
+        _COMMANDS[name] = (run, help, description, arguments)
+        return run
+    return register
+
+
+@functools.cache  # once per process and name: parse_args keeps no state between calls
+def _build_parser(name: str | None = None) -> _Parser:
+    """The parser of subcommand `name`, as the top parser would hand argv on
+    to it; with None, the top parser over every subcommand."""
+    if name is None:
+        parser = _Parser(prog="idealfunc", description=__doc__)
+        sub = parser.add_subparsers(dest="command", required=True)
+        parsers = {command: sub.add_parser(command, help=help, description=description)
+                   for command, (_run, help, description, _args) in _COMMANDS.items()}
+    else:
+        parser = _Parser(prog=f"idealfunc {name}", description=_COMMANDS[name][2])
+        parsers = {name: parser}
+    for command, p in parsers.items():
         p.add_argument("--field", required=True,
                        help="field designation: q, q:<m>, or table:<path>")
-
-    p = sub.add_parser("field", help="describe a field designation")
-    add_field(p)
-    p.add_argument("--format", choices=("plain", "json"), default="plain")
-
-    p = sub.add_parser("enumerate", help="stream all ideals with norm <= xmax")
-    add_field(p)
-    p.add_argument("--xmax", type=_finite_float, required=True)
-
-    p = sub.add_parser("eval", help="evaluate one arithmetic function at one ideal")
-    add_field(p)
-    p.add_argument("--fn", choices=("mobius", "liouville", "qfree", "jordan"), required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--ideal", required=True,
-                   help="NORM or NORM:IDX, the IDX-th ideal of that norm in canonical order")
-
-    p = sub.add_parser(
-        "sum", help="exact summatory value at one x",
-        description="Exact summatory value at one x.  Over q and q:<m>, qfree and mobius k >= 2 "
-                    "read a count table to sqrt(x) (x = 10^12 in 0.4 s), mobius 1 and liouville "
-                    "read tables to x^(2/3) (x = 10^10 in 1 s); table fields sieve norms to x.")
-    add_field(p)
-    p.add_argument("--fn", choices=("mobius", "liouville", "qfree"), required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--x", type=_finite_float, required=True)
-    p.add_argument("--fast", action="store_true",
-                   help="qfree only; kept for old scripts: the answer is the same "
-                        "with or without it")
-
-    p = sub.add_parser("report", help="remainder reports over a geometric grid")
-    add_field(p)
-    p.add_argument("--theorem", choices=("0", "1", "2", "3"), required=True,
-                   help="0 ideal count, 1 Mobius sum, 2 Liouville sum, 3 k-free count")
-    p.add_argument("--order", type=int, help="the order k (theorems 1-3)")
-    p.add_argument("--grid", required=True, help="a:b:points (geometric)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("verify", help="run a brute-force invariant suite")
-    add_field(p)
-    p.add_argument("--suite", choices=sorted(verify.SUITES), required=True)
-    p.add_argument("--xmax", type=int, default=5000)
-    p.add_argument("--kmax", type=int, default=4)
-
-    p = sub.add_parser("zeta", help="Dedekind zeta value at real s > 1")
-    add_field(p)
-    p.add_argument("--s", type=_finite_float, required=True,
-                   help="s > 1.001; at the default cutoff the tail bound is finite "
-                        "from about s = 1.0028 over q and 1.0054 over q:<m>, and a "
-                        "refused s is told the least s that answers")
-    p.add_argument("--tol", type=_finite_float, default=None,
-                   help="largest relative tail bound; picks the prime cutoff")
-
-    p = sub.add_parser("constant", help="leading constant of the order-k Mobius sum")
-    add_field(p)
-    p.add_argument("--order", type=int, required=True)
-
-    return parser, sub.choices
+        for flag, options in _COMMANDS[command][3]:
+            p.add_argument(flag, **options)
+    return parser
 
 
-def _analytic_json(v: AnalyticValue) -> str:
+def _analytic_json(v) -> str:
     return json.dumps({"value": v.value, "tail_bound": v.tail_bound, "method": v.method})
 
 
@@ -144,6 +107,8 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def _find_ideal(field: FieldSpec, spec: str):
+    from .ideals import ideals_of_norm
+
     parts = spec.split(":")
     try:
         norm = int(parts[0])
@@ -159,6 +124,8 @@ def _find_ideal(field: FieldSpec, spec: str):
     return matches[idx]
 
 
+@_command("field", "describe a field designation",
+          ("--format", {"choices": ("plain", "json"), "default": "plain"}))
 def _cmd_field(args, out) -> int:
     field = parse_field(args.field)
     info = {"label": field.label, "degree": field.degree, "discriminant": field.disc}
@@ -170,7 +137,11 @@ def _cmd_field(args, out) -> int:
     return 0
 
 
+@_command("enumerate", "stream all ideals with norm <= xmax",
+          ("--xmax", {"type": _finite_float, "required": True}))
 def _cmd_enumerate(args, out) -> int:
+    from .ideals import enumerate_ideals, format_ideal
+
     field = parse_field(args.field)
     if args.xmax < 1:
         raise UsageError("--xmax must be >= 1")
@@ -184,52 +155,87 @@ def _cmd_enumerate(args, out) -> int:
     return 0
 
 
-_EVAL_FNS = {"mobius": arith.mu_k, "liouville": arith.lambda_k, "qfree": arith.q_k,
-             "jordan": arith.jordan_totient}
+# the function of `arith` that each --fn names
+_EVAL_FNS = {"mobius": "mu_k", "liouville": "lambda_k", "qfree": "q_k",
+             "jordan": "jordan_totient"}
 
 
+@_command("eval", "evaluate one arithmetic function at one ideal",
+          ("--fn", {"choices": tuple(_EVAL_FNS), "required": True}),
+          ("--order", {"type": int, "required": True}),
+          ("--ideal", {"required": True, "help": "NORM or NORM:IDX, the IDX-th ideal of "
+                                                 "that norm in canonical order"}))
 def _cmd_eval(args, out) -> int:
+    from . import arith
+
     A = _find_ideal(parse_field(args.field), args.ideal)
-    print(_EVAL_FNS[args.fn](args.order, A), file=out)
+    print(getattr(arith, _EVAL_FNS[args.fn])(args.order, A), file=out)
     return 0
 
 
-_SUM_FNS = {"mobius": summatory.mertens_k, "liouville": summatory.liouville_sum_k,
-            "qfree": summatory.qfree_count}
+# the function of `summatory` that each --fn names
+_SUM_FNS = {"mobius": "mertens_k", "liouville": "liouville_sum_k", "qfree": "qfree_count"}
 
 
+@_command("sum", "exact summatory value at one x",
+          ("--fn", {"choices": tuple(_SUM_FNS), "required": True}),
+          ("--order", {"type": int, "required": True}),
+          ("--x", {"type": _finite_float, "required": True}),
+          ("--fast", {"action": "store_true",
+                      "help": "qfree only; kept for old scripts: the answer is the same "
+                              "with or without it"}),
+          description="Exact summatory value at one x.  Over q and q:<m>, qfree and mobius "
+                      "k >= 2 read a count table to sqrt(x) (x = 10^12 in 0.4 s), mobius 1 and "
+                      "liouville read tables to x^(2/3) (x = 10^10 in 1 s); table fields sieve "
+                      "norms to x.")
 def _cmd_sum(args, out) -> int:
+    from . import summatory
+
     field = parse_field(args.field)
     if args.x < 1:
         raise UsageError("--x must be >= 1")
     if args.fast and args.fn != "qfree":
         raise UsageError("--fast applies to --fn qfree only")
-    print(_SUM_FNS[args.fn](field, args.order, args.x), file=out)
+    print(getattr(summatory, _SUM_FNS[args.fn])(field, args.order, args.x), file=out)
     return 0
 
 
+@_command("report", "remainder reports over a geometric grid",
+          ("--theorem", {"choices": ("0", "1", "2", "3"), "required": True,
+                         "help": "0 ideal count, 1 Mobius sum, 2 Liouville sum, 3 k-free count"}),
+          ("--order", {"type": int, "help": "the order k (theorems 1-3)"}),
+          ("--grid", {"required": True, "help": "a:b:points (geometric)"}),
+          ("--format", {"choices": ("csv", "json"), "default": "csv"}))
 def _cmd_report(args, out) -> int:
+    from .summatory import CSV_HEADER, sweep
+
     field = parse_field(args.field)
     grid = _parse_grid(args.grid)
     if args.theorem != "0" and args.order is None:
         raise UsageError("--order is required for theorems 1-3")
     kind = {"0": "count", "1": "mobius", "2": "liouville", "3": "qfree"}[args.theorem]
-    reports = summatory.sweep(kind, field, args.order, grid)
+    reports = sweep(kind, field, args.order, grid)
     if args.format == "json":
-        columns = summatory.CSV_HEADER.split(",")
+        columns = CSV_HEADER.split(",")
         rows = [{name: getattr(r, name) for name in columns} for r in reports]
         print(json.dumps(rows), file=out)
     else:
-        print(summatory.CSV_HEADER, file=out)
+        print(CSV_HEADER, file=out)
         for r in reports:
             print(r.csv_row(), file=out)
     return 0
 
 
+@_command("verify", "run a brute-force invariant suite",
+          # sorted(verify.SUITES), spelled out so that parsing imports no `verify`
+          ("--suite", {"choices": ("counting", "identities"), "required": True}),
+          ("--xmax", {"type": int, "default": 5000}),
+          ("--kmax", {"type": int, "default": 4}))
 def _cmd_verify(args, out) -> int:
+    from .verify import SUITES
+
     field = parse_field(args.field)
-    suite = verify.SUITES[args.suite]
-    results = suite(field, xmax=args.xmax, kmax=args.kmax)
+    results = SUITES[args.suite](field, xmax=args.xmax, kmax=args.kmax)
     failed = False
     for r in results:
         print(r.line(), file=out)
@@ -240,8 +246,10 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cutoff_for_tol(tol: float | None, s: float) -> int:
+    from .analytic import PRIME_CUTOFF
+
     if tol is None or s <= 1 + 1e-3:  # dedekind_zeta refuses such s
-        return analytic.PRIME_CUTOFF
+        return PRIME_CUTOFF
     if tol <= 0:
         raise UsageError("--tol must be positive")
     try:
@@ -251,7 +259,16 @@ def _cutoff_for_tol(tol: float | None, s: float) -> int:
     return int(max(1e4, math.ceil(min(2e6, cutoff))))
 
 
+@_command("zeta", "Dedekind zeta value at real s > 1",
+          ("--s", {"type": _finite_float, "required": True,
+                   "help": "s > 1.001; at the default cutoff the tail bound is finite "
+                           "from about s = 1.0028 over q and 1.0054 over q:<m>, and a "
+                           "refused s is told the least s that answers"}),
+          ("--tol", {"type": _finite_float, "default": None,
+                     "help": "largest relative tail bound; picks the prime cutoff"}))
 def _cmd_zeta(args, out) -> int:
+    from . import analytic
+
     field = parse_field(args.field)
     cutoff = _cutoff_for_tol(args.tol, args.s)
     value = analytic.dedekind_zeta(field, args.s, cutoff)
@@ -262,37 +279,31 @@ def _cmd_zeta(args, out) -> int:
     return 0
 
 
+@_command("constant", "leading constant of the order-k Mobius sum",
+          ("--order", {"type": int, "required": True}))
 def _cmd_constant(args, out) -> int:
+    from . import analytic
+
     field = parse_field(args.field)
     value = analytic.mobius_density_constant(field, args.order)
     print(_analytic_json(value), file=out)
     return 0
 
 
-_COMMANDS = {
-    "field": _cmd_field,
-    "enumerate": _cmd_enumerate,
-    "eval": _cmd_eval,
-    "sum": _cmd_sum,
-    "report": _cmd_report,
-    "verify": _cmd_verify,
-    "zeta": _cmd_zeta,
-    "constant": _cmd_constant,
-}
-
-
 def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _build_parser()
     try:
-        # a named subcommand's parser reads the rest of argv, as the top parser
-        # would hand it on, without the top parser's own pass over argv
-        sub = commands.get(argv[0]) if argv else None
-        args = (sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])) if sub
-                else parser.parse_args(argv))
-        code = _COMMANDS[args.command](args, out)
+        # argv that names a subcommand goes to that subcommand's parser alone,
+        # as the top parser would hand it on; only other argv builds the top
+        # parser, whose errors and help list every subcommand
+        if argv and argv[0] in _COMMANDS:
+            args = _build_parser(argv[0]).parse_args(argv[1:],
+                                                     argparse.Namespace(command=argv[0]))
+        else:
+            args = _build_parser().parse_args(argv)
+        code = _COMMANDS[args.command][0](args, out)
         out.flush()
         return code
     except BrokenPipeError:

@@ -261,6 +261,11 @@ def _table_splitting(rows: dict[int, list[TableRow]], primes: list[int],
 _TABLE_FIELDS: "OrderedDict[tuple[str, str], FieldSpec]" = OrderedDict()
 _TABLE_FIELDS_KEPT = 4
 
+# the peak of a parse beside its text, per byte of that text: measured 17.0
+# (tracemalloc) over Q(i) to 10^6 with one line per prime, and 12.5 with the
+# split primes' lines doubled and shuffled; the text itself takes 1 more
+_TABLE_PARSE_BYTES = 18
+
 
 def load_prime_table(path: str | Path) -> FieldSpec:
     """Parse a whitespace-separated table file: `p f e multiplicity` per line.
@@ -275,6 +280,8 @@ def load_prime_table(path: str | Path) -> FieldSpec:
     key = (str(path), text)
     field = _TABLE_FIELDS.get(key)
     if field is None:
+        _check_memory(len(text), _TABLE_PARSE_BYTES,
+                      what=f"prime table {path} is too large to parse", unit="byte of its text")
         field = _parse_prime_table(path, text)  # a table that fails is not kept
         _TABLE_FIELDS[key] = field
         if len(_TABLE_FIELDS) > _TABLE_FIELDS_KEPT:

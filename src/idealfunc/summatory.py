@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _sublinear
-from .analytic import dedekind_zeta, mobius_density_constant, residue_c_F
 from .field import FieldSpec, kept_array
 
 __all__ = [
@@ -142,6 +141,8 @@ def sweep(kind: str, field: FieldSpec, k: int,
     remainder is R(x); this kind ignores k), (c_F / zeta_F(k)) K_F(k) x for
     M_k, 0 for L_k, and c_F x / zeta_F(k) for the k-free count.
     """
+    from .analytic import dedekind_zeta, mobius_density_constant, residue_c_F
+
     if kind not in _REPORT_KINDS:
         raise ValueError(f"unknown report kind {kind!r}")
     grid = list(x_grid)

@@ -28,6 +28,7 @@ about _BLOCK_CELLS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from itertools import count
 from typing import Callable
@@ -201,20 +202,28 @@ def _coprime_sums(a: _Layout, b: _Layout, width: int, weights: np.ndarray) -> np
     """coprime(A, B) @ weights: row i sums the rows of weights, one per ideal
     B of b, over the B that share no prime ideal of the first width columns
     with the i-th ideal A of a.  The supports of the shorter list are held
-    as one matrix, and the longer list is taken in blocks of at most
-    _BLOCK_CELLS cells of coprime(A, B)."""
+    as one matrix, and each product takes a tile of its columns against a
+    block of rows of the longer list: about _BLOCK_CELLS cells of
+    coprime(A, B), and of the block's supports, per product."""
     out = np.zeros((len(a.ideals), weights.shape[1]), dtype=np.int64)
     weights = weights.astype(np.float64)  # exact: every sum counts fewer than 2^53 ideals
     held, blocked = (b, a) if len(a.ideals) >= len(b.ideals) else (a, b)
     support = (held.dense(np.arange(len(held.ideals)), width) > 0).T.astype(np.float32)
-    step = max(1, _BLOCK_CELLS // max(len(held.ideals), width, 1))
+    # rows of the longer list per block, and columns of the held matrix per
+    # tile: a held list of at most sqrt(_BLOCK_CELLS) ideals is one tile
+    side = min(len(held.ideals), math.isqrt(_BLOCK_CELLS))
+    step = max(1, _BLOCK_CELLS // max(width, side, 1))
+    tile = max(1, min(len(held.ideals), _BLOCK_CELLS // step))
     for start in range(0, len(blocked.ideals), step):
         rows = np.arange(start, min(start + step, len(blocked.ideals)))
-        coprime = ((blocked.dense(rows, width) > 0).astype(np.float32) @ support) == 0
-        if blocked is a:
-            out[rows] = coprime.astype(np.float64) @ weights
-        else:
-            out += (coprime.T.astype(np.float64) @ weights[rows]).astype(np.int64)
+        block = (blocked.dense(rows, width) > 0).astype(np.float32)
+        for first in range(0, len(held.ideals), tile):
+            cols = slice(first, first + tile)
+            coprime = (block @ support[:, cols]) == 0
+            if blocked is a:
+                out[rows] += (coprime.astype(np.float64) @ weights[cols]).astype(np.int64)
+            else:
+                out[cols] += (coprime.T.astype(np.float64) @ weights[rows]).astype(np.int64)
     return out
 
 

@@ -1,8 +1,10 @@
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -12,9 +14,10 @@ import pytest
 
 from pathlib import Path
 
+import idealfunc
 from idealfunc import _sieve, _sublinear
 from idealfunc import field as field_module
-from idealfunc.cli import UsageError, _build_parser, main
+from idealfunc.cli import _COMMANDS, UsageError, _build_parser, main
 from idealfunc.field import parse_field, primes_up_to
 from idealfunc.summatory import CSV_HEADER
 
@@ -364,6 +367,12 @@ def _held_arrays():
 
 
 def test_one_session_of_every_subcommand_keeps_bounded_memos(tmp_path, fresh_memos):
+    # every module of the package is loaded first: a subcommand imports its
+    # modules when it runs, and a module first loaded mid-session would show
+    # its constant dicts as grown
+    for info in pkgutil.iter_modules(idealfunc.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"idealfunc.{info.name}")
     constants = _held_arrays()  # the arrays held from import on, such as `_sublinear._ONE_ROW`
     path = tmp_path / "qi.table"
     path.write_text(_table_text(primes_up_to(20_000).tolist(), True))
@@ -440,6 +449,24 @@ def test_report_grid_past_memory_is_refused_before_it_is_built(monkeypatch):
     assert_one_line_error(code, out, err)
     assert err == (f"error: bad grid {grid!r}: 1000000000000 points: about 2000 bytes "
                    "per grid point exceed the 8.0 GiB of physical memory\n")
+
+
+def test_a_table_past_memory_is_refused_before_it_is_parsed(tmp_path, monkeypatch, fresh_memos):
+    # the parse states 18 bytes per byte of the table's text before it builds
+    # anything, and a table within that answers as its field does
+    path = tmp_path / "qi.table"
+    path.write_text(_table_text(primes_up_to(20_000).tolist(), True))
+    argv = ["sum", "--field", f"table:{path}", "--fn", "qfree", "--order", "2", "--x", "100"]
+    size = len(path.read_text())
+    fake_physical_memory(monkeypatch, 18 * size)
+    code, out, err = run_cli(argv)
+    assert_one_line_error(code, out, err)
+    assert err == (f"error: prime table {path} is too large to parse: about 18 bytes per byte "
+                   "of its text exceed the 0.0 GiB of physical memory\n")
+    assert not field_module._TABLE_FIELDS
+    fake_physical_memory(monkeypatch, 18 * (size + 1) + 4096)
+    answer = run_cli(argv)
+    assert answer[0] == 0 and answer == run_cli(["sum", "--field", "q:-1", *argv[3:]])
 
 
 def test_report_constants_need_only_the_character_in_memory(monkeypatch, fresh_memos):
@@ -1083,6 +1110,30 @@ def _outcome(call, argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# a query of each subcommand that parses, and arguments that each makes fail
+# on a bad choice or a bad number
+_PARSES = {
+    "field": ["--field", "q"],
+    "enumerate": ["--field", "q", "--xmax", "10"],
+    "eval": ["--field", "q", "--fn", "mobius", "--order", "1", "--ideal", "6"],
+    "sum": ["--field", "q", "--fn", "mobius", "--order", "2", "--x", "10"],
+    "report": ["--field", "q", "--theorem", "0", "--grid", "10:100:2"],
+    "verify": ["--field", "q", "--suite", "counting"],
+    "zeta": ["--field", "q", "--s", "2"],
+    "constant": ["--field", "q", "--order", "2"],
+}
+_BAD_VALUE = {
+    "field": ["--format", "csv"],
+    "enumerate": ["--xmax", "ten"],
+    "eval": ["--fn", "bogus"],
+    "sum": ["--x", "inf"],
+    "report": ["--theorem", "4"],
+    "verify": ["--suite", "bogus"],
+    "zeta": ["--s", "nan"],
+    "constant": ["--order", "2.5"],
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["sum", "--field", "q", "--fn", "bogus", "--order", "2", "--x", "10"],
     ["sum", "--fn", "mobius", "--order", "2", "--x", "10"],
@@ -1091,11 +1142,33 @@ def _outcome(call, argv):
     ["sum", "--help"],
     [],
     ["-h"],
+    *([name, "--help"] for name in _PARSES),
+    *([name, *_PARSES[name][2:]] for name in _PARSES),  # no --field
+    *([name, *_PARSES[name], *_BAD_VALUE[name]] for name in _PARSES),
+    *([name, *_PARSES[name], "--bogus"] for name in _PARSES),
 ])
 def test_a_subcommand_parses_as_the_top_parser_would_hand_it_on(argv):
-    # main sends argv that names a subcommand straight to that subcommand's parser
-    top, _ = _build_parser()
+    # main builds only the parser of the subcommand that argv names
+    top = _build_parser()
     assert _outcome(main, argv) == _outcome(lambda argv, out, err: top.parse_args(argv), argv)
+
+
+def test_every_subcommand_has_a_query_that_parses_and_bad_values():
+    # so that the cases above cover every subcommand, each failing as meant
+    assert list(_PARSES) == list(_BAD_VALUE) == list(_COMMANDS)
+    for name, argv in _PARSES.items():
+        assert _build_parser(name).parse_args(argv).field == "q"
+        assert _outcome(main, [name, *argv, *_BAD_VALUE[name]])[0] == 1
+        code, out, _ = _outcome(main, [name, "--help"])
+        assert code == 0 and out.startswith(f"usage: idealfunc {name} ")
+
+
+def test_the_suite_choices_are_the_suites_of_verify():
+    # spelled out in the parser, so that parsing `verify` imports no suite
+    from idealfunc import verify
+
+    suite, = (a for a in _build_parser("verify")._actions if a.dest == "suite")
+    assert list(suite.choices) == sorted(verify.SUITES)
 
 
 def test_usage_errors_keep_their_messages():
