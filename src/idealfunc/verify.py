@@ -15,22 +15,22 @@ closed form.  The terms are evaluated in numpy, on the exponent rows of a
 - a sum over the D with D^m | A runs over the pairs (D, C) of listed ideals
   with A = D^m C, each product found by its exact key, and its terms are
   grouped by A with np.add.at;
-- the correlation sum evaluates mu_{k-1}(A^{k-1} B) as the product of the
-  local values at the merged exponents over the prime ideals of A and B
-  alone, so each pair (A, B) costs one cell per slot of A and of B, and
+- the correlation sum evaluates mu_{k-1}(A^{k-1} B) as the product of its
+  local values over the prime ideals of A and B alone, each looked up by
+  column, so each pair (A, B) costs one cell per slot of A and of B, and
   coprime counts come from products of prime-ideal support matrices;
-- the multiplicativity check builds each distinct product AB once, from
-  its merged exponent row.
+- the multiplicativity check walks its pairs (A, B) with `ideals.coprime`
+  and builds each distinct product AB once, from the factors of A and B.
 
-The pairs, and the cells of the correlation sums, are built in blocks of
-about _BLOCK_CELLS.
+The (D, C) pairs, and the cells of the correlation sums, are built in
+blocks of about _BLOCK_CELLS.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from itertools import count
+from itertools import count, islice, takewhile
 from typing import Callable
 
 import numpy as np
@@ -54,6 +54,7 @@ from .field import (
 )
 from .ideals import (
     IdealFactorization,
+    coprime,
     enumerate_ideals,
     format_ideal,
     ideal_count,
@@ -342,7 +343,7 @@ def _correlation_checks(field: FieldSpec, lay: _Layout, mu1: np.ndarray,
 
     results = []
     for k in range(2, kmax + 1):
-        # f = mu_{k-1}, by its local values up to the largest merged exponent
+        # f = mu_{k-1}, by its local values up to the largest exponent of A^{k-1} B
         table = np.array([_sieve._mobius(e, k - 1) for e in range(
             (k - 1) * int(lay.exps.max(initial=0)) + int(bs.exps.max(initial=0)) + 1)],
             dtype=np.int8)
@@ -363,49 +364,45 @@ def _correlation_lhs(lay: _Layout, bs: _Layout, width: int, mb: np.ndarray, m: i
     power of a prime ideal (table[0] = 1), and B's prime ideals lie in the
     first width columns.
 
-    f(A^m B) is the product of the local values at the merged exponents,
-    over the prime ideals of the pair alone: table[m e_A + e_B] over B's
-    slots, table[m e_A] over A's slots in B's columns that B lacks, and one
-    factor `own` over A's slots past B's columns.  So a block of pairs holds
+    f(A^m B) is the product of the local values over the prime ideals of the
+    pair alone: table[m e_A + e_B] over A's slots, with e_B looked up in a
+    table of each B's exponent by column; table[e_B] over B's slots in the
+    columns A lacks, looked up in a table of A's columns; and one factor
+    `own` over A's slots past B's columns.  So a block of pairs holds
     (w_A + w_B) cells per pair, for the w_A slots of A in B's columns and the
     w_B of B, not one per column.
     """
     signed = np.flatnonzero(mb)
-    mb, b_cols, b_exps = mb[signed], bs.cols[signed], bs.exps[signed]
+    mb = mb[signed]
+    # B's slots as rows (w_B, |B|); its pads read column width, which A never sets
+    b_cols, b_exps = np.minimum(bs.cols[signed], width).T, bs.exps[signed].T
+    b_vals = table[b_exps]
+    b_at = np.zeros((width + 2, len(signed)), dtype=np.int8)  # e_B by column
+    b_at[b_cols, np.arange(len(signed))] = b_exps
     # a row's columns ascend, so its slots in B's columns come first
     w_a = int((lay.cols < width).sum(axis=1).max(initial=0))
     own = table[m * lay.exps[:, w_a:]].prod(axis=1)
-    # A's other slots past B's columns go to column width + 1, which B never
-    # reads; B's pads read column width, which A never sets
+    # A's other slots past B's columns go to column width + 1, where B's
+    # exponent is 0
     a_cols = np.where(lay.cols[:, :w_a] < width, lay.cols[:, :w_a], width + 1)
     a_exps = m * lay.exps[:, :w_a]
-    a_vals = table[a_exps]
-    b_cols = np.minimum(b_cols, width).T  # (w_B, |B|)
-    # B's slots as rows (e_B, column) of the table of each A below
-    b_rows = b_exps.T * (width + 2) + b_cols
-    e_b = np.arange(int(b_exps.max(initial=0)) + 1)[:, None, None]
-
     n = len(lay.ideals)
+    a_has = np.zeros((n, width + 2), dtype=bool)  # A's columns
+    a_has[np.arange(n)[:, None], a_cols] = True
+
     lhs = np.zeros(n, dtype=np.int64)
     step = max(1, _BLOCK_CELLS // max(len(signed) * (w_a + len(b_cols)), 1))
     for start in range(0, n, step):
         rows = np.arange(start, min(start + step, n))
-        ea = np.zeros((width + 2, len(rows)), dtype=np.int64)  # m e_A by column
-        ea[a_cols[rows], np.arange(len(rows))[:, None]] = a_exps[rows]
-        # over B's slots: table[m e_A + e_B], gathered from each A's table by
-        # (e_B, column); `local` is (|B|, rows)
-        at_b = table[ea + e_b].reshape(-1, len(rows)).take(b_rows, axis=0)
-        local = np.ones((len(signed), len(rows)), dtype=np.int64)
-        for values in at_b:
-            local *= values
-        # over A's slots where B's exponent is 0: table[m e_A]
+        # `local` is (rows, |B|): table[m e_A + e_B] over A's slots, then
+        # table[e_B] over B's slots where A's exponent is 0
+        local = np.ones((len(rows), len(signed)), dtype=np.int64)
         for t in range(w_a):
-            col = a_cols[rows, t]
-            in_b = b_cols[0, :, None] == col
-            for c in b_cols[1:]:
-                in_b |= c[:, None] == col
-            local *= np.where(in_b, 1, a_vals[rows, t])
-        lhs[rows] = own[rows] * (mb @ local)
+            local *= table[a_exps[rows, t, None] + b_at[a_cols[rows, t]]]
+        has = a_has[rows]
+        for c, values in zip(b_cols, b_vals):
+            local *= np.where(has[:, c], 1, values)
+        lhs[rows] = own[rows] * (local @ mb)
     return lhs
 
 
@@ -413,46 +410,23 @@ def _multiplicativity_check(field: FieldSpec, ideals: list[IdealFactorization],
                             kmax: int) -> CheckResult:
     """f(AB) = f(A) f(B) over the first 3000 pairs i <= j of ideals A, B of norm
     <= 200 with N(A) N(B) <= 5000 and (A, B) = 1, for f = mu_k, lambda_k, J_k
-    and q_k at every order; f(AB) is evaluated once per distinct AB."""
+    and q_k at every order.  Each distinct AB is built once, from the factors
+    of A and B, and f(AB) is evaluated once per distinct AB."""
     r = CheckResult(f"f(AB) = f(A) f(B) for coprime A, B  [{field.label}]")
     small = [A for A in ideals if A.norm <= 200]
-    lay = _Layout(small, primes_with_norm_up_to(field, 200))
-    # i <= j with N(A) N(B) <= 5000: for each i, a run of j in norm order,
-    # taken in blocks of about _BLOCK_CELLS (pair, slot, slot) cells until
-    # 3000 of them are coprime
-    sizes = np.maximum(
-        np.searchsorted(lay.norms, 5000 // lay.norms, side="right") - np.arange(len(small)), 0)
-    pairs = np.zeros((2, 0), dtype=np.intp)
-    for a, offset in _group_blocks(sizes, _BLOCK_CELLS // max(lay.cols.shape[1] ** 2, 1)):
-        b = a + offset
-        ci, cj = lay.cols[a][:, :, None], lay.cols[b][:, None, :]
-        coprime = ~((ci == cj) & (ci < len(lay.labels))).any(axis=(1, 2))
-        pairs = np.hstack((pairs, np.stack((a, b))[:, coprime]))
-        if pairs.shape[1] >= 3000:
-            break
-    i, j = pairs[:, :3000]
+    # i <= j in norm order: for each i, a run of j while N(A) N(B) <= 5000,
+    # until 3000 of the pairs are coprime
+    runs = ((a, b) for a, A in enumerate(small)
+            for b in takewhile(lambda b: A.norm * small[b].norm <= 5000, range(a, len(small))))
+    pairs = list(islice(((a, b) for a, b in runs if coprime(small[a], small[b])), 3000))
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     r.tested = len(i)
-    # AB by its norm and merged row, sorted by column: exact, since A and B
-    # are coprime
-    cols = np.hstack((lay.cols[i], lay.cols[j]))
-    by_col = np.argsort(cols, axis=1)
-    exps = np.hstack((lay.exps[i], lay.exps[j]))
-    merged = np.column_stack((lay.norms[i] * lay.norms[j], np.take_along_axis(cols, by_col, axis=1),
-                              np.take_along_axis(exps, by_col, axis=1)))
-    # equal rows are adjacent in lexicographic order
-    order = np.lexsort(merged.T)
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (merged[order[1:]] != merged[order[:-1]]).any(axis=1)
-    first = order[new]
-    product_of = np.empty(len(order), dtype=np.int64)
-    product_of[order] = np.cumsum(new) - 1
-
-    # each distinct AB from its merged row; its columns ascend, and so do
-    # its labels
-    labels, w = lay.labels, cols.shape[1]
-    products = [IdealFactorization(tuple(
-        (labels[c], e) for c, e in zip(row[1:1 + w], row[1 + w:]) if c < len(labels)))
-        for row in merged[first].tolist()]
+    # the distinct AB in the order first seen: A and B are coprime, so their
+    # (label, exponent) pairs sorted together are AB's factors
+    index: dict[tuple, int] = {}
+    product_of = np.array([index.setdefault(tuple(sorted(small[a].factors + small[b].factors)),
+                                            len(index)) for a, b in pairs], dtype=np.intp)
+    products = [IdealFactorization(factors) for factors in index]
 
     # mu_k, lambda_k, J_k and q_k (k >= 2) at every order, one column of
     # Python ints each: J_k passes int64

@@ -77,7 +77,8 @@ def test_criterion_kfree_inversion_exact():
     for field in ALL_FIELDS:
         _sieve.cumulative_array(field, "count", 0, 10**5)
         for k in (2, 3):
-            direct = _sieve.cumulative_array(field, "kfree", k, 10**5)[1:]
+            # the memo may hand back a longer table it already keeps
+            direct = _sieve.cumulative_array(field, "kfree", k, 10**5)[1 : 10**5 + 1]
             formula = np.array(_sublinear.kfree_counts(field, k, xs))
             total += 10**5
             if not np.array_equal(direct, formula):
@@ -113,11 +114,13 @@ def test_criterion_classical_anchors():
     mu[0] = 0
     lam = np.where(np.arange(n + 1) >= 1, 1 - 2 * (omega % 2), 0)
 
+    # the memo may hand back longer tables it already keeps: their first n + 1
+    # entries are compared
     if not np.array_equal(np.cumsum(mu),
-                          _sieve.cumulative_array(RATIONAL, "mobius", 1, n)):
+                          _sieve.cumulative_array(RATIONAL, "mobius", 1, n)[: n + 1]):
         ok, _ = False, notes.append("M_1 mismatch vs integer Mobius sieve")
     if not np.array_equal(np.cumsum(lam),
-                          _sieve.cumulative_array(RATIONAL, "liouville", 1, n)):
+                          _sieve.cumulative_array(RATIONAL, "liouville", 1, n)[: n + 1]):
         ok, _ = False, notes.append("L_1 mismatch vs integer Liouville sieve")
 
     _report("classical anchors over the rationals", ok,

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from idealfunc import _sieve, arith, verify
-from idealfunc.field import (make_quadratic_field, make_table_field, primes_up_to,
+from idealfunc.field import (make_quadratic_field, make_table_field, parse_field, primes_up_to,
                              primes_with_norm_up_to)
-from idealfunc.ideals import enumerate_ideals, ideals_of_norm, power
+from idealfunc.ideals import coprime, enumerate_ideals, ideals_of_norm, power
 
 from _oracles import correlation_lhs_dense, multiply
 
@@ -170,14 +170,25 @@ def test_identity_suite_passes_on_a_six_split_table():
     assert len(results) == 17
 
 
-@pytest.mark.parametrize("xmax,products,norm_sum", [(30, 2612, 79_087), (50, 3000, 82_829)])
-def test_multiplicativity_check_stops_at_its_3000_pairs(monkeypatch, xmax, products, norm_sum):
+@pytest.mark.parametrize("spec,xmax,tested,products,norm_sum", [
+    pytest.param("six-split", 30, 3000, 2612, 79_087, id="30-2612-79087"),
+    pytest.param("six-split", 50, 3000, 3000, 82_829, id="50-3000-82829"),
+    ("q:-1", 400, 3000, 2024, 4_249_942),
+    ("q:-1", 5000, 3000, 2024, 4_249_942),
+    ("q:5", 400, 1233, 1019, 2_229_019),
+    ("q:5", 5000, 1233, 1019, 2_229_019),
+])
+def test_multiplicativity_check_stops_at_its_3000_pairs(monkeypatch, spec, xmax, tested,
+                                                        products, norm_sum):
     # over the six-split table every pair i <= j of the 1,670 (4,316) ideals
     # of norm <= 30 (50) has N(A) N(B) <= 5000; the check takes the first
     # 3000 coprime ones in (i, j) order, and the distinct products AB it
     # evaluates are those of a check that built every pair first: their count
-    # and norm sum are pinned from it, which held 197 MB (1,447 MB) at its peak
-    field = _six_split()
+    # and norm sum are pinned from it, which held 197 MB (1,447 MB) at its
+    # peak.  Over Q(i) and Q(sqrt 5) the runs stop at N(A) N(B) = 5000, and
+    # Q(sqrt 5) has only 1,233 coprime pairs: the counts and norm sums there
+    # are pinned from the check that merged exponent rows in numpy
+    field = _six_split() if spec == "six-split" else parse_field(spec)
     ideals = list(enumerate_ideals(field, xmax))
     small = sum(A.norm <= 200 for A in ideals)
     seen = []
@@ -194,6 +205,29 @@ def test_multiplicativity_check_stops_at_its_3000_pairs(monkeypatch, xmax, produ
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.line() == f"ok   f(AB) = f(A) f(B) for coprime A, B  [{field.label}]  tested=3000"
+    assert result.line() == (
+        f"ok   f(AB) = f(A) f(B) for coprime A, B  [{field.label}]  tested={tested}")
     assert (len(seen) - small, sum(seen[small:])) == (products, norm_sum)
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("block_cells", [verify._BLOCK_CELLS, 2**6])
+@pytest.mark.parametrize("spec,xa,xb", [
+    ("q:-1", 2000, 200),  # |a| >= |b|, and A's columns past width are cut
+    ("q:-1", 150, 400),  # |a| < |b|: a is the held list
+    ("six-split", 24, 16),
+    ("six-split", 10, 30),
+])
+def test_coprime_sums_match_coprime_over_every_pair(monkeypatch, spec, xa, xb, block_cells):
+    # at 2^6 cells the longer list takes several blocks, and the held list
+    # several tiles
+    monkeypatch.setattr(verify, "_BLOCK_CELLS", block_cells)
+    field = _six_split(30) if spec == "six-split" else parse_field(spec)
+    labels = primes_with_norm_up_to(field, max(xa, xb))
+    a = verify._Layout(list(enumerate_ideals(field, xa)), labels)
+    b = verify._Layout(list(enumerate_ideals(field, xb)), labels)
+    width = sum(lab.norm <= xb for lab in labels)  # the columns of B
+    weights = np.random.default_rng(xa).integers(-3, 4, size=(len(b.ideals), 3))
+    want = np.array([[coprime(A, B) for B in b.ideals] for A in a.ideals],
+                    dtype=np.int64) @ weights
+    assert verify._coprime_sums(a, b, width, weights).tolist() == want.tolist()
