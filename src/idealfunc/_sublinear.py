@@ -66,11 +66,14 @@ def table_size(x: int) -> int:
 def exact_sums(field: FieldSpec, kind: str, k: int, xs: list[int]) -> list[int]:
     """The sum of the coefficients of `kind` ("count", "kfree", "mobius" or
     "liouville", as in `_sieve`) over the ideals of norm <= x, at each x of
-    the non-empty xs.
+    the non-empty xs.  Every x >= 0 answers (0 at x = 0), in any order and
+    with repeats.
 
     A built-in field takes the formulas of this module, and a table field the
     sieve, once for every x.
     """
+    if not any(xs):  # every x is 0: the formulas' rows would be empty
+        return [0] * len(xs)
     if field.table is not None:
         return _sieve.cumulative_array(field, kind, k, max(xs))[xs].tolist()
     if kind == "count" and field.degree == 1:  # [x]_Q = x, with no 64-bit bound on x

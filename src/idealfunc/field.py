@@ -329,8 +329,9 @@ def parse_field(spec: str) -> FieldSpec:
 # field.cache_key(), the sieve's prefix sums ((kind, k)), the k-full rows of
 # `_sublinear` (("kfull", k)), the Euler products' prime-ideal norms ("norms")
 # and the report constants of `summatory` (0-d arrays, (name, *args)).  The
-# least recently used arrays are dropped while the kept bytes exceed
-# _KEPT_BYTES, but the newest is always kept.
+# newest array is always kept, and beside it the least recently used arrays
+# are dropped while the bytes kept besides the newest exceed _KEPT_BYTES, so
+# an array past the budget pushes out only what passes the budget beside it.
 
 _CUM_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 _REACHES: dict[tuple, int] = {}
@@ -349,8 +350,8 @@ def kept_array(key: tuple, reach: int, build: Callable[[int], np.ndarray]) -> np
     array.flags.writeable = False
     _CUM_CACHE[key] = array
     _REACHES[key] = reach
-    kept = sum(a.nbytes for a in _CUM_CACHE.values())
-    while kept > _KEPT_BYTES and len(_CUM_CACHE) > 1:
+    kept = sum(a.nbytes for a in _CUM_CACHE.values()) - array.nbytes
+    while kept > _KEPT_BYTES:
         dropped, old = _CUM_CACHE.popitem(last=False)
         del _REACHES[dropped]
         kept -= old.nbytes

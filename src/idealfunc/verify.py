@@ -79,7 +79,6 @@ class CheckResult:
     name: str
     tested: int = 0
     failures: list[str] = dc_field(default_factory=list)
-    note: str = ""
 
     @property
     def ok(self) -> bool:
@@ -100,25 +99,19 @@ class CheckResult:
 
     def line(self) -> str:
         status = "ok  " if self.ok else "FAIL"
-        extra = f" ({self.note})" if self.note else ""
-        out = f"{status} {self.name}  tested={self.tested}{extra}"
+        out = f"{status} {self.name}  tested={self.tested}"
         if not self.ok:
             out += "  first failure: " + self.failures[0]
         return out
 
 
-def _group_offsets(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(group, offset within it) of each item of consecutive groups of these sizes."""
-    starts = np.cumsum(sizes) - sizes
-    group = np.repeat(np.arange(len(sizes)), sizes)
-    return group, np.arange(len(group)) - starts[group]
-
-
-def _group_blocks(sizes: np.ndarray, step: int):
-    """`_group_offsets(sizes)` in order, as blocks of at most step items."""
+def _group_blocks(sizes: np.ndarray, step: int = 0):
+    """(group, offset within it) of each item of consecutive groups of these
+    sizes, in order, as blocks of at most step items (one block if step is 0)."""
     ends = np.cumsum(sizes)
     starts = ends - sizes
     total = int(ends[-1]) if len(ends) else 0
+    step = step or max(total, 1)
     for start in range(0, total, step):
         pos = np.arange(start, min(start + step, total))
         group = np.searchsorted(ends, pos, side="right")
@@ -162,9 +155,9 @@ class _Layout:
         width = int(sizes.max(initial=0))
         self.cols = np.full((n, width), len(labels), dtype=np.int64)
         self.exps = np.zeros((n, width), dtype=np.int64)
-        row, pos = _group_offsets(sizes)
-        self.cols[row, pos] = [column[lab] for A in ideals for lab, _ in A.factors]
-        self.exps[row, pos] = [e for A in ideals for _, e in A.factors]
+        for row, pos in _group_blocks(sizes):
+            self.cols[row, pos] = [column[lab] for A in ideals for lab, _ in A.factors]
+            self.exps[row, pos] = [e for A in ideals for _, e in A.factors]
         self.bits = 62 - int(self.norms.max(initial=1)).bit_length()
         self.mask = (1 << self.bits) - 1
         for salt in count():
@@ -254,14 +247,18 @@ def _check_sizes(xmax: int, kmax: int) -> None:
 def identity_suite(field: FieldSpec, xmax: int = 5000, kmax: int = 4) -> list[CheckResult]:
     """Exact-identity checks over every ideal of norm <= xmax."""
     _check_sizes(xmax, kmax)
-    ideals = list(enumerate_ideals(field, xmax))
+    # the ideals A of the checks, and the stream B of the correlation sums,
+    # are both prefixes of one list
+    listed = list(enumerate_ideals(field, max(xmax, _CORR_X)))
+    norms = np.array([A.norm for A in listed], dtype=np.int64)
+    ideals, streamed = (listed[:np.searchsorted(norms, x, side="right")] for x in (xmax, _CORR_X))
     top = ideals[-1].norm  # mu_k(A^k) builds A^k for every listed A
     if top**kmax > NORM_LIMIT:
         raise ValueError(f"kmax {kmax} needs A^{kmax} for ideals of norm up to {top}, past 2^62")
     lay = _Layout(ideals, primes_with_norm_up_to(field, max(xmax, _CORR_X)))
     mu1 = _values(mu_1, ideals)
     results = _divisor_sum_checks(field, lay, mu1, kmax)
-    results += _correlation_checks(field, lay, mu1, kmax)
+    results += _correlation_checks(field, lay, streamed, mu1, kmax)
     del lay, mu1  # freed before the multiplicativity check builds its own
     results.append(_multiplicativity_check(field, ideals, kmax))
     return results
@@ -320,10 +317,11 @@ def _divisor_sum_checks(field: FieldSpec, lay: _Layout, mu1: np.ndarray,
     return results
 
 
-def _correlation_checks(field: FieldSpec, lay: _Layout, mu1: np.ndarray,
-                        kmax: int) -> list[CheckResult]:
+def _correlation_checks(field: FieldSpec, lay: _Layout, streamed: list[IdealFactorization],
+                        mu1: np.ndarray, kmax: int) -> list[CheckResult]:
     """sum_{N(B)<=x} mu_{k-1}(B) mu_{k-1}(A^{k-1} B) = mu_1(A) #{B k-free, (A,B)=1}
-    for every listed A and k = 2..kmax.
+    for every listed A, every streamed B (the ideals of norm <= x) and
+    k = 2..kmax.
 
     The left side is evaluated literally, by `_correlation_lhs`; the right
     side counts by a product of support matrices.  Both run over the same
@@ -332,10 +330,6 @@ def _correlation_checks(field: FieldSpec, lay: _Layout, mu1: np.ndarray,
     ideals = lay.ideals
     if kmax < 2:
         return []
-    if len(ideals) and _CORR_X <= lay.norms[-1]:  # B runs over a prefix of the list
-        streamed = ideals[:np.searchsorted(lay.norms, _CORR_X, side="right")]
-    else:
-        streamed = list(enumerate_ideals(field, _CORR_X))
     bs = _Layout(streamed, lay.labels)
     width = sum(lab.norm <= _CORR_X for lab in lay.labels)  # the columns of B
     kfree = np.stack([_values(q_k, streamed, k) != 0 for k in range(2, kmax + 1)], axis=1)
@@ -447,17 +441,6 @@ def _multiplicativity_check(field: FieldSpec, ideals: list[IdealFactorization],
     return r
 
 
-def _ideal_counts(field: FieldSpec, ys: np.ndarray) -> np.ndarray:
-    """[y]_F at each y of the int64 array ys, as `ideal_count` gives it, with
-    one `_sublinear.exact_sums` call for them all."""
-    out = np.zeros_like(ys)
-    some = ys >= 1
-    if some.any():
-        distinct, at = np.unique(ys[some], return_inverse=True)
-        out[some] = np.array(_sublinear.exact_sums(field, "count", 0, distinct.tolist()))[at]
-    return out
-
-
 def counting_suite(field: FieldSpec, xmax: int = 10_000, kmax: int = 4) -> list[CheckResult]:
     """Counting and inversion checks: enumeration vs sieve, coefficient
     identity, coprime counting, and the exact k-free inversion formula."""
@@ -467,15 +450,13 @@ def counting_suite(field: FieldSpec, xmax: int = 10_000, kmax: int = 4) -> list[
     r = CheckResult(f"enumerate_ideals size = ideal_count  [{field.label}]")
     grid = sorted({1, 10, 100, 1000, xmax})
     _sieve.cumulative_array(field, "count", 0, xmax)
-    # the stream of the coprime counts below, enumerated once: X = max(xs)
-    # is on the grid unless xmax > 10^4
-    xs = (100, 1000, min(xmax, 10_000))
-    stream = list(enumerate_ideals(field, max(xs)))  # max(xs) >= 1000
-    for X in grid:
-        size = len(stream) if X == max(xs) else sum(1 for _ in enumerate_ideals(field, X))
-        if size != ideal_count(field, X):
-            r.fail(f"X={X}")
-        r.tested += 1
+    # one list gives every grid size, and its prefix to max(xs) is the stream
+    # B of the coprime counts below
+    listed = list(enumerate_ideals(field, max(xmax, 1000)))
+    norms = np.array([A.norm for A in listed], dtype=np.int64)
+    sizes = np.searchsorted(norms, grid, side="right")
+    r.fail_where(sizes != [ideal_count(field, X) for X in grid], lambda i: f"X={grid[i]}")
+    r.tested = len(grid)
     results.append(r)
 
     if field.degree == 2 and field.table is None:
@@ -484,23 +465,24 @@ def counting_suite(field: FieldSpec, xmax: int = 10_000, kmax: int = 4) -> list[
         coeff = _sieve.coefficient_array(field, "count", 0, n0)
         chi = _chi_array(field.disc)[np.arange(1, n0 + 1) % abs(field.disc)]
         ms = np.flatnonzero(chi) + 1
-        group, offset = _group_offsets(n0 // ms)
         div_sum = np.zeros(n0 + 1, dtype=np.int64)
-        np.add.at(div_sum, ms[group] * (offset + 1), chi[ms[group] - 1])
-        bad = np.nonzero(coeff[1:] != div_sum[1:])[0]
-        if bad.size:
-            r.fail(f"n={bad[0] + 1}")
+        for group, offset in _group_blocks(n0 // ms):
+            np.add.at(div_sum, ms[group] * (offset + 1), chi[ms[group] - 1])
+        r.fail_where(coeff[1:] != div_sum[1:], lambda i: f"n={i + 1}")
         r.tested = n0
         results.append(r)
 
     r = CheckResult(f"coprime count = sum mu_1(E) [X/N(E)]_F over E | A  [{field.label}]")
+    xs = (100, 1000, min(xmax, 10_000))
+    del listed[np.searchsorted(norms, max(xs), side="right"):]  # B runs to max(xs)
     labels = primes_with_norm_up_to(field, max(xs))
-    cs = _Layout(stream, labels)
-    small = _Layout(stream[:np.searchsorted(cs.norms, 200, side="right")], labels)
+    cs = _Layout(listed, labels)
+    small = _Layout(listed[:np.searchsorted(cs.norms, 200, side="right")], labels)
     width = sum(lab.norm <= 200 for lab in labels)  # the columns of A
     direct = _coprime_sums(small, cs, width, cs.norms[:, None] <= np.array(xs)).T
     mu1 = _values(mu_1, small.ideals)
-    counts = [_ideal_counts(field, X // small.norms) for X in xs]  # [X/N(E)]_F
+    counts = [np.array(_sublinear.exact_sums(field, "count", 0, (X // small.norms).tolist()))
+              for X in xs]  # [X/N(E)]_F
     via_formula = np.zeros_like(direct)
     for d, c in small.pairs(1):  # E = D, A = E C
         a = small.row_of(d, c, 1)
@@ -516,9 +498,7 @@ def counting_suite(field: FieldSpec, xmax: int = 10_000, kmax: int = 4) -> list[
             f"k-free inversion formula exact for every x <= {xmax}, k={k}  [{field.label}]")
         direct = np.cumsum(_sieve.coefficient_array(field, "kfree", k, xmax))[1:]
         formula = _sublinear.kfree_counts(field, k, list(range(1, xmax + 1)))
-        bad = np.nonzero(direct != formula)[0]
-        if bad.size:
-            r.fail(f"x={bad[0] + 1}")
+        r.fail_where(direct != formula, lambda i: f"x={i + 1}")
         r.tested = xmax
         results.append(r)
 

@@ -22,6 +22,7 @@ from idealfunc.field import make_quadratic_field, make_rational_field, primes_up
 from idealfunc.summatory import qfree_count, sweep
 from idealfunc.verify import counting_suite, identity_suite
 from _oracles import dirichlet_partial, mobius_density_partial_sum
+from test_cli import _fresh_env
 
 RATIONAL = make_rational_field()
 GAUSSIAN = make_quadratic_field(-1)
@@ -61,7 +62,7 @@ def test_criterion_identities():
         for res in identity_suite(field, xmax=5000, kmax=4):
             tested += res.tested
             if not res.ok:
-                failures.append(f"{field.label}/{res.name}: {res.note}")
+                failures.append(res.line())
     _report("exact identity suite", not failures,
             f"{tested} checks over {len(ALL_FIELDS)} fields"
             + (f"; failures: {failures}" if failures else ""))
@@ -222,7 +223,7 @@ def test_criterion_cli_determinism(tmp_path):
             "--theorem", "1", "--order", "2", "--grid", "100:100000:7"]
     outputs = []
     for _ in range(3):
-        proc = subprocess.run(argv, capture_output=True, timeout=300)
+        proc = subprocess.run(argv, capture_output=True, env=_fresh_env(), timeout=300)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
     ok = outputs[0] == outputs[1] == outputs[2]
@@ -236,5 +237,5 @@ def test_counting_suites_pass():
     for field in ALL_FIELDS:
         for res in counting_suite(field, xmax=10_000, kmax=4):
             if not res.ok:
-                failures.append(f"{field.label}/{res.name}: {res.note}")
+                failures.append(res.line())
     assert not failures, failures

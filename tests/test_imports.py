@@ -114,11 +114,11 @@ _LOADED_BY = {
 }
 
 
-def _loaded_after(code: str) -> list[str]:
-    """The sorted package modules in sys.modules once `code` ran in a fresh
-    interpreter."""
+def _loaded_after(code: str, package: str = "idealfunc") -> list[str]:
+    """The sorted modules of the package in sys.modules once `code` ran in a
+    fresh interpreter."""
     script = code + ("\nimport sys\nprint(*sorted(m for m in sys.modules "
-                     "if m.partition('.')[0] == 'idealfunc'))")
+                     f"if m.partition('.')[0] == {package!r}))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -131,6 +131,16 @@ def test_a_subcommand_loads_only_the_modules_it_calls(name):
     argv, loaded = _LOADED_BY[name]
     assert _loaded_after(f"import io\nfrom idealfunc.cli import main\n"
                          f"assert main({argv!r}, out=io.StringIO()) == 0") == sorted(loaded)
+
+
+def test_no_subcommand_loads_numpy_random():
+    # numpy.random adds about 6 MiB of peak RSS to a process that imports
+    # numpy alone, and no query needs it: every subcommand runs in turn in
+    # one interpreter, which keeps any module one of them loads
+    queries = "".join(f"assert main({argv!r}, out=io.StringIO()) == 0\n"
+                      for argv, _ in _LOADED_BY.values())
+    loaded = _loaded_after("import io\nfrom idealfunc.cli import main\n" + queries, "numpy")
+    assert "numpy" in loaded and "numpy.random" not in loaded
 
 
 def test_the_modules_a_sum_leaves_out():

@@ -235,6 +235,19 @@ def test_blocked_grid_equals_one_x_calls(spec, fresh_memos, monkeypatch):
     assert np.array_equal(mertens.many(points, js), expected)
 
 
+@pytest.mark.parametrize("spec", ["q", "q:-1", "q:5", "table:q(i)"])
+def test_exact_sums_answer_zero_and_repeated_x(spec, fresh_memos):
+    # the counting suite of `verify` asks [X/N(E)]_F at every E in one call:
+    # unsorted, repeated, and 0 past X
+    field = SIEVE_FIELDS[spec]
+    xs = [0, 5, 5, 0, 100]
+    for kind, k in (("count", 0), ("kfree", 2), ("mobius", 1), ("mobius", 2), ("liouville", 2)):
+        expected = _sieve_sums(field, kind, k, 100)
+        assert _sublinear.exact_sums(field, kind, k, xs) == \
+            [0 if x == 0 else int(expected[x]) for x in xs], (kind, k)
+        assert _sublinear.exact_sums(field, kind, k, [0, 0]) == [0, 0], (kind, k)
+
+
 def test_inversion_formula_over_a_table_field(fresh_memos):
     # Q(i) as a prime-ideal table: 2 ramifies, p = 1 mod 4 splits, p = 3 mod 4
     # is inert.  The counting suite of `verify` runs this branch at every x.
@@ -277,7 +290,6 @@ def test_route_equals_sieve_with_kept_tables(spec, fresh_memos):
 
 
 def test_kept_route_tables_are_bounded(fresh_memos, monkeypatch):
-    kept_bytes = lambda: sum(a.nbytes for a in field_module._CUM_CACHE.values())  # noqa: E731
     # the sieve oracle runs first, and the memo is emptied: its primes to x
     # would push every table out
     specs = ("q:-1", "q:5", "q:-5")
@@ -286,26 +298,34 @@ def test_kept_route_tables_are_bounded(fresh_memos, monkeypatch):
     want = {spec: int(_sieve_sums(parse_field(spec), "liouville", 2, 10**5)[-1]) for spec in specs}
     want.update({case: int(_sieve_sums(field, case[1], 2, case[0])[-1]) for case in cases})
     field_module.clear_cache()
-    # a budget of two fields' Liouville tables at 10^5 (the count and mu_1
-    # prefix sums to T), beside the primes to T and the characters the
-    # fields read: a third field pushes out the least recently used one
+    # a budget of three Liouville tables at 10^5 (a field's count and mu_1
+    # prefix sums to T each), beside the primes to T and the characters the
+    # fields read: with the newest table, which the budget leaves out, that
+    # holds two fields' tables, so a third field pushes out the least
+    # recently used one
     size = _sublinear.table_size(10**5)
     shared = 8 * len(primes_up_to(size)) + sum(abs(parse_field(s).disc) for s in specs)
-    monkeypatch.setattr(field_module, "_KEPT_BYTES", 2 * 2 * 8 * (size + 1) + shared)
+    monkeypatch.setattr(field_module, "_KEPT_BYTES", 3 * 8 * (size + 1) + shared)
     for spec in specs:
         assert _sublinear.exact_sums(parse_field(spec), "liouville", 2, [10**5])[0] == want[spec]
     assert [key for key, _ in field_module._CUM_CACHE if key is not None] == \
         [parse_field(s).cache_key() for s in specs[1:] for _ in range(2)]
-    # an array past the budget is kept only while it is the newest; older
-    # arrays make room for a newer one
+    # an array past the budget pushes out only what passes the budget beside
+    # it, and older arrays make room for a newer one
     size = _sublinear.table_size(10**6)
     monkeypatch.setattr(field_module, "_KEPT_BYTES", 8 * size)
+    sieved = []
+    sieve_primes = field_module._sieve_primes
+    monkeypatch.setattr(field_module, "_sieve_primes", lambda n: sieved.append(n) or sieve_primes(n))
     for x, kind in cases:
         assert _sublinear.exact_sums(field, kind, 2, [x])[0] == want[x, kind]
-        assert kept_bytes() <= 8 * size or len(field_module._CUM_CACHE) == 1
-        if x == 10**6:  # its tables are each over the budget, so each array
-            # built pushes out every older one: only the character, which the
-            # route reads last, stays
-            assert list(field_module._CUM_CACHE) == [(None, ("chi", field.disc))]
+        sizes = [a.nbytes for a in field_module._CUM_CACHE.values()]
+        assert sum(sizes) - max(sizes) <= 8 * size
+        if x == 10**6:  # its tables are each over the budget: the mu_1 table
+            # pushes out the count table, but the primes it was built from
+            # stay, so the query sieves them once
+            assert (None, "primes") in field_module._CUM_CACHE
+            assert (field.cache_key(), ("count", 0)) not in field_module._CUM_CACHE
+            assert sieved == [size]
     assert all(a.nbytes < 8 * size for a in field_module._CUM_CACHE.values())
     assert field.cache_key() in {key for key, _ in field_module._CUM_CACHE}
